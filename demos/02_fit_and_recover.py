@@ -1,9 +1,7 @@
 """Fit the full model on one synthetic cohort and compare the posterior to
 the generating truth.
 
-Desk-scale settings (150 patients, 2 chains) so this runs in about a minute;
-the acceptance suite runs the same experiment across 20 trials at 300
-patients.
+Desk-scale settings (150 patients, 2 chains) so this runs in about a minute.
 """
 
 import numpy as np

@@ -25,13 +25,13 @@ def fit_model(data, priors: PriorSpec | None = None,
               threads: int = 1, non_centered: bool = True) -> PosteriorDraws:
     """Fit the progression model by NUTS.
 
-    Chains are initialized from independent prior draws (globals from their
-    priors, latents from the drawn group distributions). Sampling runs by
-    default in the non-centered latent parameterization, which removes the
-    funnel between group scale parameters and per-patient latents; draws are
-    returned in the documented constrained space either way, under canonical
-    parameter names, with dataset metadata attached for downstream
-    estimators.
+    Every chain starts from the data-informed ``rough_init`` point, jittered
+    per chain in unconstrained space (``jittered_init``) with its own
+    substream of the seed. Sampling runs by default in the non-centered
+    latent parameterization, which removes the funnel between group scale
+    parameters and per-patient latents; draws are returned in the documented
+    constrained space either way, under canonical parameter names, with
+    dataset metadata attached for downstream estimators.
     """
     config = config or SamplerConfig()
     model = ProgressionModel(data, priors, variant)
@@ -244,11 +244,6 @@ def max_global_rhat(draws: PosteriorDraws) -> float:
         if np.isfinite(r):
             worst = max(worst, r)
     return worst
-
-
-def posterior_means(draws: PosteriorDraws, names=None) -> dict[str, float]:
-    names = names if names is not None else draws.names
-    return {n: draws.mean(n) for n in names}
 
 
 def severity_means_by_patient(draws: PosteriorDraws) -> dict[str, tuple[float, float]]:

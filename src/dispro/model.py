@@ -12,7 +12,8 @@ The first visit defines t = 0 and is conditioned on, not modeled.
 ``ProgressionModel`` flattens all sampled parameters into one vector with a
 canonical ordering (shared block, then groups by index, then patients in
 dataset order; per patient init_sev then rate), maps it to an unconstrained
-space for HMC, and evaluates density and gradient in one fused pass.
+space for HMC, and evaluates density and gradient in one pass, with the
+latents centered or non-centered.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernel
 from .priors import PriorSpec, TruncatedNormal, simulation_priors
 from .types import (
     Dataset,
@@ -60,42 +60,40 @@ FULL_VARIANT = VariantConfig()
 
 
 # ---------------------------------------------------------------------------
-# likelihood kernels on flat arrays
+# likelihood blocks on flat arrays
 # ---------------------------------------------------------------------------
 
-def _emission_terms(loadings, intercepts, noise_vars, sev0, rate, idx: DatasetIndex):
-    """Per-cell residuals and noise variances for observed feature cells."""
+def _emission_block(L, B, V, cells_per_feature, sev0, rate, idx: DatasetIndex):
+    """Partial sums of the Gaussian log-likelihood of the observed feature
+    cells (the log(2 pi v) constant, taken once per feature, and the
+    quadratic term), with the per-cell severity, precision-weighted residual
+    and squared standardized residual that the gradient reuses."""
     sev = sev0[idx.cell_patient] + rate[idx.cell_patient] * idx.cell_time
-    mean = loadings[idx.cell_feature] * sev + intercepts[idx.cell_feature]
-    resid = idx.cell_value - mean
-    return sev, resid, noise_vars[idx.cell_feature]
+    resid = idx.cell_value - (L[idx.cell_feature] * sev + B[idx.cell_feature])
+    w = resid / V[idx.cell_feature]
+    rw = resid * w
+    parts = [-0.5 * float(np.sum(cells_per_feature * np.log(2.0 * np.pi * V))),
+             -0.5 * float(np.sum(rw))]
+    return parts, sev, w, rw
 
 
-def _emission_loglik(loadings, intercepts, noise_vars, sev0, rate, idx):
-    if idx.cell_value.size == 0:
-        return 0.0
-    _, resid, v = _emission_terms(loadings, intercepts, noise_vars, sev0, rate, idx)
-    return float(-0.5 * np.sum(np.log(2.0 * np.pi * v) + resid * resid / v))
-
-
-def _visit_eta(visit_intercept, visit_severity, offsets, group_of, sev0, rate, idx):
+def _visit_block(vint, vsev, row_offset, sev0, rate, idx: DatasetIndex,
+                 bin_width):
+    """Partial sums of the censored-Poisson log-likelihood of the visit
+    indicators over bins 1..horizon (severity at each bin's left edge), with
+    the per-row severity and expected count q. None when a log rate exceeds
+    the cap or an observed visit falls in a zero-probability bin."""
     sev = sev0[idx.row_patient] + rate[idx.row_patient] * idx.row_time
-    return sev, visit_intercept + visit_severity * sev + offsets[group_of[idx.row_patient]]
-
-
-def _visit_loglik(eta, event, bin_width):
-    """Sum of per-bin log-probabilities, or None when the rate overflows."""
-    if eta.size == 0:
-        return 0.0
-    if np.max(eta) > LOG_RATE_CAP:
+    eta = vint + vsev * sev + row_offset
+    if eta.size and np.max(eta) > LOG_RATE_CAP:
         return None
     q = bin_width * np.exp(eta)
-    q_event = q[event]
+    q_event = q[idx.row_event]
     if np.any(q_event == 0.0):
-        return None  # an observed visit in a zero-probability bin
-    with np.errstate(divide="ignore"):
-        ll_event = np.sum(np.log(-np.expm1(-q_event)))
-    return float(ll_event - np.sum(q[~event]))
+        return None
+    parts = [float(np.sum(np.log(-np.expm1(-q_event)))),
+             -float(np.sum(q[~idx.row_event]))]
+    return parts, sev, q
 
 
 def _fsum(parts) -> float:
@@ -107,14 +105,14 @@ def _fsum(parts) -> float:
         return math.nan
 
 
-def _latent_prior_loglik(means, sds, values):
-    z = (values - means) / sds
-    return float(np.sum(-0.5 * (_LOG_2PI + z * z) - np.log(sds)))
-
-
 # ---------------------------------------------------------------------------
 # spec-level operations on parameter bundles
 # ---------------------------------------------------------------------------
+
+def _latent_arrays(latents: list[PatientLatents]):
+    return (np.array([la.init_sev for la in latents], dtype=float),
+            np.array([la.rate for la in latents], dtype=float))
+
 
 def log_lik_emission(shared: SharedParams, latents: list[PatientLatents],
                      data: Dataset) -> float:
@@ -123,10 +121,11 @@ def log_lik_emission(shared: SharedParams, latents: list[PatientLatents],
     if np.any(shared.noise_vars <= 0):
         raise InvalidParameterError("noise variances must be positive")
     idx = DatasetIndex.build(data)
-    sev0 = np.array([la.init_sev for la in latents])
-    rate = np.array([la.rate for la in latents])
-    return _emission_loglik(shared.loadings, shared.feat_intercepts,
-                            shared.noise_vars, sev0, rate, idx)
+    counts = np.bincount(idx.cell_feature, minlength=data.n_features)
+    parts = _emission_block(shared.loadings, shared.feat_intercepts,
+                            shared.noise_vars, counts, *_latent_arrays(latents),
+                            idx)[0]
+    return math.fsum(parts)
 
 
 def log_lik_visits(shared: SharedParams, groups: list[GroupParams],
@@ -134,13 +133,11 @@ def log_lik_visits(shared: SharedParams, groups: list[GroupParams],
     """Censored-Poisson log-likelihood of the visit indicators over bins
     1..horizon per patient. Severity is taken at each bin's left edge."""
     idx = DatasetIndex.build(data)
-    sev0 = np.array([la.init_sev for la in latents])
-    rate = np.array([la.rate for la in latents])
     offsets = np.array([g.visit_offset for g in groups])
-    _, eta = _visit_eta(shared.visit_intercept, shared.visit_severity,
-                        offsets, idx.group_of, sev0, rate, idx)
-    ll = _visit_loglik(eta, idx.row_event, data.bin_width)
-    return -math.inf if ll is None else ll
+    block = _visit_block(shared.visit_intercept, shared.visit_severity,
+                         offsets[idx.group_of[idx.row_patient]],
+                         *_latent_arrays(latents), idx, data.bin_width)
+    return -math.inf if block is None else math.fsum(block[0])
 
 
 def log_prior(shared: SharedParams, groups: list[GroupParams],
@@ -230,27 +227,9 @@ class ProgressionModel:
         self._cells_per_feature = np.bincount(
             self.idx.cell_feature, minlength=data.n_features).astype(float)
         self._row_group = self.idx.group_of[self.idx.row_patient]
-        idx = self.idx
-        self._kernel_args = {
-            "lower": np.ascontiguousarray(self._lower),
-            "bounded": np.ascontiguousarray(self._bounded),
-            "prior_mu": np.ascontiguousarray(self._prior_mu),
-            "prior_sigma": np.ascontiguousarray(self._prior_sigma),
-            "init_mean_idx": np.ascontiguousarray(self._init_mean_idx, dtype=np.int64),
-            "init_sd_idx": np.ascontiguousarray(self._init_sd_idx, dtype=np.int64),
-            "rate_mean_idx": np.ascontiguousarray(self._rate_mean_idx, dtype=np.int64),
-            "rate_sd_idx": np.ascontiguousarray(self._rate_sd_idx, dtype=np.int64),
-            "offset_idx": np.ascontiguousarray(self._offset_idx, dtype=np.int64),
-            "g_of": np.ascontiguousarray(idx.group_of, dtype=np.int64),
-            "cell_patient": np.ascontiguousarray(idx.cell_patient, dtype=np.int64),
-            "cell_time": np.ascontiguousarray(idx.cell_time),
-            "cell_feature": np.ascontiguousarray(idx.cell_feature, dtype=np.int64),
-            "cell_value": np.ascontiguousarray(idx.cell_value),
-            "row_patient": np.ascontiguousarray(idx.row_patient, dtype=np.int64),
-            "row_time": np.ascontiguousarray(idx.row_time),
-            "row_event": np.ascontiguousarray(idx.row_event),
-            "row_group": np.ascontiguousarray(self._row_group, dtype=np.int64),
-        }
+        # Patients per group, for the sum of per-patient log group sds.
+        self._patients_per_group = np.bincount(
+            self.idx.group_of, minlength=data.n_groups).astype(float)
 
     # -- layout ------------------------------------------------------------
 
@@ -406,24 +385,6 @@ class ProgressionModel:
             x[off + 2 * i + 1] = la.rate
         return x
 
-    def unpack(self, x: np.ndarray):
-        """Inverse of pack; fills pinned coordinates with their fixed values."""
-        shared = SharedParams(
-            loadings=x[self._sl_load].copy(),
-            feat_intercepts=x[self._sl_fint].copy(),
-            noise_vars=x[self._sl_noise].copy(),
-            visit_intercept=float(x[self._i_vint]),
-            visit_severity=float(x[self._i_vsev]),
-        )
-        gm, gs, rm, rs, off = self._group_arrays(x)
-        groups = [GroupParams(float(gm[g]), float(gs[g]), float(rm[g]),
-                              float(rs[g]), float(off[g]))
-                  for g in range(self.data.n_groups)]
-        base = self.n_global
-        latents = [PatientLatents(float(x[base + 2 * i]), float(x[base + 2 * i + 1]))
-                   for i in range(self.n_patients)]
-        return shared, groups, latents
-
     def _group_arrays(self, x):
         def resolve(idx_arr, default):
             out = np.full(idx_arr.shape, default, dtype=float)
@@ -436,27 +397,37 @@ class ProgressionModel:
                 resolve(self._rate_sd_idx, np.nan),
                 resolve(self._offset_idx, 0.0))
 
-    def _latents(self, x):
-        base = self.n_global
-        return x[base::2], x[base + 1::2]
-
     # -- densities -----------------------------------------------------------
+
+    def _prior_parts(self, xg, z_i, z_r):
+        """Standardized globals and the partial sums of the global priors and
+        of the standard-normal part of the latent priors, given the
+        standardized latents ``z_i`` (initial severity) and ``z_r`` (rate)."""
+        zg = (xg - self._prior_mu) / self._prior_sigma
+        return zg, [self._prior_const_sum, -0.5 * float(np.sum(zg * zg)),
+                    -self.n_patients * _LOG_2PI,
+                    -0.5 * float(np.sum(z_i * z_i)),
+                    -0.5 * float(np.sum(z_r * z_r))]
+
+    def _log_sd_parts(self, gs, rs):
+        """-sum over patients of log(group sd): the normalizers of the
+        centered latent densities."""
+        n = self._patients_per_group
+        return [-float(np.sum(n * np.log(gs))), -float(np.sum(n * np.log(rs)))]
 
     def logprior_constrained(self, x: np.ndarray) -> float:
         """Log-prior of sampled globals plus latent densities, in constrained
         space (no Jacobian)."""
-        xg = x[:self.n_global]
-        if np.any(xg[self._bounded[:self.n_global]]
-                  <= self._lower[:self.n_global][self._bounded[:self.n_global]]):
+        base = self.n_global
+        b = self._bounded[:base]
+        if np.any(x[:base][b] <= self._lower[:base][b]):
             return -math.inf
-        z = (xg - self._prior_mu) / self._prior_sigma
-        lp = self._prior_const_sum - 0.5 * float(z @ z)
         gm, gs, rm, rs, _ = self._group_arrays(x)
-        sev0, rate = self._latents(x)
         g_of = self.idx.group_of
-        lp += _latent_prior_loglik(gm[g_of], gs[g_of], sev0)
-        lp += _latent_prior_loglik(rm[g_of], rs[g_of], rate)
-        return lp
+        z_i = (x[base::2] - gm[g_of]) / gs[g_of]
+        z_r = (x[base + 1::2] - rm[g_of]) / rs[g_of]
+        parts = self._prior_parts(x[:base], z_i, z_r)[1]
+        return _fsum(parts + self._log_sd_parts(gs, rs))
 
     def log_posterior(self, theta: np.ndarray) -> float:
         return self.logp_and_grad(theta, want_grad=False)[0]
@@ -465,178 +436,12 @@ class ProgressionModel:
         return self.logp_and_grad(theta)[1]
 
     def logp_and_grad(self, theta: np.ndarray, want_grad: bool = True):
-        """Fused unnormalized log-posterior and gradient over the
-        unconstrained vector. On overflow (capped log visit rate, non-finite
-        constrained values) returns (-inf, zeros): a rejected region.
+        """Unnormalized log-posterior and gradient over the unconstrained
+        vector, latents centered. On overflow (capped log visit rate,
+        non-finite constrained values, a noise variance or group sd that
+        underflows to 0) returns (-inf, zeros): a rejected region."""
+        return self._density(theta, want_grad, non_centered=False)
 
-        Dispatches to the compiled single-pass kernel (``_kernel``, with a
-        Kahan-compensated total) when numba is available, and otherwise to
-        ``logp_and_grad_reference`` (``math.fsum`` over block partial sums).
-        The tests hold the two to 1e-12 relative on the density and 1e-9 on
-        the gradient."""
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise InvalidParameterError(f"expected vector of length {self.dim}")
-        if not np.all(np.isfinite(theta)):
-            raise InvalidParameterError("non-finite unconstrained input")
-        if _kernel.HAVE_NUMBA:
-            return self._kernel_eval(theta, want_grad, non_centered=False)
-        return self.logp_and_grad_reference(theta, want_grad)
-
-    def _kernel_eval(self, theta, want_grad, non_centered):
-        k = self._kernel_args
-        ll, grad, ok = _kernel.fused_logp_grad(
-            theta, k["lower"], k["bounded"], self.n_global,
-            k["prior_mu"], k["prior_sigma"], self._prior_const_sum,
-            k["init_mean_idx"], k["init_sd_idx"], k["rate_mean_idx"],
-            k["rate_sd_idx"], k["offset_idx"], k["g_of"],
-            k["cell_patient"], k["cell_time"], k["cell_feature"],
-            k["cell_value"], k["row_patient"], k["row_time"],
-            k["row_event"], k["row_group"],
-            self.data.bin_width, self.data.n_features, want_grad, non_centered)
-        if not ok:
-            return -math.inf, (np.zeros(self.dim) if want_grad else None)
-        return float(ll), (grad if want_grad else None)
-
-    def logp_and_grad_reference(self, theta: np.ndarray, want_grad: bool = True,
-                                extra_terms: tuple[float, ...] = ()):
-        """Vectorized numpy evaluation, kept as the independently readable
-        reference for the compiled kernel.
-
-        Each block (emission constant and quadratic, visit events and
-        non-events, global prior constant and quadratic, the two latent
-        priors, the Jacobian, then ``extra_terms``) is reduced to one partial
-        sum, and the partials are combined once with ``math.fsum``. The total
-        is therefore the correctly rounded sum of the partials: one rounding
-        at the end instead of one per block, which is what keeps
-        finite-difference checks at |logp| ~ 1e6 meaningful. The compiled
-        kernel reaches similar accuracy with a Kahan-compensated running
-        total; the tests require the two to agree to 1e-12 relative on the
-        density and 1e-9 on the gradient."""
-        theta = np.asarray(theta, dtype=float)
-        sentinel = (-math.inf, np.zeros(self.dim) if want_grad else None)
-        x = self.constrain(theta)
-        if not np.all(np.isfinite(x)):
-            return sentinel
-
-        idx = self.idx
-        d = self.data.n_features
-        L = x[self._sl_load]
-        B = x[self._sl_fint]
-        V = x[self._sl_noise]
-        vint = x[self._i_vint]
-        vsev = x[self._i_vsev]
-        gm, gs, rm, rs, goff = self._group_arrays(x)
-        sev0, rate = self._latents(x)
-        g_of = idx.group_of
-
-        # emission
-        sev_c = sev0[idx.cell_patient] + rate[idx.cell_patient] * idx.cell_time
-        mean_c = L[idx.cell_feature] * sev_c + B[idx.cell_feature]
-        resid = idx.cell_value - mean_c
-        v_c = V[idx.cell_feature]
-        w_c = resid / v_c
-        parts = [-0.5 * float(self._cells_per_feature @ np.log(2.0 * np.pi * V)),
-                 -0.5 * float(resid @ w_c)]
-
-        # visits
-        sev_v = sev0[idx.row_patient] + rate[idx.row_patient] * idx.row_time
-        eta = vint + vsev * sev_v + goff[self._row_group]
-        if eta.size and np.max(eta) > LOG_RATE_CAP:
-            return sentinel
-        q = self.data.bin_width * np.exp(eta)
-        event = idx.row_event
-        q_event = q[event]
-        if np.any(q_event == 0.0):
-            return sentinel
-        with np.errstate(divide="ignore"):
-            parts.append(float(np.sum(np.log(-np.expm1(-q_event)))))
-        parts.append(-float(np.sum(q[~event])))
-
-        # priors: globals then hierarchical latents
-        xg = x[:self.n_global]
-        zg = (xg - self._prior_mu) / self._prior_sigma
-        parts += [self._prior_const_sum, -0.5 * float(zg @ zg)]
-
-        m_i, s_i = gm[g_of], gs[g_of]
-        m_r, s_r = rm[g_of], rs[g_of]
-        z_i = (sev0 - m_i) / s_i
-        z_r = (rate - m_r) / s_r
-        parts.append(float(np.sum(-0.5 * (_LOG_2PI + z_i * z_i) - np.log(s_i))))
-        parts.append(float(np.sum(-0.5 * (_LOG_2PI + z_r * z_r) - np.log(s_r))))
-
-        # Jacobian of the constraining transform
-        parts.append(float(np.sum(theta[self._bounded])))
-
-        ll = _fsum(parts + list(extra_terms))
-        if not np.isfinite(ll):
-            return sentinel
-        if not want_grad:
-            return ll, None
-
-        # ------- gradient in constrained space -------
-        gx = np.zeros(self.dim)
-        N = self.n_patients
-        G = self.data.n_groups
-
-        # emission block
-        gx[self._sl_load] += np.bincount(idx.cell_feature, weights=w_c * sev_c,
-                                         minlength=d)
-        gx[self._sl_fint] += np.bincount(idx.cell_feature, weights=w_c, minlength=d)
-        dv = (resid * w_c - 1.0) / (2.0 * v_c)
-        gx[self._sl_noise] += np.bincount(idx.cell_feature, weights=dv, minlength=d)
-        u_c = w_c * L[idx.cell_feature]
-        d_sev0 = np.bincount(idx.cell_patient, weights=u_c, minlength=N)
-        d_rate = np.bincount(idx.cell_patient, weights=u_c * idx.cell_time, minlength=N)
-
-        # visit block: d(loglik)/d(eta) per row
-        # d/d(eta): events give q * exp(-q) / (1 - exp(-q)) = q / expm1(q),
-        # non-events give -q. The 0/0 at q == 0 only arises on non-event rows
-        # (event rows with q == 0 hit the sentinel above) and is discarded.
-        with np.errstate(over="ignore", invalid="ignore"):
-            c_eta = np.where(event, q / np.expm1(q), -q)
-        gx[self._i_vint] += float(np.sum(c_eta))
-        gx[self._i_vsev] += float(np.sum(c_eta * sev_v))
-        c_pat = np.bincount(idx.row_patient, weights=c_eta, minlength=N)
-        ct_pat = np.bincount(idx.row_patient, weights=c_eta * idx.row_time, minlength=N)
-        d_sev0 += vsev * c_pat
-        d_rate += vsev * ct_pat
-        off_free = self._offset_idx >= 0
-        if np.any(off_free):
-            c_grp = np.bincount(g_of, weights=c_pat, minlength=G)
-            np.add.at(gx, self._offset_idx[off_free], c_grp[off_free])
-
-        # global priors
-        gx[:self.n_global] += -(xg - self._prior_mu) / (self._prior_sigma ** 2)
-
-        # hierarchical latent priors
-        d_sev0 += -z_i / s_i
-        d_rate += -z_r / s_r
-        for idx_arr, zz, ss in ((self._init_mean_idx, z_i, s_i),
-                                (self._rate_mean_idx, z_r, s_r)):
-            free = idx_arr >= 0
-            if np.any(free):
-                contrib = np.bincount(g_of, weights=zz / ss, minlength=G)
-                np.add.at(gx, idx_arr[free], contrib[free])
-        for idx_arr, zz, ss in ((self._init_sd_idx, z_i, s_i),
-                                (self._rate_sd_idx, z_r, s_r)):
-            free = idx_arr >= 0
-            if np.any(free):
-                contrib = np.bincount(g_of, weights=(zz * zz - 1.0) / ss, minlength=G)
-                np.add.at(gx, idx_arr[free], contrib[free])
-
-        base = self.n_global
-        gx[base::2] += d_sev0
-        gx[base + 1::2] += d_rate
-
-        # chain rule through x = lower + exp(u), plus d/du of the Jacobian term
-        grad = gx
-        grad[self._bounded] = grad[self._bounded] * (x[self._bounded]
-                                                     - self._lower[self._bounded]) + 1.0
-        return ll, grad
-
-    # -- non-centered sampling parameterization -------------------------------
-    #
     # The sampler may run over (globals, standardized latents) with
     # z = group_mean + group_sd * u, u ~ N(0, 1): an equivalent posterior
     # that removes the funnel between group scales and per-patient latents.
@@ -644,66 +449,139 @@ class ProgressionModel:
 
     def logp_and_grad_noncentered(self, theta_nc: np.ndarray,
                                   want_grad: bool = True):
-        theta_nc = np.asarray(theta_nc, dtype=float)
-        if theta_nc.shape != (self.dim,):
-            raise InvalidParameterError(f"expected vector of length {self.dim}")
-        if not np.all(np.isfinite(theta_nc)):
-            raise InvalidParameterError("non-finite unconstrained input")
-        if _kernel.HAVE_NUMBA:
-            return self._kernel_eval(theta_nc, want_grad, non_centered=True)
-        return self._logp_and_grad_nc_reference(theta_nc, want_grad)
+        """``logp_and_grad`` over the non-centered vector, whose latent
+        coordinates are the standardized residuals u."""
+        return self._density(theta_nc, want_grad, non_centered=True)
 
-    def _nc_to_centered(self, theta_nc: np.ndarray) -> np.ndarray:
-        """Map a non-centered unconstrained vector to the centered one."""
+    def constrain_noncentered(self, theta_nc: np.ndarray) -> np.ndarray:
         x = self.constrain(theta_nc)
         gm, gs, rm, rs, _ = self._group_arrays(x)
         g_of = self.idx.group_of
         base = self.n_global
-        theta = theta_nc.copy()
-        theta[base::2] = gm[g_of] + gs[g_of] * theta_nc[base::2]
-        theta[base + 1::2] = rm[g_of] + rs[g_of] * theta_nc[base + 1::2]
-        return theta
+        x[base::2] = gm[g_of] + gs[g_of] * x[base::2]
+        x[base + 1::2] = rm[g_of] + rs[g_of] * x[base + 1::2]
+        return x
 
-    def constrain_noncentered(self, theta_nc: np.ndarray) -> np.ndarray:
-        return self.constrain(self._nc_to_centered(np.asarray(theta_nc,
-                                                              dtype=float)))
+    def _density(self, theta, want_grad, non_centered):
+        """The joint log-density and its gradient in one pass.
 
-    def _logp_and_grad_nc_reference(self, theta_nc, want_grad=True):
-        theta = self._nc_to_centered(theta_nc)
-        x = self.constrain(theta)
-        gm, gs, rm, rs, _ = self._group_arrays(x)
-        g_of = self.idx.group_of
-        base = self.n_global
-        s_i, s_r = gs[g_of], rs[g_of]
-        # log|dz/du| of the latent map, summed with the centered blocks
-        lp_nc, grad_c = self.logp_and_grad_reference(
-            theta, want_grad,
-            extra_terms=(float(np.sum(np.log(s_i))), float(np.sum(np.log(s_r)))))
-        if not np.isfinite(lp_nc) or not want_grad:
-            return lp_nc, grad_c
-        u = theta_nc[base::2]
-        w = theta_nc[base + 1::2]
-        gz = grad_c[base::2]
-        gr = grad_c[base + 1::2]
-        grad = grad_c.copy()
-        grad[base::2] = gz * s_i
-        grad[base + 1::2] = gr * s_r
-        G = self.data.n_groups
-        for idx_arr, gl, uu, ss, sd_like in (
-                (self._init_mean_idx, gz, u, s_i, False),
-                (self._rate_mean_idx, gr, w, s_r, False),
-                (self._init_sd_idx, gz, u, s_i, True),
-                (self._rate_sd_idx, gr, w, s_r, True)):
-            free = idx_arr >= 0
-            if not np.any(free):
-                continue
-            if sd_like:
-                weights = gl * uu * ss + 1.0  # d(z)/d(log sd) + Jacobian term
+        The vector is constrained once; the latent coordinates hold the
+        centered values or, with ``non_centered``, the standardized
+        residuals u of ``z = m + s * u``. The emission, visit and global
+        prior blocks are shared; only the latent prior and its gradient
+        fan-out depend on the parameterization. Each block is reduced to
+        partial sums, combined once with ``math.fsum``: one rounding at the
+        end instead of one per block, which keeps finite-difference checks
+        at |logp| ~ 1e6 meaningful. Every reduction is a numpy sum, not a
+        BLAS dot product, so the result does not depend on the BLAS thread
+        count."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.dim,):
+            raise InvalidParameterError(f"expected vector of length {self.dim}")
+        if not np.all(np.isfinite(theta)):
+            raise InvalidParameterError("non-finite unconstrained input")
+        sentinel = (-math.inf, np.zeros(self.dim) if want_grad else None)
+        # Overflow, log 0 and inf/inf in rejected regions end at the sentinel.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            x = self.constrain(theta)
+            L, B, V = x[self._sl_load], x[self._sl_fint], x[self._sl_noise]
+            gm, gs, rm, rs, goff = self._group_arrays(x)
+            if not (np.all(np.isfinite(x))
+                    and min(V.min(), gs.min(), rs.min()) > 0.0):
+                return sentinel
+            idx = self.idx
+            g_of = idx.group_of
+            base = self.n_global
+            s_i, s_r = gs[g_of], rs[g_of]
+            if non_centered:
+                z_i, z_r = x[base::2], x[base + 1::2]
+                sev0 = gm[g_of] + s_i * z_i
+                rate = rm[g_of] + s_r * z_r
             else:
-                weights = gl
-            contrib = np.bincount(g_of, weights=weights, minlength=G)
-            np.add.at(grad, idx_arr[free], contrib[free])
-        return lp_nc, grad
+                sev0, rate = x[base::2], x[base + 1::2]
+                z_i = (sev0 - gm[g_of]) / s_i
+                z_r = (rate - rm[g_of]) / s_r
+
+            parts, sev_c, w_c, rw = _emission_block(
+                L, B, V, self._cells_per_feature, sev0, rate, idx)
+            visits = _visit_block(x[self._i_vint], x[self._i_vsev],
+                                  goff[self._row_group], sev0, rate, idx,
+                                  self.data.bin_width)
+            if visits is None:
+                return sentinel
+            visit_parts, sev_v, q = visits
+            parts += visit_parts
+            zg, prior_parts = self._prior_parts(x[:base], z_i, z_r)
+            parts += prior_parts
+            if not non_centered:
+                parts += self._log_sd_parts(gs, rs)
+            # Jacobian of the constraining transform
+            parts.append(float(np.sum(theta[self._bounded])))
+            ll = _fsum(parts)
+            if not np.isfinite(ll):
+                return sentinel
+            if not want_grad:
+                return ll, None
+
+            # ------- gradient in constrained space -------
+            gx = np.zeros(self.dim)
+            d, N = self.data.n_features, self.n_patients
+            cf = idx.cell_feature
+            gx[self._sl_load] = np.bincount(cf, weights=w_c * sev_c, minlength=d)
+            gx[self._sl_fint] = np.bincount(cf, weights=w_c, minlength=d)
+            gx[self._sl_noise] = ((np.bincount(cf, weights=rw, minlength=d)
+                                   - self._cells_per_feature) / (2.0 * V))
+            u_c = w_c * L[cf]
+            d_sev = np.bincount(idx.cell_patient, weights=u_c, minlength=N)
+            d_rate = np.bincount(idx.cell_patient, weights=u_c * idx.cell_time,
+                                 minlength=N)
+
+            # d(loglik)/d(eta): q / expm1(q) on event rows, -q otherwise
+            c_eta = -q
+            event = idx.row_event
+            c_eta[event] = q[event] / np.expm1(q[event])
+            vsev = x[self._i_vsev]
+            gx[self._i_vint] = np.sum(c_eta)
+            gx[self._i_vsev] = np.sum(c_eta * sev_v)
+            c_pat = np.bincount(idx.row_patient, weights=c_eta, minlength=N)
+            d_sev += vsev * c_pat
+            d_rate += vsev * np.bincount(idx.row_patient,
+                                         weights=c_eta * idx.row_time,
+                                         minlength=N)
+            self._add_by_group(gx, self._offset_idx, c_pat)
+
+            gx[:base] -= zg / self._prior_sigma
+
+            if non_centered:
+                # sev0 = m + s * u fans the likelihood gradient out to u, m
+                # and s; the prior on u is standard normal
+                gx[base::2] = d_sev * s_i - z_i
+                gx[base + 1::2] = d_rate * s_r - z_r
+                group_terms = (d_sev, d_rate, d_sev * z_i, d_rate * z_r)
+            else:
+                gx[base::2] = d_sev - z_i / s_i
+                gx[base + 1::2] = d_rate - z_r / s_r
+                group_terms = (z_i / s_i, z_r / s_r,
+                               (z_i * z_i - 1.0) / s_i, (z_r * z_r - 1.0) / s_r)
+            for idx_arr, term in zip((self._init_mean_idx, self._rate_mean_idx,
+                                      self._init_sd_idx, self._rate_sd_idx),
+                                     group_terms):
+                self._add_by_group(gx, idx_arr, term)
+
+            # chain rule through x = lower + exp(u), plus d/du of the Jacobian
+            b = self._bounded
+            gx[b] = gx[b] * (x[b] - self._lower[b]) + 1.0
+            return ll, gx
+
+    def _add_by_group(self, gx, idx_arr, per_patient):
+        """Sum per-patient gradient terms by group into the coordinates that
+        ``idx_arr`` points at; groups without one (index -1) take nothing.
+        Shared coordinates repeat in ``idx_arr`` and accumulate."""
+        free = idx_arr >= 0
+        if np.any(free):
+            by_group = np.bincount(self.idx.group_of, weights=per_patient,
+                                   minlength=self.data.n_groups)
+            np.add.at(gx, idx_arr[free], by_group[free])
 
     # -- initialization -------------------------------------------------------
 

@@ -35,9 +35,6 @@ class Normal:
         z = (x - self.mu) / self.sigma
         return -0.5 * (_LOG_2PI + z * z) - math.log(self.sigma)
 
-    def dlogpdf(self, x):
-        return -(x - self.mu) / (self.sigma * self.sigma)
-
     def draw(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mu, self.sigma, size=size)
 
@@ -65,9 +62,6 @@ class TruncatedNormal:
         base = -0.5 * (_LOG_2PI + z * z) - math.log(self.sigma) - self._log_norm()
         return np.where(np.asarray(x) > self.lower, base, -np.inf) if np.ndim(x) else (
             base if x > self.lower else -math.inf)
-
-    def dlogpdf(self, x):
-        return -(x - self.mu) / (self.sigma * self.sigma)
 
     def draw(self, rng: np.random.Generator, size=None):
         # Inverse-CDF sampling restricted to the upper tail mass.
@@ -199,10 +193,3 @@ def prior_from_dict(cfg: dict) -> Prior:
     except (KeyError, TypeError, AttributeError) as exc:
         raise ConfigurationError(f"malformed prior config {cfg!r}") from exc
     raise ConfigurationError(f"unknown prior family {cfg.get('family')!r}")
-
-
-def prior_to_dict(prior: Prior) -> dict:
-    if isinstance(prior, TruncatedNormal):
-        return {"family": "truncnormal", "mu": prior.mu, "sigma": prior.sigma,
-                "lower": prior.lower}
-    return {"family": "normal", "mu": prior.mu, "sigma": prior.sigma}

@@ -63,10 +63,6 @@ class PosteriorDraws:
     def __post_init__(self):
         self._col = {n: i for i, n in enumerate(self.names)}
 
-    @property
-    def n_draws(self) -> int:
-        return self.values.shape[0]
-
     def has(self, name: str) -> bool:
         return name in self._col
 
@@ -168,6 +164,9 @@ def _ess_array(arr: np.ndarray) -> float:
             rho[t + 2] = rho[t + 1]
         t += 2
     tau = -1.0 + 2.0 * float(np.sum(rho[:max_t])) + float(np.sum(rho[max_t + 1:max_t + 2]))
+    # Antithetic chains can drive the sum negative; the floor (as in the
+    # posterior R package) caps ESS at m * n * log10(m * n).
+    tau = max(tau, 1.0 / math.log10(m * n))
     return m * n / tau
 
 def ess(draws: PosteriorDraws, name: str) -> float:

@@ -255,10 +255,3 @@ def sample_visit_rates(shared: SharedParams, group: GroupParams, t: float,
            + rng.normal(group.rate_mean, group.rate_sd, size=n) * t)
     return np.exp(shared.visit_intercept + shared.visit_severity * sev
                   + group.visit_offset)
-
-
-def expected_noiseless_features(shared: SharedParams, latent: PatientLatents,
-                                time: float) -> np.ndarray:
-    """Feature means for a single patient at a given time (no noise)."""
-    sev = latent.severity(time)
-    return shared.loadings * sev + shared.feat_intercepts

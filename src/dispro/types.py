@@ -148,10 +148,6 @@ class PatientRecord:
         if np.any(~observed[self.visits == 1].any(axis=1)):
             raise DataError(f"{self.patient_id}: a visit bin has no observed features")
 
-    @property
-    def n_visits(self) -> int:
-        return int(self.visits.sum())
-
     def visit_bins(self) -> np.ndarray:
         return np.flatnonzero(self.visits == 1)
 

@@ -144,6 +144,19 @@ class TestDiagnostics:
         d = self.make_draws(x[None, :])
         assert ess(d, "x") < 0.25 * n
 
+    def test_ess_antithetic_chains_clamped(self):
+        """Strongly antithetic chains (AR(1), phi = -0.95) sum to a negative
+        autocorrelation time; ESS is floored at m * n * log10(m * n) over the
+        split chains instead of turning negative."""
+        rng = np.random.default_rng(6)
+        m, n = 4, 200
+        x = np.empty((m, n))
+        x[:, 0] = rng.normal(size=m)
+        for i in range(1, n):
+            x[:, i] = -0.95 * x[:, i - 1] + math.sqrt(1 - 0.95 ** 2) * rng.normal(size=m)
+        e = ess(self.make_draws(x), "x")
+        assert e == pytest.approx(m * n * math.log10(m * n), rel=1e-12)
+
     def test_divergence_warning(self):
         # a funnel-like target with wildly varying curvature produces
         # divergences at practical step sizes

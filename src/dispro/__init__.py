@@ -33,10 +33,8 @@ from .model import (  # noqa: F401
     ProgressionModel,
     VariantConfig,
     expected_visit_rate,
-    grad_log_posterior,
     log_lik_emission,
     log_lik_visits,
-    log_posterior,
     log_prior,
     marginal_feature_moments,
 )

@@ -152,6 +152,9 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
+    if args.chains < 2 or args.draws < 4:
+        raise ConfigurationError(
+            "R-hat needs --chains >= 2 and --draws >= 4")
     data = read_dataset(args.dataset)
     variant = build_variant(ModelVariant.from_name(args.variant))
     if args.priors == "simulation":

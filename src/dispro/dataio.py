@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,10 @@ def read_dataset(path) -> Dataset:
     if not meta_path.exists():
         raise DataError(f"missing dataset sidecar {meta_path}")
     meta = json.loads(meta_path.read_text())
+    missing = [k for k in ("bin_width", "n_groups", "n_features",
+                           "pinned_group") if k not in meta]
+    if missing:
+        raise DataError(f"{meta_path}: missing keys {missing}")
     pinned = int(meta["pinned_group"])
     n_features = int(meta["n_features"])
 
@@ -84,6 +89,9 @@ def read_dataset(path) -> Dataset:
         if len(header) != 4 + n_features:
             raise DataError(f"{path}: expected {n_features} feature columns")
         for row in r:
+            if len(row) != len(header):
+                raise DataError(f"{path}: line {r.line_num} has {len(row)} "
+                                f"cells, the header {len(header)}")
             pid = row[0]
             if pid not in per_patient:
                 per_patient[pid] = []
@@ -103,10 +111,13 @@ def read_dataset(path) -> Dataset:
         visits = np.array([int(r[3]) for r in rows], dtype=np.int8)
         features = np.full((len(rows), n_features), np.nan)
         for t, r in enumerate(rows):
-            for j in range(n_features):
-                cell = r[4 + j]
-                if cell != "":
-                    features[t, j] = float(cell)
+            for j, cell in enumerate(r[4:]):
+                if cell != "":  # only an empty cell means missing
+                    value = float(cell)
+                    if not math.isfinite(value):
+                        raise DataError(f"{pid}: non-finite feature x{j} "
+                                        f"at bin {t}: {cell!r}")
+                    features[t, j] = value
         patients.append(PatientRecord(
             patient_id=pid, group=GroupId(g, is_pinned=(g == pinned)),
             horizon=len(rows) - 1, visits=visits, features=features))
@@ -132,11 +143,13 @@ def write_draws(draws: PosteriorDraws, path) -> None:
     path = Path(path)
     per_chain = draws.values.shape[0] // draws.n_chains
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["chain", "draw", *draws.names])
-        for i in range(draws.values.shape[0]):
-            w.writerow([int(draws.chain_ids[i]), i % per_chain,
-                        *[_fmt(v) for v in draws.values[i]]])
+        csv.writer(fh).writerow(["chain", "draw", *draws.names])
+        for i, (c, row) in enumerate(zip(draws.chain_ids.tolist(),
+                                         draws.values)):
+            # repr round-trips every float exactly; \r\n as csv.writer ends
+            # its lines
+            cells = ",".join(map(repr, row.tolist()))
+            fh.write(f"{c},{i % per_chain},{cells}\r\n")
     meta_doc = {"meta": draws.meta, "warnings": draws.warnings,
                 "n_chains": draws.n_chains,
                 "accept_stats": [float(a) for a in draws.accept_stats],
@@ -150,28 +163,32 @@ def fit_meta_path(path) -> Path:
 
 def read_draws(path) -> PosteriorDraws:
     path = Path(path)
-    meta_doc = json.loads(fit_meta_path(path).read_text())
+    meta_path = fit_meta_path(path)
+    meta_doc = json.loads(meta_path.read_text())
+    if "n_chains" not in meta_doc or "n_global" not in meta_doc.get("meta", {}):
+        raise DataError(f"{meta_path}: needs n_chains and meta.n_global")
     with path.open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header[:2] != ["chain", "draw"]:
-            raise DataError(f"{path}: not a draws table")
-        names = header[2:]
-        chain_ids, values = [], []
-        for row in r:
-            chain_ids.append(int(row[0]))
-            values.append([float(v) for v in row[2:]])
-    values = np.asarray(values, dtype=float)
+        header = next(csv.reader(fh), [])
+    if header[:2] != ["chain", "draw"]:
+        raise DataError(f"{path}: not a draws table")
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if table.shape[1] != len(header):
+        raise DataError(f"{path}: {table.shape[1]} columns, "
+                        f"the header {len(header)}")
+    values = table[:, 2:]
     return PosteriorDraws(
-        names=names, values=values,
-        chain_ids=np.asarray(chain_ids, dtype=int),
+        names=header[2:], values=values,
+        chain_ids=table[:, 0].astype(int),
         accept_stats=np.asarray(meta_doc.get("accept_stats",
                                              [np.nan] * values.shape[0])),
         divergent=np.asarray(meta_doc.get("divergent",
                                           [False] * values.shape[0]), dtype=bool),
         n_chains=int(meta_doc["n_chains"]),
         warnings=list(meta_doc.get("warnings", [])),
-        meta=meta_doc.get("meta", {}))
+        meta=meta_doc["meta"])
 
 
 def write_json(obj, path) -> None:

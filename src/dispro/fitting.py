@@ -22,15 +22,15 @@ from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
 def fit_model(data, priors: PriorSpec | None = None,
               variant: VariantConfig = FULL_VARIANT,
               config: SamplerConfig | None = None,
-              threads: int = 1, non_centered: bool = True) -> PosteriorDraws:
+              threads: int = 1) -> PosteriorDraws:
     """Fit the progression model by NUTS.
 
     Every chain starts from the data-informed ``rough_init`` point, jittered
     per chain in unconstrained space (``jittered_init``) with its own
-    substream of the seed. Sampling runs by default in the non-centered
-    latent parameterization, which removes the funnel between group scale
+    substream of the seed. Sampling runs in the non-centered latent
+    parameterization, which removes the funnel between group scale
     parameters and per-patient latents; draws are returned in the documented
-    constrained space either way, under canonical parameter names, with
+    constrained, centered space under canonical parameter names, with
     dataset metadata attached for downstream estimators.
     """
     config = config or SamplerConfig()
@@ -39,16 +39,12 @@ def fit_model(data, priors: PriorSpec | None = None,
     init_rngs = [np.random.Generator(np.random.Philox(s))
                  for s in init_root.spawn(config.chains)]
     center = rough_init(model, data)
-    inits = np.array([jittered_init(model, center, r, non_centered=non_centered)
+    inits = np.array([jittered_init(model, center, r, non_centered=True)
                       for r in init_rngs])
 
     draws = sample(
-        None, None, model.dim, config, init=inits,
-        logp_and_grad=(model.logp_and_grad_noncentered if non_centered
-                       else model.logp_and_grad),
-        names=model.names,
-        constrain=(model.constrain_noncentered if non_centered
-                   else model.constrain),
+        model.logp_and_grad_noncentered, model.dim, config, init=inits,
+        names=model.names, constrain=model.constrain_noncentered,
         threads=threads,
         meta={
             "bin_width": data.bin_width,
@@ -209,41 +205,32 @@ def jittered_init(model: ProgressionModel, center_x: np.ndarray,
 
 
 def global_names(draws: PosteriorDraws) -> list[str]:
-    n_global = draws.meta.get("n_global")
-    if n_global is not None:
-        return draws.names[:n_global]
-    return [n for n in draws.names
-            if not (n.startswith("init_sev[p") or n.startswith("rate[p"))]
+    return draws.names[:draws.meta["n_global"]]
 
 
 def convergence_summary(draws: PosteriorDraws) -> dict:
     """Per-global-parameter R-hat and ESS plus divergence counts."""
-    per_param = {}
-    for name in global_names(draws):
-        try:
-            r = rhat(draws, name)
-        except Exception:
-            r = float("nan")
-        per_param[name] = {"rhat": r, "ess": ess(draws, name),
-                           "mean": draws.mean(name), "sd": draws.sd(name)}
+    per_param = {name: {"rhat": rhat(draws, name), "ess": ess(draws, name),
+                        "mean": draws.mean(name), "sd": draws.sd(name)}
+                 for name in global_names(draws)}
     div_by_chain = [int(draws.divergent[draws.chain_ids == c].sum())
                     for c in range(draws.n_chains)]
     return {
         "parameters": per_param,
         "divergences": {"per_chain": div_by_chain,
                         "fraction": float(draws.divergent.mean())},
-        "max_global_rhat": max_global_rhat(draws),
+        "max_global_rhat": _worst_rhat(p["rhat"] for p in per_param.values()),
         "warnings": list(draws.warnings),
     }
 
 
 def max_global_rhat(draws: PosteriorDraws) -> float:
-    worst = 0.0
-    for name in global_names(draws):
-        r = rhat(draws, name)
-        if np.isfinite(r):
-            worst = max(worst, r)
-    return worst
+    return _worst_rhat(rhat(draws, name) for name in global_names(draws))
+
+
+def _worst_rhat(values) -> float:
+    """Largest finite R-hat; 0.0 when none is finite."""
+    return max((r for r in values if np.isfinite(r)), default=0.0)
 
 
 def severity_means_by_patient(draws: PosteriorDraws) -> dict[str, tuple[float, float]]:

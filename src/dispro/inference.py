@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fitting import global_names, severity_means_by_patient
 from .sampler import PosteriorDraws
 from .types import ConfigurationError
 
@@ -35,14 +36,6 @@ def severity_estimate(draws: PosteriorDraws, patient_id: str, t: int) -> tuple[f
     except KeyError:
         raise KeyError(f"patient {patient_id!r} not present in this fit") from None
     return float(sev.mean()), float(sev.std(ddof=1))
-
-
-def severity_posterior_means(draws: PosteriorDraws):
-    """Posterior-mean init_sev and rate per patient, in dataset order."""
-    pids = draws.meta["patient_ids"]
-    sev0 = np.array([draws.mean(f"init_sev[{p}]") for p in pids])
-    rate = np.array([draws.mean(f"rate[{p}]") for p in pids])
-    return pids, sev0, rate
 
 
 @dataclass
@@ -98,8 +91,7 @@ def recovery_report(trials) -> RecoveryReport:
     for k, (draws, truth) in enumerate(trials):
         params = truth.params if hasattr(truth, "params") else truth["params"]
         latents = truth.latents if hasattr(truth, "latents") else truth["latents"]
-        n_global = draws.meta.get("n_global", len(draws.names))
-        for name in draws.names[:n_global]:
+        for name in global_names(draws):
             if name in params:
                 est = draws.mean(name)
                 by_name.setdefault(name, []).append((params[name], est))
@@ -133,7 +125,8 @@ def _group_severity_points(trial, draws, latents):
     width = _bin_width(draws)
     horizon = draws.meta["horizon_by_patient"]
     pts = []
-    _, sev0_est, rate_est = severity_posterior_means(draws)
+    means = severity_means_by_patient(draws)
+    sev0_est, rate_est = np.array([means[p] for p in pids]).T
     sev0_true = np.array([latents[f"init_sev[{p}]"] for p in pids])
     rate_true = np.array([latents[f"rate[{p}]"] for p in pids])
     # mean severity over a trajectory of bins 0..T is sev0 + rate * (T/2) * width

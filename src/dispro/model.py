@@ -150,17 +150,6 @@ def log_prior(shared: SharedParams, groups: list[GroupParams],
     return model.logprior_constrained(x)
 
 
-def log_posterior(theta: np.ndarray, data: Dataset, priors: PriorSpec,
-                  variant: VariantConfig = FULL_VARIANT) -> float:
-    """Unnormalized log-posterior over the unconstrained vector ``theta``."""
-    return ProgressionModel(data, priors, variant).log_posterior(theta)
-
-
-def grad_log_posterior(theta: np.ndarray, data: Dataset, priors: PriorSpec,
-                       variant: VariantConfig = FULL_VARIANT) -> np.ndarray:
-    return ProgressionModel(data, priors, variant).logp_and_grad(theta)[1]
-
-
 def marginal_feature_moments(shared: SharedParams, group: GroupParams,
                              t: float) -> tuple[np.ndarray, np.ndarray]:
     """Mean and covariance of the feature vector at time t for one group,
@@ -431,9 +420,6 @@ class ProgressionModel:
 
     def log_posterior(self, theta: np.ndarray) -> float:
         return self.logp_and_grad(theta, want_grad=False)[0]
-
-    def grad_log_posterior(self, theta: np.ndarray) -> np.ndarray:
-        return self.logp_and_grad(theta)[1]
 
     def logp_and_grad(self, theta: np.ndarray, want_grad: bool = True):
         """Unnormalized log-posterior and gradient over the unconstrained

@@ -442,21 +442,20 @@ def _run_chain(fused, dim, config, init, seed_seq):
     return out, accepts, divergents
 
 
-def sample(logp, grad, dim: int, config: SamplerConfig, init=None, *,
-           logp_and_grad=None, names=None, constrain=None,
-           meta=None, threads: int = 1) -> PosteriorDraws:
-    """Run NUTS chains against a log-density and its gradient.
+def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
+           names=None, constrain=None, meta=None,
+           threads: int = 1) -> PosteriorDraws:
+    """Run NUTS chains against a log-density.
 
-    init may be None (each chain starts uniform in (-2, 2) per coordinate, in
-    the handles' space), a single vector shared by all chains, or one vector
-    per chain. ``constrain`` optionally maps raw draws to constrained space
-    for storage; ``names`` labels the output columns.
+    ``logp_and_grad(x)`` returns the log-density and its gradient at x; a
+    non-finite log-density marks a rejected point. init may be None (each
+    chain starts uniform in (-2, 2) per coordinate, in the handle's space), a
+    single vector shared by all chains, or one vector per chain.
+    ``constrain`` optionally maps raw draws to constrained space for storage;
+    ``names`` labels the output columns.
     """
     if dim < 1:
         raise ConfigurationError("dim must be at least 1")
-    if logp_and_grad is None:
-        def logp_and_grad(x, _lp=logp, _gr=grad):
-            return _lp(x), _gr(x)
     root = np.random.SeedSequence(config.seed)
     chain_seeds = root.spawn(config.chains + 1)
     init_rng = np.random.Generator(np.random.Philox(chain_seeds[-1]))
@@ -503,20 +502,3 @@ def sample(logp, grad, dim: int, config: SamplerConfig, init=None, *,
                           chain_ids=chain_ids, accept_stats=accepts,
                           divergent=divergents, n_chains=config.chains,
                           warnings=warnings, meta=dict(meta or {}))
-
-
-def leapfrog_energies(logp_and_grad, q0, p0, eps, n_steps, inv_metric=None):
-    """Hamiltonian along one leapfrog trajectory; used to check the O(eps^2)
-    energy-error scaling of the integrator."""
-    q = np.asarray(q0, dtype=float).copy()
-    p = np.asarray(p0, dtype=float).copy()
-    inv_metric = np.ones_like(q) if inv_metric is None else inv_metric
-    lp, grad = logp_and_grad(q)
-    energies = [-lp + 0.5 * float(p @ (inv_metric * p))]
-    for _ in range(n_steps):
-        p = p + 0.5 * eps * grad
-        q = q + eps * inv_metric * p
-        lp, grad = logp_and_grad(q)
-        p = p + 0.5 * eps * grad
-        energies.append(-lp + 0.5 * float(p @ (inv_metric * p)))
-    return np.array(energies)

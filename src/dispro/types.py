@@ -189,15 +189,6 @@ class Dataset:
     def n_patients(self) -> int:
         return len(self.patients)
 
-    def groups(self) -> list[GroupId]:
-        return [GroupId(g, is_pinned=(g == self.pinned_group)) for g in range(self.n_groups)]
-
-    def patient(self, patient_id: str) -> PatientRecord:
-        for p in self.patients:
-            if p.patient_id == patient_id:
-                return p
-        raise KeyError(f"unknown patient {patient_id!r}")
-
 
 @dataclass
 class DatasetIndex:

@@ -23,6 +23,7 @@ from dispro.oracles import (
     VisitScenario,
     mlrp_bias_oracle,
     scenario_grid,
+    verify_theorems,
 )
 from dispro.types import ConfigurationError, Dataset
 
@@ -168,6 +169,14 @@ class TestHighRiskProfile:
 
 
 class TestOracles:
+    def test_full_grid_holds(self):
+        """The whole 160-scenario grid of the three theorems, as
+        ``dispro evaluate --mode oracles`` runs it."""
+        ok, rows = verify_theorems()
+        assert len(rows) == 160
+        assert sum(r["holds"] for r in rows) == 160
+        assert ok
+
     def test_theorem2_worked_example(self):
         # population N(0,1), group N(1,1), one unit-noise feature observed 0
         sc = SeverityScenario(shift=1.0, observed=0.0)

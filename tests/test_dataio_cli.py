@@ -1,5 +1,7 @@
 """File-format round trips, manifest hashing, and CLI exit contracts."""
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -18,7 +20,7 @@ from dispro.dataio import (
     write_truth,
 )
 from dispro.fitting import fit_model
-from dispro.sampler import SamplerConfig
+from dispro.sampler import PosteriorDraws, SamplerConfig
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +86,36 @@ class TestDrawsFormat:
                                    atol=0)  # repr round-trips floats exactly
         assert back.n_chains == draws.n_chains
         assert back.meta["bin_width"] == draws.meta["bin_width"]
+
+    def test_matches_csv_module_reference(self, tmp_path):
+        """write_draws gives the bytes of a csv.writer loop over repr'd
+        values, and read_draws the values of a csv.reader loop."""
+        rng = np.random.default_rng(0)
+        values = (rng.standard_normal((6, 4))
+                  * 10.0 ** rng.integers(-300, 300, size=(6, 4)))
+        values[0, 0] = 5e-324
+        names = ["a", "b[p,1]", "c", "d"]  # a comma forces csv quoting
+        draws = PosteriorDraws(names=names, values=values,
+                               chain_ids=np.repeat([0, 1], 3),
+                               accept_stats=np.ones(6),
+                               divergent=np.zeros(6, dtype=bool), n_chains=2,
+                               meta={"n_global": 2})
+        path = tmp_path / "draws.csv"
+        write_draws(draws, path)
+        ref = io.StringIO(newline="")
+        w = csv.writer(ref)
+        w.writerow(["chain", "draw", *names])
+        for i, row in enumerate(values):
+            w.writerow([i // 3, i % 3, *[repr(float(v)) for v in row]])
+        assert path.read_bytes() == ref.getvalue().encode()
+
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        back = read_draws(path)
+        assert back.names == rows[0][2:] == names
+        assert np.array_equal(back.chain_ids, [int(r[0]) for r in rows[1:]])
+        assert np.array_equal(
+            back.values, [[float(v) for v in r[2:]] for r in rows[1:]])
 
     def test_draws_respect_constraints(self, sim_pair, tmp_path):
         data, _ = sim_pair
@@ -188,6 +220,19 @@ class TestCli:
                      "--out", str(tmp_path / "y")]) == 2
         assert main(["report", "--in", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("chains,draws", [(1, 20), (2, 3)])
+    def test_fit_without_rhat_exit_1_before_sampling(self, tmp_path, chains,
+                                                     draws):
+        cfg = tmp_path / "sim.json"
+        write_sim_config(cfg, n_patients=5)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        code = main(["fit", "--dataset", str(out / "dataset.csv"),
+                     "--out", str(tmp_path / "fit"), "--chains", str(chains),
+                     "--warmup", "20", "--draws", str(draws), "--seed", "1"])
+        assert code == 1
+        assert not (tmp_path / "fit" / "draws.csv").exists()
+
     def test_convergence_exit_3(self, tmp_path):
         cfg = tmp_path / "sim.json"
         write_sim_config(cfg, seed=4)
@@ -231,3 +276,75 @@ class TestCli:
         b1 = (tmp_path / "p1.svg").read_bytes()
         assert b1 == (tmp_path / "p2.svg").read_bytes()
         assert b1.startswith(b"<svg")
+
+
+
+def _cut_last_cell(lines, *rows):
+    for i in rows:
+        lines[i] = lines[i].rsplit(",", 1)[0]
+
+
+def _set_cell(lines, row, col, value):
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+
+
+def _first_observed_row(lines):
+    return next(i for i, line in enumerate(lines[1:], 1)
+                if line.split(",")[4] != "")
+
+
+# name -> (file, fault): each fault edits the table's lines or its sidecar
+MALFORMED = {
+    "short_row": ("dataset", lambda lines, meta: _cut_last_cell(lines, 5)),
+    **{f"sidecar_without_{key}": ("dataset", lambda lines, meta, k=key:
+                                  meta.pop(k))
+       for key in ("bin_width", "n_groups", "n_features", "pinned_group")},
+    **{f"{v}_cell": ("dataset", lambda lines, meta, v=v: _set_cell(
+        lines, _first_observed_row(lines), 4, v))
+       for v in ("inf", "-inf", "nan")},
+    "fit_meta_without_n_chains": ("draws",
+                                  lambda lines, meta: meta.pop("n_chains")),
+    "fit_meta_without_n_global": ("draws", lambda lines, meta:
+                                  meta["meta"].pop("n_global")),
+    "ragged_draws_row": ("draws", lambda lines, meta: _cut_last_cell(lines, 3)),
+    "draws_rows_short_of_header": ("draws", lambda lines, meta: _cut_last_cell(
+        lines, *range(1, len(lines)))),
+    "unparsable_draw": ("draws", lambda lines, meta: _set_cell(lines, 3, 2, "x")),
+}
+
+
+@pytest.fixture(scope="module")
+def valid_fit(sim_pair, tmp_path_factory):
+    """A dataset and a short fit of it, side by side, to corrupt."""
+    data, _ = sim_pair
+    fit_dir = tmp_path_factory.mktemp("valid_fit")
+    write_dataset(data, fit_dir / "dataset.csv")
+    draws = fit_model(data, config=SamplerConfig(chains=2, warmup=20,
+                                                 draws=10, seed=1))
+    write_draws(draws, fit_dir / "draws.csv")
+    return fit_dir
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exit_2(valid_fit, tmp_path, case):
+    """Every malformed dataset or draws file ends in exit 2, not a
+    traceback or a silent read."""
+    kind, fault = MALFORMED[case]
+    table, sidecar = {"dataset": ("dataset.csv", "dataset.csv.meta.json"),
+                      "draws": ("draws.csv", "fit_meta.json")}[kind]
+    lines = (valid_fit / table).read_text().splitlines()
+    meta = json.loads((valid_fit / sidecar).read_text())
+    fault(lines, meta)
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / table).write_text("\n".join(lines) + "\n")
+    (bad / sidecar).write_text(json.dumps(meta))
+    if kind == "dataset":
+        argv = ["fit", "--dataset", str(bad / table), "--chains", "2",
+                "--warmup", "10", "--draws", "10"]
+    else:
+        argv = ["evaluate", "--mode", "disparity", "--fit", str(bad),
+                "--years-per-unit", "1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2

@@ -4,8 +4,7 @@ spot checks."""
 import numpy as np
 import pytest
 
-from dispro import ProgressionModel, simulation_priors
-from dispro.model import grad_log_posterior, log_posterior
+from dispro import ProgressionModel
 
 from conftest import truth_bundles
 
@@ -71,16 +70,6 @@ def test_noncentered_matches_finite_differences(ten_patient_sim):
             theta)
         worst = max(worst, float(np.max(gradient_rel_err(grad, fd, lp))))
     assert worst < 1e-5
-
-
-def test_module_level_ops_agree(ten_patient_sim):
-    data, _ = ten_patient_sim
-    priors = simulation_priors()
-    model = ProgressionModel(data, priors)
-    theta = model.init_from_priors(np.random.default_rng(0))
-    assert log_posterior(theta, data, priors) == model.log_posterior(theta)
-    np.testing.assert_array_equal(grad_log_posterior(theta, data, priors),
-                                  model.grad_log_posterior(theta))
 
 
 def test_feature_intercept_gradient_closed_form(ten_patient_sim):

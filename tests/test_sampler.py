@@ -11,8 +11,8 @@ from dispro import ConfigurationError, InvalidParameterError
 from dispro.sampler import (
     PosteriorDraws,
     SamplerConfig,
+    _ChainState,
     ess,
-    leapfrog_energies,
     mcse,
     rhat,
     sample,
@@ -20,19 +20,16 @@ from dispro.sampler import (
 
 
 def std_normal_handles(dim):
-    def logp(x):
-        return -0.5 * float(x @ x)
-
-    def grad(x):
-        return -x
-    return logp, grad
+    def logp_and_grad(x):
+        return -0.5 * float(x @ x), -x
+    return logp_and_grad
 
 
 class TestGaussianTargets:
     def test_standard_normal_5d(self):
-        logp, grad = std_normal_handles(5)
+        lpg = std_normal_handles(5)
         cfg = SamplerConfig(chains=4, warmup=500, draws=1000, seed=11)
-        d = sample(logp, grad, 5, cfg)
+        d = sample(lpg, 5, cfg)
         for i in range(5):
             nm = f"theta[{i}]"
             assert abs(d.mean(nm)) < 3 * mcse(d, nm)
@@ -44,60 +41,67 @@ class TestGaussianTargets:
         cov = np.array([[1.0, rho], [rho, 1.0]])
         prec = np.linalg.inv(cov)
 
-        def logp(x):
-            return -0.5 * float(x @ prec @ x)
+        def lpg(x):
+            return -0.5 * float(x @ prec @ x), -(prec @ x)
 
-        def grad(x):
-            return -(prec @ x)
-
-        d = sample(logp, grad, 2, SamplerConfig(chains=4, warmup=500,
-                                                draws=1000, seed=5))
+        d = sample(lpg, 2, SamplerConfig(chains=4, warmup=500, draws=1000,
+                                         seed=5))
         emp = np.cov(d.values.T)
         assert float(np.max(np.abs(emp - cov) / np.abs(cov))) < 0.10
 
     def test_determinism(self):
-        logp, grad = std_normal_handles(3)
+        lpg = std_normal_handles(3)
         cfg = SamplerConfig(chains=2, warmup=200, draws=300, seed=99)
-        d1 = sample(logp, grad, 3, cfg)
-        d2 = sample(logp, grad, 3, cfg)
+        d1 = sample(lpg, 3, cfg)
+        d2 = sample(lpg, 3, cfg)
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(d1.accept_stats, d2.accept_stats)
 
     def test_threaded_matches_sequential(self):
-        logp, grad = std_normal_handles(3)
+        lpg = std_normal_handles(3)
         cfg = SamplerConfig(chains=2, warmup=200, draws=200, seed=4)
-        d1 = sample(logp, grad, 3, cfg, threads=1)
-        d2 = sample(logp, grad, 3, cfg, threads=2)
+        d1 = sample(lpg, 3, cfg, threads=1)
+        d2 = sample(lpg, 3, cfg, threads=2)
         assert np.array_equal(d1.values, d2.values)
 
     def test_detailed_balance_ks(self):
         """Empirical CDF of 4000 one-dimensional draws against the standard
         normal CDF, below the 1% KS critical value."""
-        logp, grad = std_normal_handles(1)
-        d = sample(logp, grad, 1, SamplerConfig(chains=4, warmup=500,
-                                                draws=1000, seed=21))
+        lpg = std_normal_handles(1)
+        d = sample(lpg, 1, SamplerConfig(chains=4, warmup=500, draws=1000,
+                                         seed=21))
         stat = kstest(d.column("theta[0]"), "norm").statistic
         assert stat < 1.63 / math.sqrt(4000)
 
     def test_nonfinite_init_rejected(self):
-        logp, grad = std_normal_handles(2)
+        lpg = std_normal_handles(2)
         cfg = SamplerConfig(chains=1, warmup=50, draws=50, seed=0)
         with pytest.raises(InvalidParameterError):
-            sample(logp, grad, 2, cfg, init=np.array([np.nan, 0.0]))
+            sample(lpg, 2, cfg, init=np.array([np.nan, 0.0]))
 
 
 class TestEnergyConservation:
     def test_halving_step_reduces_error(self):
+        """The energy error of the integrator NUTS runs
+        (``_ChainState._leapfrog``) scales as O(eps^2)."""
         def logp_and_grad(q):
             return -0.5 * float(q @ q), -q
 
+        state = _ChainState(logp_and_grad, 4, SamplerConfig(),
+                            np.random.default_rng(0))
         rng = np.random.default_rng(3)
         q0 = rng.normal(size=4)
         p0 = rng.normal(size=4)
         errors = {}
         for eps, steps in ((0.2, 50), (0.1, 100)):
-            energies = leapfrog_energies(logp_and_grad, q0, p0, eps, steps)
-            errors[eps] = float(np.max(np.abs(energies - energies[0])))
+            q, p = q0, p0
+            lp, grad = logp_and_grad(q)
+            h0 = state._hamiltonian(lp, p)
+            worst = 0.0
+            for _ in range(steps):
+                q, p, grad, lp = state._leapfrog(q, p, grad, eps)
+                worst = max(worst, abs(state._hamiltonian(lp, p) - h0))
+            errors[eps] = worst
         assert errors[0.2] / errors[0.1] >= 3.0
 
 
@@ -160,17 +164,14 @@ class TestDiagnostics:
     def test_divergence_warning(self):
         # a funnel-like target with wildly varying curvature produces
         # divergences at practical step sizes
-        def logp(x):
+        def lpg(x):
             v, z = x[0], x[1]
-            return -0.5 * (v * v / 9.0) - 0.5 * (z * z * math.exp(-2 * v)) - v
+            return (-0.5 * (v * v / 9.0) - 0.5 * (z * z * math.exp(-2 * v)) - v,
+                    np.array([-v / 9.0 + z * z * math.exp(-2 * v) - 1.0,
+                              -z * math.exp(-2 * v)]))
 
-        def grad(x):
-            v, z = x[0], x[1]
-            return np.array([-v / 9.0 + z * z * math.exp(-2 * v) - 1.0,
-                             -z * math.exp(-2 * v)])
-
-        d = sample(logp, grad, 2, SamplerConfig(chains=2, warmup=150,
-                                                draws=400, seed=12))
+        d = sample(lpg, 2, SamplerConfig(chains=2, warmup=150, draws=400,
+                                         seed=12))
         if float(d.divergent.mean()) > 0.20:
             assert any("divergent" in w for w in d.warnings)
         else:

@@ -33,7 +33,7 @@ from .dataio import (
     write_table,
     write_truth,
 )
-from .fitting import convergence_summary, fit_model, max_global_rhat
+from .fitting import convergence_summary, fit_model
 from .inference import disparity_summary, recovery_report
 from .model import VariantConfig
 from .oracles import verify_theorems
@@ -196,19 +196,45 @@ def _cmd_fit(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
+# the dataset metadata fit_model attaches, which every evaluate mode reads
+_FIT_META_KEYS = ("bin_width", "n_groups", "n_features", "pinned_group",
+                  "patient_ids", "patient_groups", "horizon_by_patient",
+                  "variant", "n_global")
+_VARIANT_FLAGS = ("group_init", "group_rates", "group_visits")
+
+
 def _load_fit(fit_dir):
-    return read_draws(Path(fit_dir) / "draws.csv")
+    draws = read_draws(Path(fit_dir) / "draws.csv")
+    meta = draws.meta
+    missing = [k for k in _FIT_META_KEYS if k not in meta]
+    if "variant" in meta:
+        missing += [f"variant.{f}" for f in _VARIANT_FLAGS
+                    if f not in meta["variant"]]
+    if missing:
+        raise DataError(f"{fit_dir}: fit_meta.json meta lacks {missing}")
+    return draws
+
+
+def _check_latents(truth, pids, truth_path) -> None:
+    if any(f"{name}[{pid}]" not in truth.latents
+           for pid in pids for name in ("init_sev", "rate")):
+        raise DataError(f"{truth_path}: lacks latents of the evaluated "
+                        "patients")
 
 
 def _variant_of(draws) -> ModelVariant:
-    v = draws.meta.get("variant", {})
-    cfg = VariantConfig(bool(v.get("group_init", True)),
-                        bool(v.get("group_rates", True)),
-                        bool(v.get("group_visits", True)))
+    v = draws.meta["variant"]
+    cfg = VariantConfig(**{f: bool(v[f]) for f in _VARIANT_FLAGS})
     for variant in ModelVariant:
         if build_variant(variant) == cfg:
             return variant
     raise ConfigurationError(f"fit has unrecognized variant flags {v}")
+
+
+def _recovery_trial(fit_dir, truth_path):
+    draws, truth = _load_fit(fit_dir), read_truth(truth_path)
+    _check_latents(truth, draws.meta["patient_ids"], truth_path)
+    return draws, truth
 
 
 def _evaluate_recovery(args, out: Path) -> int:
@@ -217,9 +243,7 @@ def _evaluate_recovery(args, out: Path) -> int:
             "recovery mode needs matched --fit and --truth lists")
     if len(args.fit) < 2:
         raise ConfigurationError("recovery mode needs at least 2 trials")
-    trials = [(_load_fit(f), read_truth(t))
-              for f, t in zip(args.fit, args.truth)]
-    report = recovery_report(trials)
+    report = recovery_report(map(_recovery_trial, args.fit, args.truth))
     rows = [(name, st["n"], st["pearson_r"], st["slope"])
             for name, st in sorted(report.per_param.items())]
     write_table(out / "recovery_params.tsv",
@@ -267,14 +291,20 @@ def _evaluate_bias(args, out: Path) -> int:
             "bias mode needs --dataset, one --truth, and one --fit per variant")
     data = read_dataset(args.dataset)
     truth = read_truth(args.truth[0])
+    pids = {p.patient_id for p in data.patients}
+    _check_latents(truth, pids, args.truth[0])
     reports = {}
     profiles = {}
     for fit_dir in args.fit:
         draws = _load_fit(fit_dir)
+        if set(draws.meta["patient_ids"]) != pids:
+            raise DataError(f"{fit_dir}: fit patients differ from "
+                            f"{args.dataset}'s")
         variant = _variant_of(draws)
         reports[variant] = bias_report(draws, data, truth, variant)
         values, groups, _, _ = visit_severity_estimates(draws, data)
         profiles[variant] = high_risk_profile(values, groups, q=args.quantile)
+        del draws  # one fit's draws in memory at a time
     variants = list(reports)
     header = ["metric", "group", *[v.value for v in variants]]
     rows = []

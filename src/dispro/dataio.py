@@ -135,6 +135,8 @@ def read_truth(path):
     from .simulate import TruthSidecar
 
     doc = json.loads(Path(path).read_text())
+    if "params" not in doc or "latents" not in doc:
+        raise DataError(f"{path}: needs params and latents")
     return TruthSidecar(params=doc["params"], latents=doc["latents"],
                         meta=doc.get("meta", {}))
 
@@ -165,29 +167,35 @@ def read_draws(path) -> PosteriorDraws:
     path = Path(path)
     meta_path = fit_meta_path(path)
     meta_doc = json.loads(meta_path.read_text())
-    if "n_chains" not in meta_doc or "n_global" not in meta_doc.get("meta", {}):
-        raise DataError(f"{meta_path}: needs n_chains and meta.n_global")
+    missing = [k for k in ("n_chains", "accept_stats", "divergent",
+                           "warnings") if k not in meta_doc]
+    if missing or "n_global" not in meta_doc.get("meta", {}):
+        raise DataError(f"{meta_path}: needs n_chains, accept_stats, "
+                        f"divergent, warnings and meta.n_global")
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[:2] != ["chain", "draw"]:
         raise DataError(f"{path}: not a draws table")
+    n_rows = len(meta_doc["accept_stats"])
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        # allocated once; a row more than expected shows a longer file
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                           max_rows=n_rows + 1)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
     if table.shape[1] != len(header):
         raise DataError(f"{path}: {table.shape[1]} columns, "
                         f"the header {len(header)}")
+    if table.shape[0] != n_rows:
+        raise DataError(f"{path}: {table.shape[0]} rows, {n_rows} accept_stats")
     values = table[:, 2:]
     return PosteriorDraws(
         names=header[2:], values=values,
         chain_ids=table[:, 0].astype(int),
-        accept_stats=np.asarray(meta_doc.get("accept_stats",
-                                             [np.nan] * values.shape[0])),
-        divergent=np.asarray(meta_doc.get("divergent",
-                                          [False] * values.shape[0]), dtype=bool),
+        accept_stats=np.asarray(meta_doc["accept_stats"]),
+        divergent=np.asarray(meta_doc["divergent"], dtype=bool),
         n_chains=int(meta_doc["n_chains"]),
-        warnings=list(meta_doc.get("warnings", [])),
+        warnings=list(meta_doc["warnings"]),
         meta=meta_doc["meta"])
 
 

@@ -74,21 +74,19 @@ def _slope_through_origin(true: np.ndarray, est: np.ndarray):
 def recovery_report(trials) -> RecoveryReport:
     """Concordance of true and posterior-mean parameters across trials.
 
-    ``trials`` is a sequence of (draws, truth) pairs where truth maps
-    canonical parameter names to generating values (a TruthSidecar or its
-    params dict). Parameters are matched by name; for each, the report holds
-    the Pearson correlation across trials and the no-intercept regression
-    slope of estimates on truths. Group-level severity calibration pairs the
-    per-group mean true severity with the mean estimated severity, one point
-    per (trial, group).
+    ``trials`` yields (draws, truth) pairs, read one at a time so a lazy
+    iterable keeps one fit's draws in memory; truth maps canonical parameter
+    names to generating values (a TruthSidecar or its params dict).
+    Parameters are matched by name; for each, the report holds the Pearson
+    correlation across trials and the no-intercept regression slope of
+    estimates on truths. Group-level severity calibration pairs the per-group
+    mean true and estimated severities, one point per (trial, group).
     """
-    trials = list(trials)
-    if len(trials) < 2:
-        raise ConfigurationError("recovery_report needs at least 2 trials")
     by_name: dict[str, list[tuple[float, float]]] = {}
     scatter = []
     severity_scatter = []
-    for k, (draws, truth) in enumerate(trials):
+    k = 0
+    for draws, truth in trials:  # not enumerate(): it holds the last trial
         params = truth.params if hasattr(truth, "params") else truth["params"]
         latents = truth.latents if hasattr(truth, "latents") else truth["latents"]
         for name in global_names(draws):
@@ -97,6 +95,10 @@ def recovery_report(trials) -> RecoveryReport:
                 by_name.setdefault(name, []).append((params[name], est))
                 scatter.append((k, name, float(params[name]), est))
         severity_scatter.extend(_group_severity_points(k, draws, latents))
+        k += 1
+        del draws  # before the next trial is read
+    if k < 2:
+        raise ConfigurationError("recovery_report needs at least 2 trials")
 
     per_param = {}
     for name, pairs in by_name.items():
@@ -163,8 +165,8 @@ def disparity_summary(draws: PosteriorDraws, years_per_unit: float | None = None
     exp(visit_offset). Intervals are equal-tailed posterior percentiles.
     """
     meta = draws.meta
-    n_groups = int(meta.get("n_groups", 2))
-    pinned = int(meta.get("pinned_group", 0))
+    n_groups = int(meta["n_groups"])
+    pinned = int(meta["pinned_group"])
     if n_groups < 2:
         raise ConfigurationError("disparity_summary needs at least 2 groups")
 

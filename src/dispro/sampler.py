@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import rankdata
 
 from .types import ConfigurationError, InvalidParameterError
 
@@ -93,7 +92,12 @@ def _split_chains(arr: np.ndarray) -> np.ndarray:
     return np.vstack([arr[:, :half], arr[:, half:2 * half]])
 
 def _rank_normalize(arr: np.ndarray) -> np.ndarray:
-    ranks = rankdata(arr, method="average").reshape(arr.shape)
+    if np.isnan(arr).any():  # a NaN leaves every rank undefined
+        return np.full(arr.shape, np.nan)
+    # average ranks: tied values share the mean of the ranks they span
+    _, inv, counts = np.unique(arr.ravel(), return_inverse=True,
+                               return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inv].reshape(arr.shape)
     return ndtri((ranks - 3.0 / 8.0) / (arr.size + 0.25))
 
 def _rhat_basic(arr: np.ndarray) -> float:

@@ -187,16 +187,14 @@ class TestOracles:
 
     def test_conjugate_closed_form(self):
         # normal prior + normal likelihood has an exact posterior mean
-        for shift in (0.4, 1.7):
-            for noise in (0.5, 2.0):
-                sc = SeverityScenario(shift=shift, observed=0.3,
-                                      noise_sd=noise)
-                res = mlrp_bias_oracle(Theorem.INITIAL_SEVERITY, sc)
-                v, s2 = 1.0, noise ** 2
-                pop = v * 0.3 / (v + s2)
-                grp = shift + v * (0.3 - shift) / (v + s2)
-                assert res.e_population == pytest.approx(pop, abs=1e-6)
-                assert res.e_group == pytest.approx(grp, abs=1e-6)
+        for sc in scenario_grid(Theorem.INITIAL_SEVERITY):
+            res = mlrp_bias_oracle(Theorem.INITIAL_SEVERITY, sc)
+            m, v, s2 = sc.init.mean, sc.init.sd ** 2, sc.noise_sd ** 2
+            pop = m + v * (sc.observed - m) / (v + s2)
+            m_g = m + sc.shift
+            grp = m_g + v * (sc.observed - m_g) / (v + s2)
+            assert res.e_population == pytest.approx(pop, abs=1e-6)
+            assert res.e_group == pytest.approx(grp, abs=1e-6)
 
     def test_rate_theorem_positive_time(self):
         sc = SeverityScenario(shift=1.0, t=0.5, observed=0.3,
@@ -208,18 +206,18 @@ class TestOracles:
                              SeverityScenario(shift=1.0, t=0.0))
 
     def test_rate_theorem_2d_conjugate(self):
-        # Z_t = Z0 + R t is normal, so the 2-D quadrature has a closed form
-        sc = SeverityScenario(shift=0.8, t=0.5, observed=0.3,
-                              rate=GaussianLatent(0.5, 1.0), noise_sd=1.5)
-        res = mlrp_bias_oracle(Theorem.RATE, sc)
-        m = 0.0 + 0.5 * 0.5
-        v = 1.0 + 0.25 * 1.0
-        s2 = 1.5 ** 2
-        pop = m + v * (0.3 - m) / (v + s2)
-        m_g = 0.0 + (0.5 + 0.8) * 0.5
-        grp = m_g + v * (0.3 - m_g) / (v + s2)
-        assert res.e_population == pytest.approx(pop, abs=1e-6)
-        assert res.e_group == pytest.approx(grp, abs=1e-6)
+        # Z_t = Z0 + R t is normal, so the 1-D quadrature over the severity
+        # density has the normal-normal closed form
+        for sc in scenario_grid(Theorem.RATE):
+            res = mlrp_bias_oracle(Theorem.RATE, sc)
+            m = sc.init.mean + sc.rate.mean * sc.t
+            v = sc.init.sd ** 2 + sc.t ** 2 * sc.rate.sd ** 2
+            s2 = sc.noise_sd ** 2
+            pop = m + v * (sc.observed - m) / (v + s2)
+            m_g = m + sc.shift * sc.t
+            grp = m_g + v * (sc.observed - m_g) / (v + s2)
+            assert res.e_population == pytest.approx(pop, abs=1e-6)
+            assert res.e_group == pytest.approx(grp, abs=1e-6)
 
     def test_visit_theorem_both_events(self):
         for event in (1, 0):

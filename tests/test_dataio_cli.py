@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +297,23 @@ def _first_observed_row(lines):
                 if line.split(",")[4] != "")
 
 
-# name -> (file, fault): each fault edits the table's lines or its sidecar
+def _drop_last_patient(lines):
+    last = lines[-1].split(",")[0]
+    lines[:] = [line for line in lines if line.split(",")[0] != last]
+
+
+def _drop_one_latent(truth):
+    truth["latents"].pop(next(k for k in sorted(truth["latents"])
+                              if k.startswith("rate[")))
+
+
+# kind -> (table, JSON sidecar, the command that reads both)
+FILES = {"dataset": ("dataset.csv", "dataset.csv.meta.json", "fit"),
+         "draws": ("draws.csv", "fit_meta.json", "disparity"),
+         "bias_dataset": ("dataset.csv", "dataset.csv.meta.json", "bias"),
+         "truth": ("dataset.csv", "truth.json", "bias"),
+         "recovery_truth": ("dataset.csv", "truth.json", "recovery")}
+# name -> (kind, fault): each fault edits the table's lines or its sidecar
 MALFORMED = {
     "short_row": ("dataset", lambda lines, meta: _cut_last_cell(lines, 5)),
     **{f"sidecar_without_{key}": ("dataset", lambda lines, meta, k=key:
@@ -304,23 +322,43 @@ MALFORMED = {
     **{f"{v}_cell": ("dataset", lambda lines, meta, v=v: _set_cell(
         lines, _first_observed_row(lines), 4, v))
        for v in ("inf", "-inf", "nan")},
-    "fit_meta_without_n_chains": ("draws",
-                                  lambda lines, meta: meta.pop("n_chains")),
-    "fit_meta_without_n_global": ("draws", lambda lines, meta:
-                                  meta["meta"].pop("n_global")),
+    **{f"fit_meta_without_{key}": ("draws", lambda lines, meta, k=key:
+                                   meta.pop(k))
+       for key in ("n_chains", "accept_stats", "divergent", "warnings")},
+    **{f"fit_meta_without_{key}": ("draws", lambda lines, meta, k=key:
+                                   meta["meta"].pop(k))
+       for key in ("bin_width", "n_groups", "n_features", "pinned_group",
+                   "patient_ids", "patient_groups", "horizon_by_patient",
+                   "variant", "n_global")},
+    **{f"fit_meta_without_variant_{flag}": ("draws", lambda lines, meta, f=flag:
+                                            meta["meta"]["variant"].pop(f))
+       for flag in ("group_init", "group_rates", "group_visits")},
     "ragged_draws_row": ("draws", lambda lines, meta: _cut_last_cell(lines, 3)),
     "draws_rows_short_of_header": ("draws", lambda lines, meta: _cut_last_cell(
         lines, *range(1, len(lines)))),
     "unparsable_draw": ("draws", lambda lines, meta: _set_cell(lines, 3, 2, "x")),
+    "draws_row_missing": ("draws", lambda lines, meta: lines.pop()),
+    "draws_row_extra": ("draws", lambda lines, meta: lines.append(lines[-1])),
+    "dataset_patients_differ_from_fit": ("bias_dataset", lambda lines, meta:
+                                         _drop_last_patient(lines)),
+    "truth_without_a_latent": ("truth", lambda lines, truth:
+                               _drop_one_latent(truth)),
+    "recovery_truth_without_a_latent": ("recovery_truth", lambda lines, truth:
+                                        _drop_one_latent(truth)),
+    **{f"truth_without_{key}": ("truth", lambda lines, truth, k=key:
+                                truth.pop(k))
+       for key in ("params", "latents")},
 }
 
 
 @pytest.fixture(scope="module")
 def valid_fit(sim_pair, tmp_path_factory):
-    """A dataset and a short fit of it, side by side, to corrupt."""
-    data, _ = sim_pair
+    """A dataset, its truth and a short fit of it, side by side, to
+    corrupt."""
+    data, truth = sim_pair
     fit_dir = tmp_path_factory.mktemp("valid_fit")
     write_dataset(data, fit_dir / "dataset.csv")
+    write_truth(truth, fit_dir / "truth.json")
     draws = fit_model(data, config=SamplerConfig(chains=2, warmup=20,
                                                  draws=10, seed=1))
     write_draws(draws, fit_dir / "draws.csv")
@@ -329,22 +367,52 @@ def valid_fit(sim_pair, tmp_path_factory):
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(valid_fit, tmp_path, case):
-    """Every malformed dataset or draws file ends in exit 2, not a
+    """Every malformed dataset, draws or truth file, and every dataset,
+    fit and truth that disagree on the patients, ends in exit 2, not a
     traceback or a silent read."""
     kind, fault = MALFORMED[case]
-    table, sidecar = {"dataset": ("dataset.csv", "dataset.csv.meta.json"),
-                      "draws": ("draws.csv", "fit_meta.json")}[kind]
+    table, sidecar, command = FILES[kind]
     lines = (valid_fit / table).read_text().splitlines()
     meta = json.loads((valid_fit / sidecar).read_text())
     fault(lines, meta)
     bad = tmp_path / "bad"
-    bad.mkdir()
+    shutil.copytree(valid_fit, bad)
     (bad / table).write_text("\n".join(lines) + "\n")
     (bad / sidecar).write_text(json.dumps(meta))
-    if kind == "dataset":
-        argv = ["fit", "--dataset", str(bad / table), "--chains", "2",
-                "--warmup", "10", "--draws", "10"]
-    else:
-        argv = ["evaluate", "--mode", "disparity", "--fit", str(bad),
-                "--years-per-unit", "1"]
+    argv = {"fit": ["fit", "--dataset", str(bad / "dataset.csv"),
+                    "--chains", "2", "--warmup", "10", "--draws", "10"],
+            "disparity": ["evaluate", "--mode", "disparity", "--fit",
+                          str(bad), "--years-per-unit", "1"],
+            "bias": ["evaluate", "--mode", "bias", "--fit", str(bad),
+                     "--dataset", str(bad / "dataset.csv"),
+                     "--truth", str(bad / "truth.json")],
+            "recovery": ["evaluate", "--mode", "recovery",
+                         *["--fit", str(bad), "--truth",
+                           str(bad / "truth.json")] * 2]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("mode", ["bias", "recovery"])
+def test_evaluate_holds_one_fit_at_a_time(valid_fit, tmp_path, monkeypatch,
+                                          mode):
+    """Modes that read several fits free each fit's draws before reading
+    the next, so their memory does not grow with the number of fits."""
+    import dispro.cli as cli
+
+    read, seen = cli.read_draws, []
+
+    def tracked(path):
+        assert all(ref() is None for ref in seen), "a previous fit is alive"
+        draws = read(path)
+        seen.append(weakref.ref(draws))
+        return draws
+
+    monkeypatch.setattr(cli, "read_draws", tracked)
+    fit = ["--fit", str(valid_fit)]
+    truth = ["--truth", str(valid_fit / "truth.json")]
+    argv = {"bias": [*fit * 3, *truth, "--dataset",
+                     str(valid_fit / "dataset.csv")],
+            "recovery": [*fit, *truth] * 3}
+    assert main(["evaluate", "--mode", mode, *argv[mode],
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(seen) == 3

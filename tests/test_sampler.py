@@ -2,16 +2,23 @@
 integrator's energy-error scaling."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.special import ndtri
+from scipy.stats import kstest, rankdata
 
+import dispro
 from dispro import ConfigurationError, InvalidParameterError
 from dispro.sampler import (
     PosteriorDraws,
     SamplerConfig,
     _ChainState,
+    _rank_normalize,
     ess,
     mcse,
     rhat,
@@ -127,6 +134,17 @@ class TestDiagnostics:
         d = self.make_draws(arr)
         assert rhat(d, "x") > 1.5
 
+    def test_rank_normalize_ties_match_rankdata(self):
+        rng = np.random.default_rng(3)
+        arr = rng.integers(0, 5, size=(4, 50)).astype(float)  # many ties
+        arr[0, :10] = 2.0
+        ref = rankdata(arr, method="average").reshape(arr.shape)
+        expected = ndtri((ref - 3.0 / 8.0) / (arr.size + 0.25))
+        assert np.array_equal(_rank_normalize(arr), expected)
+        arr[1, 3] = np.nan  # rankdata propagates a NaN to every rank
+        assert np.isnan(rankdata(arr, method="average")).all()
+        assert np.isnan(_rank_normalize(arr)).all()
+
     def test_rhat_needs_two_chains(self):
         d = self.make_draws(np.random.default_rng(2).normal(size=(1, 100)))
         with pytest.raises(ConfigurationError):
@@ -176,6 +194,16 @@ class TestDiagnostics:
             assert any("divergent" in w for w in d.warnings)
         else:
             assert not d.warnings
+
+
+def test_cli_import_skips_scipy_stats():
+    """The rank normalization needs no scipy.stats, which is slow to
+    import; the command line should not pay for it."""
+    code = "import sys, dispro.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(dispro.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0
 
 
 def test_config_validation():

@@ -268,18 +268,18 @@ def trajectory_baselines(data, train_window: int, method: str) -> PredictionTabl
                 continue
             tt = train_bins.astype(float)
             yy = col[train_bins]
+            # one curve per (patient, feature); the fallback where there is none
+            coef, pred = None, float(pop_mean[j])
+            if method == "latest":
+                if tt.size:
+                    pred = float(yy[-1])
+            else:
+                coef = _polyfit_or_none(tt, yy, 1 if method == "linear" else 2)
             for t in test_bins:
-                if method == "latest":
-                    pred = float(yy[-1]) if tt.size else float(pop_mean[j])
-                else:
-                    degree = 1 if method == "linear" else 2
-                    coef = _polyfit_or_none(tt, yy, degree)
-                    if coef is None:
-                        pred = float(pop_mean[j])
-                    else:
-                        pred = float(np.polynomial.polynomial.polyval(float(t), coef))
-                        if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-                            pred = min(max(pred, float(lo[j])), float(hi[j]))
+                if coef is not None:
+                    pred = float(np.polynomial.polynomial.polyval(float(t), coef))
+                    if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+                        pred = min(max(pred, float(lo[j])), float(hi[j]))
                 rows.append((p.patient_id, int(t), j, pred, float(col[t])))
     return PredictionTable(rows=rows)
 

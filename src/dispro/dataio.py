@@ -44,6 +44,11 @@ def sha256_file(path) -> str:
     return sha256_bytes(Path(path).read_bytes())
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; a bool or a float does not count."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def dataset_meta_path(path) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".meta.json")
@@ -72,12 +77,19 @@ def read_dataset(path) -> Dataset:
     if not meta_path.exists():
         raise DataError(f"missing dataset sidecar {meta_path}")
     meta = json.loads(meta_path.read_text())
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: not a JSON object")
     missing = [k for k in ("bin_width", "n_groups", "n_features",
                            "pinned_group") if k not in meta]
     if missing:
         raise DataError(f"{meta_path}: missing keys {missing}")
-    pinned = int(meta["pinned_group"])
-    n_features = int(meta["n_features"])
+    if not (all(_is_int(meta[k]) for k in ("n_groups", "n_features",
+                                           "pinned_group"))
+            and (_is_int(meta["bin_width"])
+                 or isinstance(meta["bin_width"], float))):
+        raise DataError(f"{meta_path}: n_groups, n_features and pinned_group "
+                        "must be integers and bin_width a number")
+    pinned, n_features = meta["pinned_group"], meta["n_features"]
 
     per_patient: dict[str, list] = {}
     order: list[str] = []
@@ -121,7 +133,7 @@ def read_dataset(path) -> Dataset:
         patients.append(PatientRecord(
             patient_id=pid, group=GroupId(g, is_pinned=(g == pinned)),
             horizon=len(rows) - 1, visits=visits, features=features))
-    return Dataset(patients=patients, n_groups=int(meta["n_groups"]),
+    return Dataset(patients=patients, n_groups=meta["n_groups"],
                    n_features=n_features, bin_width=float(meta["bin_width"]),
                    pinned_group=pinned)
 
@@ -167,11 +179,15 @@ def read_draws(path) -> PosteriorDraws:
     path = Path(path)
     meta_path = fit_meta_path(path)
     meta_doc = json.loads(meta_path.read_text())
-    missing = [k for k in ("n_chains", "accept_stats", "divergent",
-                           "warnings") if k not in meta_doc]
-    if missing or "n_global" not in meta_doc.get("meta", {}):
-        raise DataError(f"{meta_path}: needs n_chains, accept_stats, "
-                        f"divergent, warnings and meta.n_global")
+    lists = ("accept_stats", "divergent", "warnings")
+    if not (isinstance(meta_doc, dict)
+            and _is_int(meta_doc.get("n_chains"))
+            and all(isinstance(meta_doc.get(k), list) for k in lists)
+            and isinstance(meta_doc.get("meta"), dict)
+            and "n_global" in meta_doc["meta"]):
+        raise DataError(f"{meta_path}: needs an integer n_chains, lists "
+                        "accept_stats, divergent and warnings, and an object "
+                        "meta with n_global")
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[:2] != ["chain", "draw"]:
@@ -194,8 +210,8 @@ def read_draws(path) -> PosteriorDraws:
         chain_ids=table[:, 0].astype(int),
         accept_stats=np.asarray(meta_doc["accept_stats"]),
         divergent=np.asarray(meta_doc["divergent"], dtype=bool),
-        n_chains=int(meta_doc["n_chains"]),
-        warnings=list(meta_doc["warnings"]),
+        n_chains=meta_doc["n_chains"],
+        warnings=meta_doc["warnings"],
         meta=meta_doc["meta"])
 
 

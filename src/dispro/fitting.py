@@ -17,6 +17,7 @@ import numpy as np
 from .model import FULL_VARIANT, ProgressionModel, VariantConfig
 from .priors import PriorSpec, TruncatedNormal
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
+from .types import GroupParams, PatientLatents, SharedParams
 
 
 def fit_model(data, priors: PriorSpec | None = None,
@@ -97,7 +98,6 @@ def rough_init(model: ProgressionModel, data) -> np.ndarray:
     denom = float(lam @ w) + 1.0
     sev0 = np.zeros(data.n_patients)
     rate = np.zeros(data.n_patients)
-    score_cache = []
     for i, p in enumerate(data.patients):
         tt, ss = [], []
         for t in p.visit_bins():
@@ -108,99 +108,60 @@ def rough_init(model: ProgressionModel, data) -> np.ndarray:
             s = float(w[obs] @ (row[obs] - intercepts[obs])) / denom
             tt.append(t * data.bin_width)
             ss.append(s)
-        score_cache.append((tt, ss))
-        if len(ss) == 0:
-            continue
         if len(ss) == 1:
             sev0[i] = ss[0]
-        else:
-            coef = np.polynomial.polynomial.polyfit(tt, ss, 1)
-            sev0[i] = coef[0]
-            rate[i] = coef[1]
+        elif ss:
+            sev0[i], rate[i] = np.polynomial.polynomial.polyfit(tt, ss, 1)
 
-    g_of = np.array([p.group.index for p in data.patients])
-    G = data.n_groups
-    group_z0_mean = np.zeros(G)
-    group_rate_mean = np.zeros(G)
-    group_z0_sd = np.ones(G)
-    group_rate_sd = np.full(G, 0.3)
-    for g in range(G):
-        m = g_of == g
-        if m.sum() >= 2:
-            group_z0_mean[g] = float(sev0[m].mean())
-            group_rate_mean[g] = float(rate[m].mean())
-            group_z0_sd[g] = float(np.clip(sev0[m].std(ddof=1), 0.3, 3.0))
-            group_rate_sd[g] = float(np.clip(rate[m].std(ddof=1), 0.05, 2.0))
-
-    # visit-rate starts from per-group event frequencies
-    ev_frac = np.zeros(G)
-    for g in range(G):
+    # visit rates from per-group event frequencies, relative to the pinned
+    # group's
+    event_rate = []
+    for g in range(data.n_groups):
         rows = [p.visits[1:] for p in data.patients if p.group.index == g]
-        if rows:
-            allv = np.concatenate(rows)
-            ev_frac[g] = float(np.clip(allv.mean(), 1e-3, 1 - 1e-3))
-    lam0 = -np.log1p(-ev_frac[data.pinned_group]) / data.bin_width
-    beta0 = float(np.log(max(lam0, 1e-6)))
+        frac = (float(np.clip(np.concatenate(rows).mean(), 1e-3, 1 - 1e-3))
+                if rows else 0.0)
+        event_rate.append(max(-np.log1p(-frac) / data.bin_width, 1e-6))
+    base_rate = event_rate[data.pinned_group]
 
-    x = np.empty(model.dim)
+    pooled_rate = None if model.variant.group_rates else (
+        float(rate.mean()), float(np.clip(rate.std(ddof=1), 0.05, 2.0)))
+    g_of = np.array([p.group.index for p in data.patients])
+    groups = []
+    for g in range(data.n_groups):
+        m = g_of == g
+        init, rates = (0.0, 1.0), (0.0, 0.3)
+        if m.sum() >= 2:
+            init = (float(sev0[m].mean()),
+                    float(np.clip(sev0[m].std(ddof=1), 0.3, 3.0)))
+            rates = (float(rate[m].mean()),
+                     float(np.clip(rate[m].std(ddof=1), 0.05, 2.0)))
+        groups.append(GroupParams(*init, *(pooled_rate or rates),
+                                  float(np.log(event_rate[g] / base_rate))))
+    shared = SharedParams(lam, intercepts, uniq, float(np.log(base_rate)),
+                          model.priors.visit_severity.mu)
+    x = model.pack(shared, groups,
+                   [PatientLatents(s, r) for s, r in zip(sev0, rate)])
     for i, e in enumerate(model.entries):
-        prior = model.priors.for_role(e.role, e.feature)
-        if e.role in ("loading0", "loading"):
-            val = lam[e.feature]
-        elif e.role == "feat_intercept":
-            j = i - d
-            val = intercepts[j]
-        elif e.role == "noise_var":
-            j = i - 2 * d
-            val = uniq[j]
-        elif e.role == "visit_intercept":
-            val = beta0
-        elif e.role == "visit_severity":
-            val = prior.mu
-        else:
-            g = int(e.name.split("[")[1][:-1]) if "[" in e.name else None
-            if e.role == "init_sev_mean":
-                val = group_z0_mean[g]
-            elif e.role == "init_sev_sd":
-                val = group_z0_sd[g]
-            elif e.role == "rate_mean":
-                val = (group_rate_mean[g] if g is not None
-                       else float(rate.mean()))
-            elif e.role == "rate_sd":
-                val = (group_rate_sd[g] if g is not None
-                       else float(np.clip(rate.std(ddof=1), 0.05, 2.0)))
-            else:  # visit_offset
-                base = max(lam0, 1e-6)
-                lam_g = -np.log1p(-ev_frac[g]) / data.bin_width
-                val = float(np.log(max(lam_g, 1e-6) / base))
-        if isinstance(prior, TruncatedNormal):
-            val = max(val, prior.lower + max(0.05, 0.05 * prior.sigma))
-        elif e.lower is not None:
-            val = max(val, e.lower + 0.05)
-        x[i] = val
-    base = model.n_global
-    x[base::2] = sev0
-    x[base + 1::2] = rate
+        if e.lower is not None:
+            margin = (max(0.05, 0.05 * e.prior.sigma)
+                      if isinstance(e.prior, TruncatedNormal) else 0.05)
+            x[i] = max(x[i], e.lower + margin)
     return x
 
 
 def jittered_init(model: ProgressionModel, center_x: np.ndarray,
                   rng: np.random.Generator, non_centered: bool) -> np.ndarray:
     """Per-chain unconstrained start: the rough init jittered in
-    unconstrained space."""
-    if non_centered:
-        gm, gs, rm, rs, _ = model._group_arrays(center_x)
-        g_of = model.idx.group_of
-        base = model.n_global
-        theta = model.unconstrain_globals_only(center_x)
-        theta[:base] += 0.1 * rng.standard_normal(base)
-        u = (center_x[base::2] - gm[g_of]) / gs[g_of]
-        w = (center_x[base + 1::2] - rm[g_of]) / rs[g_of]
-        theta[base::2] = u + 0.2 * rng.standard_normal(model.n_patients)
-        theta[base + 1::2] = w + 0.2 * rng.standard_normal(model.n_patients)
+    unconstrained space, with standardized latents when non-centered."""
+    if not non_centered:
+        theta = model.unconstrain(center_x)
+        theta += 0.1 * rng.standard_normal(model.dim)
         return theta
-    theta = model.unconstrain(center_x)
-    theta += 0.1 * rng.standard_normal(model.dim)
+    theta = model.to_noncentered(center_x)
+    base, n = model.n_global, model.n_patients
+    theta[:base] += 0.1 * rng.standard_normal(base)
+    theta[base::2] += 0.2 * rng.standard_normal(n)
+    theta[base + 1::2] += 0.2 * rng.standard_normal(n)
     return theta
 
 

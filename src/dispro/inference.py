@@ -191,16 +191,17 @@ def disparity_summary(draws: PosteriorDraws, years_per_unit: float | None = None
             entry["init_sev_gap_ci"] = [float(np.percentile(col, lo_q)),
                                         float(np.percentile(col, hi_q))]
             if abs(mean_rate) > 1e-12:
-                entry["delay_time_units"] = gap / mean_rate
+                entry["delay_time_units"] = delay_conversion(gap, mean_rate, 1.0)
                 if years_per_unit is not None:
-                    entry["delay_years"] = gap / mean_rate * years_per_unit
+                    entry["delay_years"] = delay_conversion(gap, mean_rate,
+                                                            years_per_unit)
             else:
                 entry["delay_time_units"] = None  # undefined at ~zero rate
         if draws.has(f"visit_offset[{g}]"):
             col = draws.column(f"visit_offset[{g}]")
             off = float(col.mean())
             entry["visit_offset"] = off
-            entry["visit_rate_ratio"] = math.exp(off)
+            entry["visit_rate_ratio"] = visit_rate_ratio(off)
             entry["visit_rate_ratio_ci"] = [float(np.exp(np.percentile(col, lo_q))),
                                             float(np.exp(np.percentile(col, hi_q)))]
         else:

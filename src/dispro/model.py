@@ -19,11 +19,11 @@ latents centered or non-centered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .priors import PriorSpec, TruncatedNormal, simulation_priors
+from .priors import Prior, PriorSpec, TruncatedNormal, simulation_priors
 from .types import (
     Dataset,
     DatasetIndex,
@@ -186,14 +186,28 @@ def expected_visit_rate(shared: SharedParams, group: GroupParams, t: float) -> f
 class ParamEntry:
     name: str
     role: str
+    prior: Prior
     lower: float | None
-    feature: int | None = None  # feature index for loading entries
 
 
 def _structural_lower(role: str) -> float | None:
     if role in ("loading0", "noise_var", "init_sev_sd", "rate_sd"):
         return 0.0
     return None
+
+
+# The columns of the group table, named as the GroupParams fields, and the
+# value of an entry that is pinned or ablated: the pinned group's N(0, 1)
+# initial severity and zero visit offset. Rate entries are never pinned.
+_GROUP_ROLES = ("init_sev_mean", "init_sev_sd", "rate_mean", "rate_sd",
+               "visit_offset")
+_GROUP_DEFAULTS = np.array([0.0, 1.0, np.nan, np.nan, 0.0])
+
+
+def _gather(x, table, defaults):
+    """``x[..., table]`` with ``defaults`` where the table holds -1; x is one
+    vector or a (rows, dim) matrix."""
+    return np.where(table >= 0, x[..., table], defaults)
 
 
 class ProgressionModel:
@@ -231,7 +245,8 @@ class ProgressionModel:
             prior = self.priors.for_role(role, feature)
             lower = prior.lower if isinstance(prior, TruncatedNormal) else \
                 _structural_lower(role)
-            entries.append(ParamEntry(name, role, lower, feature))
+            entries.append(ParamEntry(name, role, prior, lower))
+            return len(entries) - 1
 
         for j in range(d):
             add(f"loading[{j}]", "loading0" if j == 0 else "loading", feature=j)
@@ -242,41 +257,29 @@ class ProgressionModel:
         add("visit_intercept", "visit_intercept")
         add("visit_severity", "visit_severity")
 
-        init_mean_idx = np.full(G, -1, dtype=np.intp)
-        init_sd_idx = np.full(G, -1, dtype=np.intp)
-        rate_mean_idx = np.full(G, -1, dtype=np.intp)
-        rate_sd_idx = np.full(G, -1, dtype=np.intp)
-        offset_idx = np.full(G, -1, dtype=np.intp)
-
+        # (G, 5) group table: the coordinate of each group's _GROUP_ROLES
+        # entry, -1 where it is pinned or ablated; a shared rate pair repeats
+        # one coordinate down its column
+        table = np.full((G, 5), -1, dtype=np.intp)
         if not variant.group_rates:
-            rate_mean_idx[:] = len(entries)
-            add("rate_mean", "rate_mean")
-            rate_sd_idx[:] = len(entries)
-            add("rate_sd", "rate_sd")
+            table[:, 2] = add("rate_mean", "rate_mean")
+            table[:, 3] = add("rate_sd", "rate_sd")
         for g in range(G):
-            if variant.group_init and g != data.pinned_group:
-                init_mean_idx[g] = len(entries)
-                add(f"init_sev_mean[{g}]", "init_sev_mean")
-                init_sd_idx[g] = len(entries)
-                add(f"init_sev_sd[{g}]", "init_sev_sd")
-            if variant.group_rates:
-                rate_mean_idx[g] = len(entries)
-                add(f"rate_mean[{g}]", "rate_mean")
-                rate_sd_idx[g] = len(entries)
-                add(f"rate_sd[{g}]", "rate_sd")
-            if variant.group_visits and g != data.pinned_group:
-                offset_idx[g] = len(entries)
-                add(f"visit_offset[{g}]", "visit_offset")
+            unpinned = g != data.pinned_group
+            learned = ((variant.group_init and unpinned,) * 2
+                       + (variant.group_rates,) * 2
+                       + (variant.group_visits and unpinned,))
+            for col, role in enumerate(_GROUP_ROLES):
+                if learned[col]:
+                    table[g, col] = add(f"{role}[{g}]", role)
 
         self.entries = entries
         self.n_global = len(entries)
         self.n_patients = data.n_patients
         self.dim = self.n_global + 2 * self.n_patients
-        self._init_mean_idx = init_mean_idx
-        self._init_sd_idx = init_sd_idx
-        self._rate_mean_idx = rate_mean_idx
-        self._rate_sd_idx = rate_sd_idx
-        self._offset_idx = offset_idx
+        self._group_table = table
+        # (4, N): the init and rate columns of each patient's group
+        self._latent_table = table[self.idx.group_of, :4].T
 
         names = [e.name for e in entries]
         for p in data.patients:
@@ -305,8 +308,7 @@ class ProgressionModel:
         mu = np.empty(self.n_global)
         sig = np.empty(self.n_global)
         const = np.empty(self.n_global)
-        for i, e in enumerate(self.entries):
-            prior = self.priors.for_role(e.role, e.feature)
+        for i, prior in enumerate(e.prior for e in self.entries):
             mu[i] = prior.mu
             sig[i] = prior.sigma
             const[i] = -0.5 * _LOG_2PI - math.log(prior.sigma)
@@ -315,7 +317,6 @@ class ProgressionModel:
                 const[i] -= float(log_ndtr((prior.mu - prior.lower) / prior.sigma))
         self._prior_mu = mu
         self._prior_sigma = sig
-        self._prior_const = const
         self._prior_const_sum = float(const.sum())
 
     @property
@@ -360,31 +361,25 @@ class ProgressionModel:
         x[self._sl_noise] = shared.noise_vars
         x[self._i_vint] = shared.visit_intercept
         x[self._i_vsev] = shared.visit_severity
-        for g, gp in enumerate(groups):
-            for idx_arr, val in ((self._init_mean_idx, gp.init_sev_mean),
-                                 (self._init_sd_idx, gp.init_sev_sd),
-                                 (self._rate_mean_idx, gp.rate_mean),
-                                 (self._rate_sd_idx, gp.rate_sd),
-                                 (self._offset_idx, gp.visit_offset)):
-                if idx_arr[g] >= 0:
-                    x[idx_arr[g]] = val
-        off = self.n_global
-        for i, la in enumerate(latents):
-            x[off + 2 * i] = la.init_sev
-            x[off + 2 * i + 1] = la.rate
+        free = self._group_table >= 0
+        x[self._group_table[free]] = np.array([astuple(gp) for gp in groups])[free]
+        base = self.n_global
+        x[base::2], x[base + 1::2] = _latent_arrays(latents)
         return x
 
     def _group_arrays(self, x):
-        def resolve(idx_arr, default):
-            out = np.full(idx_arr.shape, default, dtype=float)
-            free = idx_arr >= 0
-            out[free] = x[idx_arr[free]]
-            return out
-        return (resolve(self._init_mean_idx, 0.0),
-                resolve(self._init_sd_idx, 1.0),
-                resolve(self._rate_mean_idx, np.nan),
-                resolve(self._rate_sd_idx, np.nan),
-                resolve(self._offset_idx, 0.0))
+        """Each group's _GROUP_ROLES values: five (G,) arrays for a vector x,
+        five (rows, G) arrays for a (rows, dim) matrix."""
+        v = _gather(x, self._group_table, _GROUP_DEFAULTS)
+        return tuple(v[..., k] for k in range(5))
+
+    def _latent_scales(self, x):
+        """Per-patient (m_i, s_i, m_r, s_r): the mean and sd of the patient's
+        group initial-severity and rate distributions, the scales of the
+        latent map ``init_sev = m_i + s_i * u``, ``rate = m_r + s_r * w``.
+        (N,) arrays for a vector x, (rows, N) for a (rows, dim) matrix."""
+        v = _gather(x, self._latent_table, _GROUP_DEFAULTS[:4, None])
+        return tuple(v[..., k, :] for k in range(4))
 
     # -- densities -----------------------------------------------------------
 
@@ -411,10 +406,10 @@ class ProgressionModel:
         b = self._bounded[:base]
         if np.any(x[:base][b] <= self._lower[:base][b]):
             return -math.inf
-        gm, gs, rm, rs, _ = self._group_arrays(x)
-        g_of = self.idx.group_of
-        z_i = (x[base::2] - gm[g_of]) / gs[g_of]
-        z_r = (x[base + 1::2] - rm[g_of]) / rs[g_of]
+        _, gs, _, rs, _ = self._group_arrays(x)
+        m_i, s_i, m_r, s_r = self._latent_scales(x)
+        z_i = (x[base::2] - m_i) / s_i
+        z_r = (x[base + 1::2] - m_r) / s_r
         parts = self._prior_parts(x[:base], z_i, z_r)[1]
         return _fsum(parts + self._log_sd_parts(gs, rs))
 
@@ -440,13 +435,25 @@ class ProgressionModel:
         return self._density(theta_nc, want_grad, non_centered=True)
 
     def constrain_noncentered(self, theta_nc: np.ndarray) -> np.ndarray:
+        """The constrained, centered vector of a non-centered one; a
+        (rows, dim) matrix maps row by row."""
         x = self.constrain(theta_nc)
-        gm, gs, rm, rs, _ = self._group_arrays(x)
-        g_of = self.idx.group_of
+        m_i, s_i, m_r, s_r = self._latent_scales(x)
         base = self.n_global
-        x[base::2] = gm[g_of] + gs[g_of] * x[base::2]
-        x[base + 1::2] = rm[g_of] + rs[g_of] * x[base + 1::2]
+        x[..., base::2] = m_i + s_i * x[..., base::2]
+        x[..., base + 1::2] = m_r + s_r * x[..., base + 1::2]
         return x
+
+    def to_noncentered(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of ``constrain_noncentered``: a constrained, centered
+        vector to unconstrained globals and standardized latent residuals."""
+        x = np.asarray(x, dtype=float)
+        theta = self.unconstrain(x)
+        m_i, s_i, m_r, s_r = self._latent_scales(x)
+        base = self.n_global
+        theta[base::2] = (theta[base::2] - m_i) / s_i
+        theta[base + 1::2] = (theta[base + 1::2] - m_r) / s_r
+        return theta
 
     def _density(self, theta, want_grad, non_centered):
         """The joint log-density and its gradient in one pass.
@@ -471,22 +478,21 @@ class ProgressionModel:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self.constrain(theta)
             L, B, V = x[self._sl_load], x[self._sl_fint], x[self._sl_noise]
-            gm, gs, rm, rs, goff = self._group_arrays(x)
+            _, gs, _, rs, goff = self._group_arrays(x)
             if not (np.all(np.isfinite(x))
                     and min(V.min(), gs.min(), rs.min()) > 0.0):
                 return sentinel
             idx = self.idx
-            g_of = idx.group_of
             base = self.n_global
-            s_i, s_r = gs[g_of], rs[g_of]
+            m_i, s_i, m_r, s_r = self._latent_scales(x)
             if non_centered:
                 z_i, z_r = x[base::2], x[base + 1::2]
-                sev0 = gm[g_of] + s_i * z_i
-                rate = rm[g_of] + s_r * z_r
+                sev0 = m_i + s_i * z_i
+                rate = m_r + s_r * z_r
             else:
                 sev0, rate = x[base::2], x[base + 1::2]
-                z_i = (sev0 - gm[g_of]) / s_i
-                z_r = (rate - rm[g_of]) / s_r
+                z_i = (sev0 - m_i) / s_i
+                z_r = (rate - m_r) / s_r
 
             parts, sev_c, w_c, rw = _emission_block(
                 L, B, V, self._cells_per_feature, sev0, rate, idx)
@@ -534,7 +540,6 @@ class ProgressionModel:
             d_rate += vsev * np.bincount(idx.row_patient,
                                          weights=c_eta * idx.row_time,
                                          minlength=N)
-            self._add_by_group(gx, self._offset_idx, c_pat)
 
             gx[:base] -= zg / self._prior_sigma
 
@@ -543,31 +548,24 @@ class ProgressionModel:
                 # and s; the prior on u is standard normal
                 gx[base::2] = d_sev * s_i - z_i
                 gx[base + 1::2] = d_rate * s_r - z_r
-                group_terms = (d_sev, d_rate, d_sev * z_i, d_rate * z_r)
+                group_terms = (d_sev, d_sev * z_i, d_rate, d_rate * z_r)
             else:
                 gx[base::2] = d_sev - z_i / s_i
                 gx[base + 1::2] = d_rate - z_r / s_r
-                group_terms = (z_i / s_i, z_r / s_r,
-                               (z_i * z_i - 1.0) / s_i, (z_r * z_r - 1.0) / s_r)
-            for idx_arr, term in zip((self._init_mean_idx, self._rate_mean_idx,
-                                      self._init_sd_idx, self._rate_sd_idx),
-                                     group_terms):
-                self._add_by_group(gx, idx_arr, term)
+                group_terms = (z_i / s_i, (z_i * z_i - 1.0) / s_i,
+                               z_r / s_r, (z_r * z_r - 1.0) / s_r)
+            # per-patient terms summed by group into the group table's
+            # coordinates, in group order where a shared coordinate repeats
+            by_group = np.stack([np.bincount(idx.group_of, weights=t,
+                                             minlength=self.data.n_groups)
+                                 for t in (*group_terms, c_pat)], axis=1)
+            free = self._group_table >= 0
+            np.add.at(gx, self._group_table[free], by_group[free])
 
             # chain rule through x = lower + exp(u), plus d/du of the Jacobian
             b = self._bounded
             gx[b] = gx[b] * (x[b] - self._lower[b]) + 1.0
             return ll, gx
-
-    def _add_by_group(self, gx, idx_arr, per_patient):
-        """Sum per-patient gradient terms by group into the coordinates that
-        ``idx_arr`` points at; groups without one (index -1) take nothing.
-        Shared coordinates repeat in ``idx_arr`` and accumulate."""
-        free = idx_arr >= 0
-        if np.any(free):
-            by_group = np.bincount(self.idx.group_of, weights=per_patient,
-                                   minlength=self.data.n_groups)
-            np.add.at(gx, idx_arr[free], by_group[free])
 
     # -- initialization -------------------------------------------------------
 
@@ -576,28 +574,13 @@ class ProgressionModel:
         """Unconstrained initial point: globals drawn from their priors,
         latents from the drawn group distributions (standard normal residuals
         in the non-centered parameterization)."""
-        x = np.empty(self.dim)
-        for i, e in enumerate(self.entries):
-            x[i] = self.priors.for_role(e.role, e.feature).draw(rng)
         base = self.n_global
+        x = np.empty(self.dim)
+        x[:base] = [e.prior.draw(rng) for e in self.entries]
         if non_centered:
-            theta = self.unconstrain_globals_only(x)
-            theta[base:] = rng.standard_normal(2 * self.n_patients)
-            return theta
-        gm, gs, rm, rs, _ = self._group_arrays(x)
-        g_of = self.idx.group_of
-        x[base::2] = rng.normal(gm[g_of], gs[g_of])
-        x[base + 1::2] = rng.normal(rm[g_of], rs[g_of])
+            x[base:] = rng.standard_normal(2 * self.n_patients)
+        else:
+            m_i, s_i, m_r, s_r = self._latent_scales(x)
+            x[base::2] = rng.normal(m_i, s_i)
+            x[base + 1::2] = rng.normal(m_r, s_r)
         return self.unconstrain(x)
-
-    def unconstrain_globals_only(self, x: np.ndarray) -> np.ndarray:
-        """unconstrain() applied to the global block, leaving the latent
-        block's raw values in place (used by the non-centered path)."""
-        u = np.asarray(x, dtype=float).copy()
-        b = self._bounded.copy()
-        b[self.n_global:] = False
-        over = u[b] - self._lower[b]
-        if np.any(over <= 0):
-            raise InvalidParameterError("bounded global at or below its bound")
-        u[b] = np.log(over)
-        return u

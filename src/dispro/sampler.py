@@ -455,8 +455,8 @@ def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
     non-finite log-density marks a rejected point. init may be None (each
     chain starts uniform in (-2, 2) per coordinate, in the handle's space), a
     single vector shared by all chains, or one vector per chain.
-    ``constrain`` optionally maps raw draws to constrained space for storage;
-    ``names`` labels the output columns.
+    ``constrain`` optionally maps the raw draws matrix (one row per draw) to
+    constrained space for storage; ``names`` labels the output columns.
     """
     if dim < 1:
         raise ConfigurationError("dim must be at least 1")
@@ -488,7 +488,7 @@ def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
 
     values = np.concatenate([r[0] for r in results], axis=0)
     if constrain is not None:
-        values = np.apply_along_axis(constrain, 1, values)
+        values = constrain(values)
     accepts = np.concatenate([r[1] for r in results])
     divergents = np.concatenate([r[2] for r in results])
     chain_ids = np.repeat(np.arange(config.chains), config.draws)

@@ -175,6 +175,27 @@ class TestTrajectoryBaselines:
         p_quad, _, _ = quad.arrays()
         np.testing.assert_allclose(p_quad, p_lin, atol=1e-10)
 
+    @pytest.mark.parametrize("method", ["linear", "quadratic"])
+    def test_one_fit_per_patient_feature(self, small_sim, monkeypatch, method):
+        """The curve does not depend on the held-out bin, so it is fit once
+        per (patient, feature) that has held-out cells."""
+        import dispro.baselines as baselines
+
+        data, _ = small_sim
+        window = 8
+        calls = []
+        fit = baselines._polyfit_or_none
+
+        def counted(t, y, degree):
+            calls.append(degree)
+            return fit(t, y, degree)
+
+        monkeypatch.setattr(baselines, "_polyfit_or_none", counted)
+        table = trajectory_baselines(data, train_window=window, method=method)
+        held_out = {(r[0], r[2]) for r in table.rows}
+        assert len(table.rows) > len(held_out)  # some pair has several bins
+        assert len(calls) == len(held_out)
+
     def test_population_mean_fallback(self):
         # patient with a single training observation falls back for linear
         visits = np.array([1, 0, 1, 1], dtype=np.int8)

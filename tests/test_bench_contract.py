@@ -42,3 +42,29 @@ def test_bench_names_resolve():
     missing += [f"ProgressionModel.{a}" for a in model_names + WORKER_MODEL_NAMES
                 if not hasattr(ProgressionModel, a)]
     assert not missing
+
+
+def test_bench_call_forms(ten_patient_sim):
+    """The calls ``bench/worker.py`` makes, in the forms it makes them, on a
+    tiny cohort: a signature change fails here, not in a benchmark run."""
+    import numpy as np
+
+    from dispro import fitting
+
+    data, _ = ten_patient_sim
+    model = ProgressionModel(data)
+    center = fitting.rough_init(model, data)
+    rng = np.random.default_rng([3, 99])
+    nc = [fitting.jittered_init(model, center, rng, True),
+          fitting.jittered_init(model, center, rng, non_centered=True)]
+    c = fitting.jittered_init(model, center, rng, False)
+    for want in (True, False):
+        lp, grad = model.logp_and_grad(c, want)
+        assert np.isfinite(lp) and (grad is None) != want
+        lp, grad = model.logp_and_grad_noncentered(nc[0], want)
+        assert np.isfinite(lp) and (grad is None) != want
+    assert np.isfinite(model.log_posterior(c))
+    lp = model.logp_and_grad_noncentered(nc[1], want_grad=False)[0]
+    assert np.isfinite(lp)
+    assert model.constrain_noncentered(nc[0]).shape == (model.dim,)
+    assert model.constrain_noncentered(np.array(nc)).shape == (2, model.dim)

@@ -333,6 +333,20 @@ MALFORMED = {
     **{f"fit_meta_without_variant_{flag}": ("draws", lambda lines, meta, f=flag:
                                             meta["meta"]["variant"].pop(f))
        for flag in ("group_init", "group_rates", "group_visits")},
+    **{f"sidecar_{key}_{name}": ("dataset", lambda lines, meta, k=key, v=value:
+                                 meta.update({k: v}))
+       for key, name, value in (("n_features", "null", None),
+                                ("pinned_group", "list", [0]),
+                                ("pinned_group", "float", 0.5),
+                                ("n_groups", "bool", True),
+                                ("bin_width", "string", "0.05"))},
+    **{f"fit_meta_{key}_{name}": ("draws", lambda lines, meta, k=key, v=value:
+                                  meta.update({k: v}))
+       for key, name, value in (("meta", "null", None),
+                                ("n_chains", "string", "2"),
+                                ("accept_stats", "number", 0.5),
+                                ("divergent", "bool", False),
+                                ("warnings", "string", "none"))},
     "ragged_draws_row": ("draws", lambda lines, meta: _cut_last_cell(lines, 3)),
     "draws_rows_short_of_header": ("draws", lambda lines, meta: _cut_last_cell(
         lines, *range(1, len(lines)))),

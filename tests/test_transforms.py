@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dispro import InvalidParameterError, ProgressionModel, simulation_priors
+from dispro.ablation import ModelVariant, build_variant
 
 from conftest import truth_bundles
 
@@ -111,3 +112,27 @@ def test_prior_spec_draws_respect_bounds():
     assert np.all(draws > 0.5)
     draws = priors.visit_severity.draw(rng, size=5000)
     assert np.all(draws > 0.1)
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_constrain_noncentered_matrix_matches_rows(small_sim, variant):
+    """A (rows, dim) matrix of non-centered draws maps bit for bit as each
+    row does alone."""
+    data, _ = small_sim
+    model = ProgressionModel(data, variant=build_variant(variant))
+    rng = np.random.default_rng(4)
+    thetas = np.array([model.init_from_priors(rng, non_centered=True)
+                       for _ in range(7)])
+    rows = np.array([model.constrain_noncentered(t) for t in thetas])
+    assert model.constrain_noncentered(thetas).tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+def test_to_noncentered_inverts_constrain_noncentered(small_sim, variant):
+    data, _ = small_sim
+    model = ProgressionModel(data, variant=build_variant(variant))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        theta = model.init_from_priors(rng, non_centered=True)
+        back = model.to_noncentered(model.constrain_noncentered(theta))
+        np.testing.assert_allclose(back, theta, rtol=1e-12, atol=1e-12)

@@ -23,6 +23,8 @@ from .ablation import (
 )
 from .baselines import prediction_table, reconstruction_table
 from .dataio import (
+    _is_int,
+    _is_number,
     read_dataset,
     read_draws,
     read_truth,
@@ -196,22 +198,33 @@ def _cmd_fit(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-# the dataset metadata fit_model attaches, which every evaluate mode reads
-_FIT_META_KEYS = ("bin_width", "n_groups", "n_features", "pinned_group",
-                  "patient_ids", "patient_groups", "horizon_by_patient",
-                  "variant", "n_global")
 _VARIANT_FLAGS = ("group_init", "group_rates", "group_visits")
+# the dataset metadata fit_model attaches, which every evaluate mode reads,
+# and the type test of each value
+_FIT_META_KEYS = {
+    "bin_width": _is_number,
+    **dict.fromkeys(("n_groups", "n_features", "pinned_group", "n_global"),
+                    _is_int),
+    **dict.fromkeys(("patient_ids", "patient_groups", "horizon_by_patient"),
+                    lambda v: isinstance(v, list)),
+    "variant": lambda v: (isinstance(v, dict) and all(
+        isinstance(v[f], bool) for f in _VARIANT_FLAGS)),
+}
 
 
 def _load_fit(fit_dir):
     draws = read_draws(Path(fit_dir) / "draws.csv")
     meta = draws.meta
     missing = [k for k in _FIT_META_KEYS if k not in meta]
-    if "variant" in meta:
+    if isinstance(meta.get("variant"), dict):
         missing += [f"variant.{f}" for f in _VARIANT_FLAGS
                     if f not in meta["variant"]]
     if missing:
         raise DataError(f"{fit_dir}: fit_meta.json meta lacks {missing}")
+    wrong = [k for k, is_valid in _FIT_META_KEYS.items() if not is_valid(meta[k])]
+    if wrong:
+        raise DataError(f"{fit_dir}: fit_meta.json meta has {wrong} of the "
+                        "wrong type")
     return draws
 
 
@@ -224,7 +237,7 @@ def _check_latents(truth, pids, truth_path) -> None:
 
 def _variant_of(draws) -> ModelVariant:
     v = draws.meta["variant"]
-    cfg = VariantConfig(**{f: bool(v[f]) for f in _VARIANT_FLAGS})
+    cfg = VariantConfig(**{f: v[f] for f in _VARIANT_FLAGS})
     for variant in ModelVariant:
         if build_variant(variant) == cfg:
             return variant

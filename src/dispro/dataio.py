@@ -49,6 +49,10 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
 def dataset_meta_path(path) -> Path:
     path = Path(path)
     return path.with_name(path.name + ".meta.json")
@@ -85,8 +89,7 @@ def read_dataset(path) -> Dataset:
         raise DataError(f"{meta_path}: missing keys {missing}")
     if not (all(_is_int(meta[k]) for k in ("n_groups", "n_features",
                                            "pinned_group"))
-            and (_is_int(meta["bin_width"])
-                 or isinstance(meta["bin_width"], float))):
+            and _is_number(meta["bin_width"])):
         raise DataError(f"{meta_path}: n_groups, n_features and pinned_group "
                         "must be integers and bin_width a number")
     pinned, n_features = meta["pinned_group"], meta["n_features"]
@@ -147,8 +150,11 @@ def read_truth(path):
     from .simulate import TruthSidecar
 
     doc = json.loads(Path(path).read_text())
-    if "params" not in doc or "latents" not in doc:
-        raise DataError(f"{path}: needs params and latents")
+    if not (isinstance(doc, dict)
+            and all(isinstance(doc.get(k), dict)
+                    and all(map(_is_number, doc[k].values()))
+                    for k in ("params", "latents"))):
+        raise DataError(f"{path}: needs objects params and latents of numbers")
     return TruthSidecar(params=doc["params"], latents=doc["latents"],
                         meta=doc.get("meta", {}))
 

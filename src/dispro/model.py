@@ -185,7 +185,6 @@ def expected_visit_rate(shared: SharedParams, group: GroupParams, t: float) -> f
 @dataclass(frozen=True)
 class ParamEntry:
     name: str
-    role: str
     prior: Prior
     lower: float | None
 
@@ -245,7 +244,7 @@ class ProgressionModel:
             prior = self.priors.for_role(role, feature)
             lower = prior.lower if isinstance(prior, TruncatedNormal) else \
                 _structural_lower(role)
-            entries.append(ParamEntry(name, role, prior, lower))
+            entries.append(ParamEntry(name, prior, lower))
             return len(entries) - 1
 
         for j in range(d):

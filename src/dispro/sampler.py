@@ -1,8 +1,10 @@
 """Self-contained no-U-turn Hamiltonian Monte Carlo.
 
 Dynamic trajectories are grown by doubling until the trajectory turns back on
-itself (or a depth cap is hit), with multinomial selection of the returned
-state weighted by the Boltzmann weights along the trajectory. Warmup adapts
+itself (or a depth cap is hit). One merge rule joins two halves of a subtree
+and each new subtree to the trajectory: it selects the returned state by the
+Boltzmann weights, multinomially inside subtrees and by biased progressive
+sampling at the top, then checks the merged ends for a U-turn. Warmup adapts
 the step size by dual averaging toward a target acceptance statistic and
 estimates a diagonal mass matrix from windowed draw variances, Stan-style:
 an initial step-size-only ramp, doubling variance-estimation windows, and a
@@ -73,8 +75,7 @@ class PosteriorDraws:
 
     def by_chain(self, name: str) -> np.ndarray:
         """(n_chains, draws_per_chain) view of one parameter."""
-        col = self.column(name)
-        return col.reshape(self.n_chains, -1)
+        return self.column(name).reshape(self.n_chains, -1)
 
     def mean(self, name: str) -> float:
         return float(self.column(name).mean())
@@ -254,15 +255,9 @@ def _adaptation_windows(warmup: int):
 
 @dataclass
 class _Tree:
-    q_minus: np.ndarray
-    p_minus: np.ndarray
-    grad_minus: np.ndarray
-    q_plus: np.ndarray
-    p_plus: np.ndarray
-    grad_plus: np.ndarray
-    q_prop: np.ndarray
-    lp_prop: float
-    grad_prop: np.ndarray
+    minus: tuple  # (q, p, grad) at the backward end
+    plus: tuple   # (q, p, grad) at the forward end
+    prop: tuple   # (q, lp, grad) of the selected state
     log_w: float
     metro_sum: float
     n_leapfrog: int
@@ -285,6 +280,10 @@ class _ChainState:
             ke = 0.5 * float(p @ (self.inv_metric * p))
         return math.inf if not np.isfinite(ke) else -lp + ke
 
+    def _energy_error(self, h0: float, lp1: float, p1: np.ndarray) -> float:
+        """H(q1, p1) - h0, or +inf (weight exp(-inf) = 0) for a rejected step."""
+        return self._hamiltonian(lp1, p1) - h0 if np.isfinite(lp1) else math.inf
+
     def _leapfrog(self, q, p, grad, eps):
         with np.errstate(over="ignore", invalid="ignore"):
             p1 = p + 0.5 * eps * grad
@@ -301,104 +300,78 @@ class _ChainState:
         return self.rng.standard_normal(self.dim) / np.sqrt(self.inv_metric)
 
     def find_reasonable_eps(self, q, lp, grad) -> float:
-        eps = 1.0
         p = self._momentum()
         h0 = self._hamiltonian(lp, p)
-        _, p1, _, lp1 = self._leapfrog(q, p, grad, eps)
-        h1 = self._hamiltonian(lp1, p1) if np.isfinite(lp1) else math.inf
-        accept = math.exp(min(0.0, h0 - h1)) if np.isfinite(h1) else 0.0
+
+        def accept(eps):
+            _, p1, _, lp1 = self._leapfrog(q, p, grad, eps)
+            return math.exp(min(0.0, -self._energy_error(h0, lp1, p1)))
+
+        eps = 1.0
         # double while acceptance stays above 1/2, or halve while below
-        direction = 1.0 if accept > 0.5 else -1.0
+        direction = 1.0 if accept(eps) > 0.5 else -1.0
         for _ in range(100):
             eps *= 2.0 ** direction
-            _, p1, _, lp1 = self._leapfrog(q, p, grad, eps)
-            h1 = self._hamiltonian(lp1, p1) if np.isfinite(lp1) else math.inf
-            accept = math.exp(min(0.0, h0 - h1)) if np.isfinite(h1) else 0.0
-            if (direction > 0 and accept <= 0.5) or (direction < 0 and accept >= 0.5):
+            a = accept(eps)
+            if (direction > 0 and a <= 0.5) or (direction < 0 and a >= 0.5):
                 break
         return min(max(eps, 1e-10), 1e7)
 
-    def _build_tree(self, depth, q, p, grad, direction, eps, h0) -> _Tree:
+    def _build_tree(self, depth, start, direction, eps, h0) -> _Tree:
+        """2**depth leapfrog steps on from the ``direction`` end of ``start``."""
         if depth == 0:
-            q1, p1, grad1, lp1 = self._leapfrog(q, p, grad, direction * eps)
-            h1 = self._hamiltonian(lp1, p1) if np.isfinite(lp1) else math.inf
-            delta = h1 - h0 if np.isfinite(h1) else math.inf
-            divergent = delta > DIVERGENCE_THRESHOLD
-            log_w = -delta if np.isfinite(delta) else -math.inf
-            metro = math.exp(min(0.0, -delta)) if np.isfinite(delta) else 0.0
-            return _Tree(q1, p1, grad1, q1, p1, grad1, q1, lp1, grad1,
-                         log_w, metro, 1, divergent, False)
+            end = start.plus if direction > 0 else start.minus
+            q1, p1, grad1, lp1 = self._leapfrog(*end, direction * eps)
+            delta = self._energy_error(h0, lp1, p1)
+            return _Tree((q1, p1, grad1), (q1, p1, grad1), (q1, lp1, grad1),
+                         -delta, math.exp(min(0.0, -delta)), 1,
+                         delta > DIVERGENCE_THRESHOLD, False)
+        tree = self._build_tree(depth - 1, start, direction, eps, h0)
+        if tree.divergent or tree.turned:
+            return tree
+        second = self._build_tree(depth - 1, tree, direction, eps, h0)
+        return self._merge(tree, second, direction, biased=False)
 
-        first = self._build_tree(depth - 1, q, p, grad, direction, eps, h0)
-        if first.divergent or first.turned:
-            return first
+    def _merge(self, old: _Tree, new: _Tree, direction, biased) -> _Tree:
+        """Grow ``old`` by ``new``, built on its ``direction`` side. A divergent
+        or turned ``new`` stops the tree; else new's proposal is taken with
+        probability w_new / (w_old + w_new) inside a subtree, or min(1, w_new /
+        w_old) when ``biased`` (at the top), and the merged ends face a U-turn check."""
+        old.n_leapfrog += new.n_leapfrog
+        old.metro_sum += new.metro_sum
+        if new.divergent or new.turned:
+            old.divergent, old.turned = new.divergent, new.turned
+            return old
+        log_w = float(np.logaddexp(old.log_w, new.log_w))
+        log_ratio = new.log_w - (old.log_w if biased else log_w)
+        if math.log(self.rng.random() + 1e-300) < log_ratio:
+            old.prop = new.prop
+        old.log_w = log_w
         if direction > 0:
-            q2, p2, g2 = first.q_plus, first.p_plus, first.grad_plus
+            old.plus = new.plus
         else:
-            q2, p2, g2 = first.q_minus, first.p_minus, first.grad_minus
-        second = self._build_tree(depth - 1, q2, p2, g2, direction, eps, h0)
+            old.minus = new.minus
+        old.turned = self._uturn(old.minus, old.plus)
+        return old
 
-        n_leap = first.n_leapfrog + second.n_leapfrog
-        metro = first.metro_sum + second.metro_sum
-        if second.divergent or second.turned:
-            first.n_leapfrog, first.metro_sum = n_leap, metro
-            first.divergent = second.divergent
-            first.turned = second.turned
-            return first
-
-        log_w = np.logaddexp(first.log_w, second.log_w)
-        take_second = (math.log(self.rng.random() + 1e-300)
-                       < second.log_w - log_w)
-        prop = second if take_second else first
-        if direction > 0:
-            minus = (first.q_minus, first.p_minus, first.grad_minus)
-            plus = (second.q_plus, second.p_plus, second.grad_plus)
-        else:
-            minus = (second.q_minus, second.p_minus, second.grad_minus)
-            plus = (first.q_plus, first.p_plus, first.grad_plus)
-        turned = self._uturn(minus[0], minus[1], plus[0], plus[1])
-        return _Tree(*minus, *plus, prop.q_prop, prop.lp_prop, prop.grad_prop,
-                     float(log_w), metro, n_leap, False, turned)
-
-    def _uturn(self, q_minus, p_minus, q_plus, p_plus) -> bool:
-        span = q_plus - q_minus
-        return (float(span @ (self.inv_metric * p_minus)) < 0.0
-                or float(span @ (self.inv_metric * p_plus)) < 0.0)
+    def _uturn(self, minus, plus) -> bool:
+        span = plus[0] - minus[0]
+        return (float(span @ (self.inv_metric * minus[1])) < 0.0
+                or float(span @ (self.inv_metric * plus[1])) < 0.0)
 
     def transition(self, q, lp, grad, eps):
         """One NUTS update. Returns (q, lp, grad, accept_stat, divergent)."""
         p0 = self._momentum()
         h0 = self._hamiltonian(lp, p0)
-        q_minus = q_plus = q
-        p_minus = p_plus = p0
-        grad_minus = grad_plus = grad
-        q_prop, lp_prop, grad_prop = q, lp, grad
-        log_w = 0.0
-        metro_sum, n_leap = 0.0, 0
-        divergent = False
+        tree = _Tree((q, p0, grad), (q, p0, grad), (q, lp, grad),
+                     0.0, 0.0, 0, False, False)
         for depth in range(self.config.max_depth):
             direction = 1.0 if self.rng.random() < 0.5 else -1.0
-            if direction > 0:
-                sub = self._build_tree(depth, q_plus, p_plus, grad_plus,
-                                       direction, eps, h0)
-                q_plus, p_plus, grad_plus = sub.q_plus, sub.p_plus, sub.grad_plus
-            else:
-                sub = self._build_tree(depth, q_minus, p_minus, grad_minus,
-                                       direction, eps, h0)
-                q_minus, p_minus, grad_minus = sub.q_minus, sub.p_minus, sub.grad_minus
-            metro_sum += sub.metro_sum
-            n_leap += sub.n_leapfrog
-            if sub.divergent or sub.turned:
-                divergent = sub.divergent
+            sub = self._build_tree(depth, tree, direction, eps, h0)
+            tree = self._merge(tree, sub, direction, biased=True)
+            if tree.divergent or tree.turned:
                 break
-            # biased progressive sampling favors the fresh subtree
-            if math.log(self.rng.random() + 1e-300) < sub.log_w - log_w:
-                q_prop, lp_prop, grad_prop = sub.q_prop, sub.lp_prop, sub.grad_prop
-            log_w = float(np.logaddexp(log_w, sub.log_w))
-            if self._uturn(q_minus, p_minus, q_plus, p_plus):
-                break
-        accept = metro_sum / max(n_leap, 1)
-        return q_prop, lp_prop, grad_prop, accept, divergent
+        return (*tree.prop, tree.metro_sum / max(tree.n_leapfrog, 1), tree.divergent)
 
 
 def _run_chain(fused, dim, config, init, seed_seq):
@@ -415,10 +388,9 @@ def _run_chain(fused, dim, config, init, seed_seq):
     welford = _Welford(dim)
     window_i = 0
 
-    n_keep = config.draws
-    out = np.empty((n_keep, dim))
-    accepts = np.empty(n_keep)
-    divergents = np.zeros(n_keep, dtype=bool)
+    out = np.empty((config.draws, dim))
+    accepts = np.empty(config.draws)
+    divergents = np.zeros(config.draws, dtype=bool)
 
     for it in range(config.warmup + config.draws):
         q, lp, grad, accept, divergent = state.transition(q, lp, grad, eps)

@@ -7,7 +7,7 @@ and covers ``horizon`` further bins, so arrays indexed by bin have length
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -207,7 +207,6 @@ class DatasetIndex:
     row_patient: np.ndarray     # (n_rows,) int
     row_time: np.ndarray        # (n_rows,) float
     row_event: np.ndarray       # (n_rows,) bool, D[t] == 1
-    n_patients: int = field(default=0)
 
     @staticmethod
     def build(data: Dataset) -> "DatasetIndex":
@@ -235,5 +234,4 @@ class DatasetIndex:
             row_patient=cat(vp, np.intp),
             row_time=cat(vt, float),
             row_event=cat(vd, bool),
-            n_patients=data.n_patients,
         )

@@ -307,9 +307,18 @@ def _drop_one_latent(truth):
                               if k.startswith("rate[")))
 
 
+class _NewDocument:
+    """A fault's replacement for the whole JSON sidecar."""
+
+    def __init__(self, value):
+        self.value = value
+
+
 # kind -> (table, JSON sidecar, the command that reads both)
 FILES = {"dataset": ("dataset.csv", "dataset.csv.meta.json", "fit"),
          "draws": ("draws.csv", "fit_meta.json", "disparity"),
+         "bias_draws": ("draws.csv", "fit_meta.json", "bias"),
+         "recovery_draws": ("draws.csv", "fit_meta.json", "recovery"),
          "bias_dataset": ("dataset.csv", "dataset.csv.meta.json", "bias"),
          "truth": ("dataset.csv", "truth.json", "bias"),
          "recovery_truth": ("dataset.csv", "truth.json", "recovery")}
@@ -362,6 +371,23 @@ MALFORMED = {
     **{f"truth_without_{key}": ("truth", lambda lines, truth, k=key:
                                 truth.pop(k))
        for key in ("params", "latents")},
+    **{f"{kind}_{name}": (kind, fault)
+       for kind in ("truth", "recovery_truth")
+       for name, fault in (
+           ("latents_null", lambda lines, truth: truth.update(latents=None)),
+           ("params_null", lambda lines, truth: truth.update(params=None)),
+           ("not_an_object", lambda lines, truth: _NewDocument(3)),
+           ("string_latents", lambda lines, truth: truth["latents"].update(
+               {k: str(v) for k, v in truth["latents"].items()})))},
+    **{f"{kind}_meta_{key}_{name}": (kind, lambda lines, meta, k=key, v=value:
+                                     meta["meta"].update({k: v}))
+       for key, name, value, kinds in (
+           ("variant", "null", None, ("draws", "bias_draws", "recovery_draws")),
+           ("patient_ids", "null", None, ("bias_draws", "recovery_draws")),
+           ("n_global", "string", "x", ("bias_draws", "recovery_draws")),
+           ("patient_groups", "null", None, ("recovery_draws",)),
+           ("horizon_by_patient", "null", None, ("recovery_draws",)))
+       for kind in kinds},
 }
 
 
@@ -388,7 +414,9 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, case):
     table, sidecar, command = FILES[kind]
     lines = (valid_fit / table).read_text().splitlines()
     meta = json.loads((valid_fit / sidecar).read_text())
-    fault(lines, meta)
+    new = fault(lines, meta)
+    if isinstance(new, _NewDocument):
+        meta = new.value
     bad = tmp_path / "bad"
     shutil.copytree(valid_fit, bad)
     (bad / table).write_text("\n".join(lines) + "\n")

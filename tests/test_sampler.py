@@ -112,6 +112,54 @@ class TestEnergyConservation:
         assert errors[0.2] / errors[0.1] >= 3.0
 
 
+class TestTreeRules:
+    """One NUTS transition against targets whose outcome is known."""
+
+    @staticmethod
+    def transition(lpg, q, eps, max_leapfrog=1024, seed=0):
+        state = _ChainState(lpg, q.size, SamplerConfig(max_leapfrog=max_leapfrog),
+                            np.random.default_rng(seed))
+        lp, grad = lpg(q)
+        return state.transition(q, lp, grad, eps)
+
+    @pytest.mark.parametrize("max_leapfrog", [1, 8, 128])
+    def test_density_calls_within_cap(self, max_leapfrog):
+        calls = []
+
+        def lpg(x):
+            calls.append(x)
+            return -0.5 * float(x @ x), -x
+
+        cap = 2 ** SamplerConfig(max_leapfrog=max_leapfrog).max_depth - 1
+        q = np.array([0.5, -0.3, 0.8])
+        for eps in (1e-3, 0.3, 1.0, 3.0):
+            for seed in range(3):
+                calls.clear()
+                self.transition(lpg, q, eps, max_leapfrog, seed)
+                assert len(calls) - 1 <= cap  # the first call sets lp, grad
+                if eps == 1e-3:  # too short a trajectory to turn
+                    assert len(calls) - 1 == cap
+
+    def test_step_out_of_support_is_divergent(self):
+        def lpg(x):
+            inside = bool(np.all(np.abs(x) < 1.0))
+            return (0.0 if inside else -math.inf), np.zeros_like(x)
+
+        q = np.array([0.1, -0.2])
+        for seed in range(5):
+            q1, lp1, _, accept, divergent = self.transition(lpg, q, 1e3,
+                                                            seed=seed)
+            assert divergent and accept == 0.0
+            assert np.array_equal(q1, q) and lp1 == 0.0
+
+    def test_tiny_step_accepts_all(self):
+        lpg = std_normal_handles(3)
+        q = np.array([1.0, -0.5, 0.25])
+        for seed in range(5):
+            *_, accept, divergent = self.transition(lpg, q, 1e-4, 8, seed)
+            assert abs(accept - 1.0) < 1e-6 and not divergent
+
+
 class TestDiagnostics:
     def make_draws(self, arrays):
         arrays = np.asarray(arrays, dtype=float)

@@ -41,19 +41,18 @@ class ModelVariant(Enum):
         raise ConfigurationError(f"unknown model variant {name!r}")
 
 
+_VARIANT_CONFIGS = {
+    ModelVariant.FULL: VariantConfig(True, True, True),
+    ModelVariant.NO_INITIAL_SEVERITY: VariantConfig(False, True, True),
+    ModelVariant.NO_RATE: VariantConfig(True, False, True),
+    ModelVariant.NO_VISIT: VariantConfig(True, True, False),
+    ModelVariant.NO_DISPARITIES: VariantConfig(False, False, False),
+}
+
+
 def build_variant(variant: ModelVariant) -> VariantConfig:
     """Model configuration for a variant: which group-specific blocks stay."""
-    if variant is ModelVariant.FULL:
-        return VariantConfig(True, True, True)
-    if variant is ModelVariant.NO_INITIAL_SEVERITY:
-        return VariantConfig(False, True, True)
-    if variant is ModelVariant.NO_RATE:
-        return VariantConfig(True, False, True)
-    if variant is ModelVariant.NO_VISIT:
-        return VariantConfig(True, True, False)
-    if variant is ModelVariant.NO_DISPARITIES:
-        return VariantConfig(False, False, False)
-    raise ConfigurationError(f"unknown model variant {variant!r}")
+    return _VARIANT_CONFIGS[variant]
 
 
 @dataclass
@@ -89,9 +88,9 @@ class BiasReport:
 def underserved_group(variant: ModelVariant, truth) -> int:
     """The paper-style designation: the group disadvantaged with respect to
     the specific disparity the variant fails to capture; higher initial
-    severity for the full (and all-ablated) model."""
-    params = truth.params if hasattr(truth, "params") else truth["params"]
-    groups = sorted({int(k.split("[")[1][:-1]) for k in params
+    severity for the full (and all-ablated) model. ``truth`` is a
+    TruthSidecar."""
+    groups = sorted({int(k.split("[")[1][:-1]) for k in truth.params
                      if k.startswith("init_sev_mean[")})
     if variant is ModelVariant.NO_RATE:
         key = "rate_mean[{}]"
@@ -102,7 +101,7 @@ def underserved_group(variant: ModelVariant, truth) -> int:
     else:
         key = "init_sev_mean[{}]"
         pick = max
-    return pick(groups, key=lambda g: params[key.format(g)])
+    return pick(groups, key=lambda g: truth.params[key.format(g)])
 
 
 def severity_error_points(draws, data, truth):

@@ -23,8 +23,6 @@ from .ablation import (
 )
 from .baselines import prediction_table, reconstruction_table
 from .dataio import (
-    _is_int,
-    _is_number,
     read_dataset,
     read_draws,
     read_truth,
@@ -198,36 +196,6 @@ def _cmd_fit(args) -> int:
 # evaluate
 # ---------------------------------------------------------------------------
 
-_VARIANT_FLAGS = ("group_init", "group_rates", "group_visits")
-# the dataset metadata fit_model attaches, which every evaluate mode reads,
-# and the type test of each value
-_FIT_META_KEYS = {
-    "bin_width": _is_number,
-    **dict.fromkeys(("n_groups", "n_features", "pinned_group", "n_global"),
-                    _is_int),
-    **dict.fromkeys(("patient_ids", "patient_groups", "horizon_by_patient"),
-                    lambda v: isinstance(v, list)),
-    "variant": lambda v: (isinstance(v, dict) and all(
-        isinstance(v[f], bool) for f in _VARIANT_FLAGS)),
-}
-
-
-def _load_fit(fit_dir):
-    draws = read_draws(Path(fit_dir) / "draws.csv")
-    meta = draws.meta
-    missing = [k for k in _FIT_META_KEYS if k not in meta]
-    if isinstance(meta.get("variant"), dict):
-        missing += [f"variant.{f}" for f in _VARIANT_FLAGS
-                    if f not in meta["variant"]]
-    if missing:
-        raise DataError(f"{fit_dir}: fit_meta.json meta lacks {missing}")
-    wrong = [k for k, is_valid in _FIT_META_KEYS.items() if not is_valid(meta[k])]
-    if wrong:
-        raise DataError(f"{fit_dir}: fit_meta.json meta has {wrong} of the "
-                        "wrong type")
-    return draws
-
-
 def _check_latents(truth, pids, truth_path) -> None:
     if any(f"{name}[{pid}]" not in truth.latents
            for pid in pids for name in ("init_sev", "rate")):
@@ -236,16 +204,16 @@ def _check_latents(truth, pids, truth_path) -> None:
 
 
 def _variant_of(draws) -> ModelVariant:
-    v = draws.meta["variant"]
-    cfg = VariantConfig(**{f: v[f] for f in _VARIANT_FLAGS})
+    cfg = VariantConfig(**draws.meta["variant"])
     for variant in ModelVariant:
         if build_variant(variant) == cfg:
             return variant
-    raise ConfigurationError(f"fit has unrecognized variant flags {v}")
+    raise DataError(f"no model variant has the fit's flags, {cfg}")
 
 
 def _recovery_trial(fit_dir, truth_path):
-    draws, truth = _load_fit(fit_dir), read_truth(truth_path)
+    draws = read_draws(Path(fit_dir) / "draws.csv")
+    truth = read_truth(truth_path)
     _check_latents(truth, draws.meta["patient_ids"], truth_path)
     return draws, truth
 
@@ -309,7 +277,7 @@ def _evaluate_bias(args, out: Path) -> int:
     reports = {}
     profiles = {}
     for fit_dir in args.fit:
-        draws = _load_fit(fit_dir)
+        draws = read_draws(Path(fit_dir) / "draws.csv")
         if set(draws.meta["patient_ids"]) != pids:
             raise DataError(f"{fit_dir}: fit patients differ from "
                             f"{args.dataset}'s")
@@ -400,7 +368,7 @@ def _evaluate_disparity(args, out: Path) -> int:
     if args.years_per_unit is None:
         raise ConfigurationError(
             "disparity mode needs --years-per-unit (dataset-specific; no default)")
-    draws = _load_fit(args.fit[0])
+    draws = read_draws(Path(args.fit[0]) / "draws.csv")
     summ = disparity_summary(draws, years_per_unit=args.years_per_unit)
     rows = []
     for g, entry in summ.per_group.items():

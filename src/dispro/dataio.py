@@ -19,11 +19,13 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from .model import VariantConfig
 from .sampler import PosteriorDraws
 from .types import DataError, Dataset, GroupId, PatientRecord
 
@@ -159,6 +161,18 @@ def read_truth(path):
                         meta=doc.get("meta", {}))
 
 
+def fit_meta(data: Dataset, variant: VariantConfig, n_global: int,
+             seed) -> dict:
+    """``fit_meta.json``'s ``meta``: the dataset facts evaluation reads, the
+    variant flags, the global column count and the seed (not read back)."""
+    return {"bin_width": data.bin_width, "n_groups": data.n_groups,
+            "n_features": data.n_features, "pinned_group": data.pinned_group,
+            "patient_ids": [p.patient_id for p in data.patients],
+            "patient_groups": [p.group.index for p in data.patients],
+            "horizon_by_patient": [p.horizon for p in data.patients],
+            "variant": asdict(variant), "n_global": n_global, "seed": seed}
+
+
 def write_draws(draws: PosteriorDraws, path) -> None:
     path = Path(path)
     per_chain = draws.values.shape[0] // draws.n_chains
@@ -174,31 +188,75 @@ def write_draws(draws: PosteriorDraws, path) -> None:
                 "n_chains": draws.n_chains,
                 "accept_stats": [float(a) for a in draws.accept_stats],
                 "divergent": [bool(b) for b in draws.divergent]}
-    fit_meta_path(path).write_text(json.dumps(meta_doc, sort_keys=True) + "\n")
+    path.with_name("fit_meta.json").write_text(
+        json.dumps(meta_doc, sort_keys=True) + "\n")
 
 
-def fit_meta_path(path) -> Path:
-    return Path(path).with_name("fit_meta.json")
+def _list_of(is_valid):
+    return lambda v: isinstance(v, list) and all(map(is_valid, v))
+
+
+# fit_meta.json: the type test of each top-level value and of each value of
+# its ``meta`` object
+_FIT_DOC_TYPES = {"n_chains": _is_int, "accept_stats": _list_of(_is_number),
+                  "divergent": _list_of(lambda v: isinstance(v, bool)),
+                  "warnings": lambda v: isinstance(v, list),
+                  "meta": lambda v: isinstance(v, dict)}
+_FIT_META_TYPES = {
+    "bin_width": _is_number,
+    **dict.fromkeys(("n_groups", "n_features", "pinned_group", "n_global"),
+                    _is_int),
+    "patient_ids": _list_of(lambda v: isinstance(v, str)),
+    **dict.fromkeys(("patient_groups", "horizon_by_patient"),
+                    _list_of(_is_int)),
+    "variant": lambda v: (
+        isinstance(v, dict) and all(isinstance(b, bool) for b in v.values())
+        and set(v) == {f.name for f in fields(VariantConfig)}),
+}
+
+
+def _mistyped(doc, types: dict, prefix: str = "") -> list[str]:
+    doc = doc if isinstance(doc, dict) else {}
+    return [prefix + k for k, is_valid in types.items()
+            if k not in doc or not is_valid(doc[k])]
 
 
 def read_draws(path) -> PosteriorDraws:
+    """Read a draws table and its ``fit_meta.json``. Every key, type and
+    cross-field rule of the pair is checked here; a break is a DataError."""
     path = Path(path)
-    meta_path = fit_meta_path(path)
-    meta_doc = json.loads(meta_path.read_text())
-    lists = ("accept_stats", "divergent", "warnings")
-    if not (isinstance(meta_doc, dict)
-            and _is_int(meta_doc.get("n_chains"))
-            and all(isinstance(meta_doc.get(k), list) for k in lists)
-            and isinstance(meta_doc.get("meta"), dict)
-            and "n_global" in meta_doc["meta"]):
-        raise DataError(f"{meta_path}: needs an integer n_chains, lists "
-                        "accept_stats, divergent and warnings, and an object "
-                        "meta with n_global")
+    meta_path = path.with_name("fit_meta.json")
+    doc = json.loads(meta_path.read_text())
+    wrong = _mistyped(doc, _FIT_DOC_TYPES)
+    if "meta" not in wrong:
+        wrong += _mistyped(doc["meta"], _FIT_META_TYPES, "meta.")
+    if wrong:
+        raise DataError(f"{meta_path}: lacks or mistypes {wrong}")
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[:2] != ["chain", "draw"]:
         raise DataError(f"{path}: not a draws table")
-    n_rows = len(meta_doc["accept_stats"])
+    names, meta, n_rows = header[2:], doc["meta"], len(doc["accept_stats"])
+    pids, groups, horizons = (meta[k] for k in (
+        "patient_ids", "patient_groups", "horizon_by_patient"))
+    n_global, n_chains = meta["n_global"], doc["n_chains"]
+    latents = [f"{v}[{pid}]" for pid in pids for v in ("init_sev", "rate")]
+    rules = {
+        "per-patient lists of one length":
+            len(pids) == len(groups) == len(horizons),
+        "pinned_group and patient_groups in 0..n_groups-1": all(
+            0 <= g < meta["n_groups"] for g in [meta["pinned_group"], *groups]),
+        "horizons of at least 1": all(h >= 1 for h in horizons),
+        "unique column names": len(set(names)) == len(names),
+        "n_global columns, then init_sev and rate of each patient":
+            n_global == len(names) - len(latents) and names[n_global:] == latents,
+        "one divergent entry per accept_stats entry":
+            len(doc["divergent"]) == n_rows,
+        "n_chains of at least 1": n_chains >= 1,
+    }
+    broken = [rule for rule, holds in rules.items() if not holds]
+    if broken:
+        raise DataError(f"{meta_path}: needs {broken}")
     try:
         # allocated once; a row more than expected shows a longer file
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
@@ -210,15 +268,15 @@ def read_draws(path) -> PosteriorDraws:
                         f"the header {len(header)}")
     if table.shape[0] != n_rows:
         raise DataError(f"{path}: {table.shape[0]} rows, {n_rows} accept_stats")
-    values = table[:, 2:]
+    chain_ids = np.repeat(np.arange(n_chains), n_rows // n_chains)
+    if not np.array_equal(table[:, 0], chain_ids):
+        raise DataError(f"{path}: chain ids are not {n_chains} equal blocks "
+                        "in chain order")
     return PosteriorDraws(
-        names=header[2:], values=values,
-        chain_ids=table[:, 0].astype(int),
-        accept_stats=np.asarray(meta_doc["accept_stats"]),
-        divergent=np.asarray(meta_doc["divergent"], dtype=bool),
-        n_chains=meta_doc["n_chains"],
-        warnings=meta_doc["warnings"],
-        meta=meta_doc["meta"])
+        names=names, values=table[:, 2:], chain_ids=chain_ids,
+        accept_stats=np.asarray(doc["accept_stats"]),
+        divergent=np.asarray(doc["divergent"], dtype=bool),
+        n_chains=n_chains, warnings=doc["warnings"], meta=meta)
 
 
 def write_json(obj, path) -> None:

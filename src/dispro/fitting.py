@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import fit_meta
 from .model import FULL_VARIANT, ProgressionModel, VariantConfig
 from .priors import PriorSpec, TruncatedNormal
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
@@ -43,26 +44,11 @@ def fit_model(data, priors: PriorSpec | None = None,
     inits = np.array([jittered_init(model, center, r, non_centered=True)
                       for r in init_rngs])
 
-    draws = sample(
+    return sample(
         model.logp_and_grad_noncentered, model.dim, config, init=inits,
         names=model.names, constrain=model.constrain_noncentered,
         threads=threads,
-        meta={
-            "bin_width": data.bin_width,
-            "n_groups": data.n_groups,
-            "n_features": data.n_features,
-            "pinned_group": data.pinned_group,
-            "patient_ids": [p.patient_id for p in data.patients],
-            "patient_groups": [p.group.index for p in data.patients],
-            "horizon_by_patient": [p.horizon for p in data.patients],
-            "variant": {"group_init": variant.group_init,
-                        "group_rates": variant.group_rates,
-                        "group_visits": variant.group_visits},
-            "n_global": model.n_global,
-            "seed": config.seed,
-        },
-    )
-    return draws
+        meta=fit_meta(data, variant, model.n_global, config.seed))
 
 
 def rough_init(model: ProgressionModel, data) -> np.ndarray:

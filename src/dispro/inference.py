@@ -75,8 +75,8 @@ def recovery_report(trials) -> RecoveryReport:
     """Concordance of true and posterior-mean parameters across trials.
 
     ``trials`` yields (draws, truth) pairs, read one at a time so a lazy
-    iterable keeps one fit's draws in memory; truth maps canonical parameter
-    names to generating values (a TruthSidecar or its params dict).
+    iterable keeps one fit's draws in memory; each truth is a TruthSidecar,
+    whose params and latents map canonical names to generating values.
     Parameters are matched by name; for each, the report holds the Pearson
     correlation across trials and the no-intercept regression slope of
     estimates on truths. Group-level severity calibration pairs the per-group
@@ -87,8 +87,7 @@ def recovery_report(trials) -> RecoveryReport:
     severity_scatter = []
     k = 0
     for draws, truth in trials:  # not enumerate(): it holds the last trial
-        params = truth.params if hasattr(truth, "params") else truth["params"]
-        latents = truth.latents if hasattr(truth, "latents") else truth["latents"]
+        params, latents = truth.params, truth.latents
         for name in global_names(draws):
             if name in params:
                 est = draws.mean(name)

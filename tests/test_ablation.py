@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispro import ProgressionModel, simulation_priors
+from dispro import ProgressionModel, TruthSidecar, simulation_priors
 from dispro.ablation import (
     ModelVariant,
     build_variant,
@@ -105,9 +105,11 @@ class TestVariants:
             ModelVariant.from_name("bogus")
 
     def test_underserved_designation(self):
-        truth = {"params": {"init_sev_mean[0]": 0.0, "init_sev_mean[1]": 1.2,
-                            "rate_mean[0]": 0.9, "rate_mean[1]": 0.3,
-                            "visit_offset[0]": 0.0, "visit_offset[1]": -0.4}}
+        truth = TruthSidecar(
+            params={"init_sev_mean[0]": 0.0, "init_sev_mean[1]": 1.2,
+                    "rate_mean[0]": 0.9, "rate_mean[1]": 0.3,
+                    "visit_offset[0]": 0.0, "visit_offset[1]": -0.4},
+            latents={})
         assert underserved_group(ModelVariant.FULL, truth) == 1
         assert underserved_group(ModelVariant.NO_INITIAL_SEVERITY, truth) == 1
         assert underserved_group(ModelVariant.NO_RATE, truth) == 0

@@ -8,11 +8,17 @@ benchmark's own imports."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
+import pytest
+
+from dispro.ablation import ModelVariant
+from dispro.dataio import read_draws, write_dataset, write_truth
 from dispro.model import ProgressionModel
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 # what bench/worker.py calls outside the tracer's tables
 WORKER_MODULE_NAMES = [("dispro.fitting", "rough_init"),
@@ -68,3 +74,24 @@ def test_bench_call_forms(ten_patient_sim):
     assert np.isfinite(lp)
     assert model.constrain_noncentered(nc[0]).shape == (model.dim,)
     assert model.constrain_noncentered(np.array(nc)).shape == (2, model.dim)
+
+
+@pytest.mark.parametrize("variant", [v.value for v in ModelVariant])
+def test_bench_synthetic_draws_pass_read_draws(ten_patient_sim, tmp_path,
+                                               monkeypatch, variant):
+    """The draws evaluate-n300 writes itself (``bench/inputs.py``) meet the
+    ``fit_meta.json`` contract, so a stricter reader fails here rather than
+    as failed benchmark operations."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as is
+    monkeypatch.syspath_prepend(str(BENCH))
+    inputs = importlib.import_module("inputs")
+    data, truth = ten_patient_sim
+    write_dataset(data, tmp_path / "dataset.csv")
+    write_truth(truth, tmp_path / "truth.json")
+    means = inputs.write_synthetic_draws(tmp_path, variant, tmp_path / "fit",
+                                         seed=1, index=0)
+    draws = read_draws(tmp_path / "fit" / "draws.csv")
+    assert draws.names == list(means)
+    assert draws.meta["variant"] == dict(zip(
+        ("group_init", "group_rates", "group_visits"),
+        inputs.spec.VARIANTS[variant]))

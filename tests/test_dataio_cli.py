@@ -11,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispro import SimConfig, simulate_dataset
+from dispro import Dataset, SimConfig, simulate_dataset
+from dispro.ablation import ModelVariant, build_variant
 from dispro.cli import main
 from dispro.dataio import (
+    fit_meta,
     read_dataset,
     read_draws,
     read_truth,
@@ -22,7 +24,10 @@ from dispro.dataio import (
     write_truth,
 )
 from dispro.fitting import fit_model
+from dispro.model import FULL_VARIANT
 from dispro.sampler import PosteriorDraws, SamplerConfig
+
+from conftest import make_patient
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +94,24 @@ class TestDrawsFormat:
         assert back.n_chains == draws.n_chains
         assert back.meta["bin_width"] == draws.meta["bin_width"]
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_roundtrip_every_variant(self, sim_pair, tmp_path, variant):
+        """read_draws accepts what write_draws writes for each variant."""
+        data, _ = sim_pair
+        draws = fit_model(data, variant=build_variant(variant),
+                          config=SamplerConfig(chains=2, warmup=10, draws=4,
+                                               max_leapfrog=16, seed=2))
+        path = tmp_path / "draws.csv"
+        write_draws(draws, path)
+        back = read_draws(path)
+        assert back.names == draws.names and back.meta == draws.meta
+        assert np.array_equal(back.values, draws.values)
+        assert np.array_equal(back.chain_ids, draws.chain_ids)
+        assert np.array_equal(back.accept_stats, draws.accept_stats)
+        assert np.array_equal(back.divergent, draws.divergent)
+        assert (back.n_chains, back.warnings) == (draws.n_chains,
+                                                  draws.warnings)
+
     def test_matches_csv_module_reference(self, tmp_path):
         """write_draws gives the bytes of a csv.writer loop over repr'd
         values, and read_draws the values of a csv.reader loop."""
@@ -96,12 +119,16 @@ class TestDrawsFormat:
         values = (rng.standard_normal((6, 4))
                   * 10.0 ** rng.integers(-300, 300, size=(6, 4)))
         values[0, 0] = 5e-324
-        names = ["a", "b[p,1]", "c", "d"]  # a comma forces csv quoting
+        # one patient "p,1": the comma in its latent names forces csv quoting
+        data = Dataset(patients=[make_patient("p,1", 0, [1, 0],
+                                              [[0.0], [np.nan]])],
+                       n_groups=1, n_features=1, bin_width=1.0)
+        names = ["a", "b", "init_sev[p,1]", "rate[p,1]"]
         draws = PosteriorDraws(names=names, values=values,
                                chain_ids=np.repeat([0, 1], 3),
                                accept_stats=np.ones(6),
                                divergent=np.zeros(6, dtype=bool), n_chains=2,
-                               meta={"n_global": 2})
+                               meta=fit_meta(data, FULL_VARIANT, 2, 0))
         path = tmp_path / "draws.csv"
         write_draws(draws, path)
         ref = io.StringIO(newline="")
@@ -388,6 +415,44 @@ MALFORMED = {
            ("patient_groups", "null", None, ("recovery_draws",)),
            ("horizon_by_patient", "null", None, ("recovery_draws",)))
        for kind in kinds},
+    # fit metadata that contradicts itself or the draws table
+    **{f"{kind}_{name}": (kind, fault)
+       for kind in ("draws", "bias_draws", "recovery_draws")
+       for name, fault in (
+           ("meta_n_global_huge", lambda lines, meta: meta["meta"].update(
+               n_global=10 ** 6)),
+           ("meta_n_global_negative", lambda lines, meta: meta["meta"].update(
+               n_global=-5)),
+           ("meta_n_global_off_by_two", lambda lines, meta: meta["meta"].update(
+               n_global=meta["meta"]["n_global"] - 2)),
+           ("n_chains_0", lambda lines, meta: meta.update(n_chains=0)),
+           ("n_chains_3", lambda lines, meta: meta.update(n_chains=3)),
+           ("divergent_short", lambda lines, meta: meta["divergent"].pop()),
+           ("meta_horizon_by_patient_short", lambda lines, meta:
+            meta["meta"]["horizon_by_patient"].pop()),
+           ("meta_horizon_by_patient_strings", lambda lines, meta:
+            meta["meta"].update(horizon_by_patient=[
+                str(h) for h in meta["meta"]["horizon_by_patient"]])),
+           ("meta_patient_groups_out_of_range", lambda lines, meta:
+            meta["meta"]["patient_groups"].__setitem__(
+                0, meta["meta"]["n_groups"])))},
+    "draws_meta_pinned_group_out_of_range": ("draws", lambda lines, meta:
+                                             meta["meta"].update(
+                                                 pinned_group=-1)),
+    "recovery_draws_meta_horizon_zero": (
+        "recovery_draws",
+        lambda lines, meta: meta["meta"]["horizon_by_patient"].__setitem__(0, 0)),
+    "draws_column_name_repeated": ("draws", lambda lines, meta: _set_cell(
+        lines, 0, 3, lines[0].split(",")[2])),
+    "draws_chain_ids_out_of_order": ("draws", lambda lines, meta: _set_cell(
+        lines, 1, 0, "1")),
+    "draws_accept_stats_strings": ("draws", lambda lines, meta: meta.update(
+        accept_stats=[str(a) for a in meta["accept_stats"]])),
+    "bias_draws_meta_variant_unknown": ("bias_draws", lambda lines, meta:
+                                        meta["meta"].update(variant={
+                                            "group_init": False,
+                                            "group_rates": True,
+                                            "group_visits": False})),
 }
 
 

@@ -15,6 +15,7 @@ from dispro.inference import (
     visit_rate_ratio,
 )
 from dispro.sampler import PosteriorDraws
+from dispro.simulate import TruthSidecar
 from dispro.types import ConfigurationError, Dataset, GroupId, PatientRecord
 
 import conftest
@@ -105,8 +106,8 @@ def _mk_trial(names, true_vals, est_vals, pids=("q0",), seed=0):
                                   "patient_groups": [0] * len(pids),
                                   "horizon_by_patient": [10] * len(pids),
                                   "n_global": len(names)})
-    truth = {"params": dict(zip(names, true_vals)),
-             "latents": {n: 0.0 for n in lat_names}}
+    truth = TruthSidecar(params=dict(zip(names, true_vals)),
+                         latents={n: 0.0 for n in lat_names})
     return draws, truth
 
 

@@ -5,7 +5,7 @@ high-risk visit profile used to compare cohort rankings."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -72,8 +72,6 @@ class BiasReport:
     underserved_group: int
     max_global_rhat: float
     flagged_nonconverged: bool
-    pooled_correlation: float | None = None
-    warnings: list[str] = field(default_factory=list)
 
     def bias_of(self, underserved: bool) -> float:
         items = [(g, b) for g, b in self.group_bias.items()]
@@ -136,8 +134,6 @@ def bias_report(draws, data, truth, variant: ModelVariant,
             group_corr[g] = None
         else:
             group_corr[g] = float(np.corrcoef(est[m], true[m])[0, 1])
-    pooled = (float(np.corrcoef(est, true)[0, 1])
-              if est.std() > 0 and true.std() > 0 else None)
     worst = max_global_rhat(draws)
     return BiasReport(
         variant=variant,
@@ -146,8 +142,6 @@ def bias_report(draws, data, truth, variant: ModelVariant,
         underserved_group=underserved_group(variant, truth),
         max_global_rhat=worst,
         flagged_nonconverged=bool(worst > rhat_threshold),
-        pooled_correlation=pooled,
-        warnings=list(draws.warnings),
     )
 
 

@@ -104,8 +104,10 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
 
     Deterministic initialization from the principal eigenstructure; the
     log-likelihood trace is recorded per iteration (it is non-decreasing, a
-    property the test suite asserts). Non-convergence inside max_iter leaves
-    a warning with the iteration count.
+    property the test suite asserts). Uniquenesses are bounded below by 0.005
+    x their sample variances (R ``factanal``'s default), so a Heywood case
+    stops at the bound instead of creeping toward 0. Non-convergence inside
+    max_iter leaves a warning with the iteration count.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -116,6 +118,7 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
     Xi = mean_impute(X)
     means = Xi.mean(axis=0)
     S = np.cov(Xi - means, rowvar=False, ddof=0).reshape(p, p)
+    floor = np.maximum(0.005 * np.diag(S), 1e-10)
 
     evals, evecs = np.linalg.eigh(S)
     order = np.argsort(evals)[::-1][:k]
@@ -137,7 +140,7 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
         second = g + beta @ s_beta_t                 # E[f f^T] averaged
         loadings = s_beta_t @ np.linalg.inv(second)
         uniq = np.maximum(np.diag(S) - np.einsum("pk,kp->p", loadings,
-                                                 beta @ S), 1e-10)
+                                                 beta @ S), floor)
         ll = _fa_loglik(S, loadings, uniq, n)
         trace.append(ll)
         if np.isfinite(prev) and abs(ll - prev) <= tol * max(1.0, abs(prev)):

@@ -35,7 +35,7 @@ from .dataio import (
 )
 from .fitting import convergence_summary, fit_model
 from .inference import disparity_summary, recovery_report
-from .model import VariantConfig
+from .model import VariantConfig, latent_names
 from .oracles import verify_theorems
 from .priors import factor_seeded_priors, prior_from_dict, simulation_priors, weakly_informative_priors
 from .sampler import SamplerConfig
@@ -197,8 +197,7 @@ def _cmd_fit(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_latents(truth, pids, truth_path) -> None:
-    if any(f"{name}[{pid}]" not in truth.latents
-           for pid in pids for name in ("init_sev", "rate")):
+    if not set(latent_names(pids)) <= truth.latents.keys():
         raise DataError(f"{truth_path}: lacks latents of the evaluated "
                         "patients")
 

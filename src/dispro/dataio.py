@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .model import VariantConfig
+from .model import VariantConfig, latent_names, param_layout
 from .sampler import PosteriorDraws
 from .types import DataError, Dataset, GroupId, PatientRecord
 
@@ -161,10 +161,11 @@ def read_truth(path):
                         meta=doc.get("meta", {}))
 
 
-def fit_meta(data: Dataset, variant: VariantConfig, n_global: int,
-             seed) -> dict:
+def fit_meta(data: Dataset, variant: VariantConfig, seed) -> dict:
     """``fit_meta.json``'s ``meta``: the dataset facts evaluation reads, the
     variant flags, the global column count and the seed (not read back)."""
+    n_global = len(param_layout(data.n_features, data.n_groups,
+                                data.pinned_group, variant)[0])
     return {"bin_width": data.bin_width, "n_groups": data.n_groups,
             "n_features": data.n_features, "pinned_group": data.pinned_group,
             "patient_ids": [p.patient_id for p in data.patients],
@@ -239,17 +240,26 @@ def read_draws(path) -> PosteriorDraws:
     names, meta, n_rows = header[2:], doc["meta"], len(doc["accept_stats"])
     pids, groups, horizons = (meta[k] for k in (
         "patient_ids", "patient_groups", "horizon_by_patient"))
-    n_global, n_chains = meta["n_global"], doc["n_chains"]
-    latents = [f"{v}[{pid}]" for pid in pids for v in ("init_sev", "rate")]
+    n_features, n_groups, n_chains = (meta["n_features"], meta["n_groups"],
+                                      doc["n_chains"])
+    # counts bounded by the header first: a huge one is not a huge layout
+    in_header = (0 <= n_features and 3 * n_features + 2 <= len(names)
+                 and 1 <= n_groups <= len(names))
+    layout = [name for name, _, _ in param_layout(
+        n_features, n_groups, meta["pinned_group"],
+        VariantConfig(**meta["variant"]))[0]] if in_header else []
     rules = {
+        "n_features and n_groups within the header width": in_header,
         "per-patient lists of one length":
             len(pids) == len(groups) == len(horizons),
+        "unique patient_ids": len(set(pids)) == len(pids),
         "pinned_group and patient_groups in 0..n_groups-1": all(
-            0 <= g < meta["n_groups"] for g in [meta["pinned_group"], *groups]),
+            0 <= g < n_groups for g in [meta["pinned_group"], *groups]),
         "horizons of at least 1": all(h >= 1 for h in horizons),
-        "unique column names": len(set(names)) == len(names),
-        "n_global columns, then init_sev and rate of each patient":
-            n_global == len(names) - len(latents) and names[n_global:] == latents,
+        "the columns of the canonical layout of meta, then the latents of "
+        "patient_ids": in_header and names == layout + latent_names(pids),
+        "n_global the layout's global count":
+            in_header and meta["n_global"] == len(layout),
         "one divergent entry per accept_stats entry":
             len(doc["divergent"]) == n_rows,
         "n_chains of at least 1": n_chains >= 1,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import fit_meta
-from .model import FULL_VARIANT, ProgressionModel, VariantConfig
+from .model import FULL_VARIANT, ProgressionModel, VariantConfig, latent_names
 from .priors import PriorSpec, TruncatedNormal
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
 from .types import GroupParams, PatientLatents, SharedParams
@@ -48,7 +48,7 @@ def fit_model(data, priors: PriorSpec | None = None,
         model.logp_and_grad_noncentered, model.dim, config, init=inits,
         names=model.names, constrain=model.constrain_noncentered,
         threads=threads,
-        meta=fit_meta(data, variant, model.n_global, config.seed))
+        meta=fit_meta(data, variant, config.seed))
 
 
 def rough_init(model: ProgressionModel, data) -> np.ndarray:
@@ -182,7 +182,6 @@ def _worst_rhat(values) -> float:
 
 def severity_means_by_patient(draws: PosteriorDraws) -> dict[str, tuple[float, float]]:
     """patient_id -> (posterior-mean initial severity, posterior-mean rate)."""
-    out = {}
-    for pid in draws.meta["patient_ids"]:
-        out[pid] = (draws.mean(f"init_sev[{pid}]"), draws.mean(f"rate[{pid}]"))
-    return out
+    pids = draws.meta["patient_ids"]
+    means = [draws.mean(name) for name in latent_names(pids)]
+    return dict(zip(pids, zip(means[::2], means[1::2])))

@@ -5,11 +5,12 @@ intervals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fitting import global_names, severity_means_by_patient
+from .model import latent_names
 from .sampler import PosteriorDraws
 from .types import ConfigurationError
 
@@ -30,9 +31,9 @@ def severity_estimate(draws: PosteriorDraws, patient_id: str, t: int) -> tuple[f
     draws.
     """
     time = t * _bin_width(draws)
+    init_name, rate_name = latent_names([patient_id])
     try:
-        sev = (draws.column(f"init_sev[{patient_id}]")
-               + draws.column(f"rate[{patient_id}]") * time)
+        sev = draws.column(init_name) + draws.column(rate_name) * time
     except KeyError:
         raise KeyError(f"patient {patient_id!r} not present in this fit") from None
     return float(sev.mean()), float(sev.std(ddof=1))
@@ -128,8 +129,8 @@ def _group_severity_points(trial, draws, latents):
     pts = []
     means = severity_means_by_patient(draws)
     sev0_est, rate_est = np.array([means[p] for p in pids]).T
-    sev0_true = np.array([latents[f"init_sev[{p}]"] for p in pids])
-    rate_true = np.array([latents[f"rate[{p}]"] for p in pids])
+    sev0_true, rate_true = np.array(
+        [latents[name] for name in latent_names(pids)]).reshape(-1, 2).T
     # mean severity over a trajectory of bins 0..T is sev0 + rate * (T/2) * width
     mean_time = np.array([h * width / 2.0 for h in horizon])
     for g in np.unique(groups):
@@ -169,12 +170,10 @@ def disparity_summary(draws: PosteriorDraws, years_per_unit: float | None = None
     if n_groups < 2:
         raise ConfigurationError("disparity_summary needs at least 2 groups")
 
-    rate_cols = []
-    for g in range(n_groups):
-        if draws.has(f"rate_mean[{g}]"):
-            rate_cols.append(draws.column(f"rate_mean[{g}]"))
-    if not rate_cols and draws.has("rate_mean"):
-        rate_cols.append(draws.column("rate_mean"))
+    # per-group rate means, or the shared one
+    rate_cols = [draws.column(name) for name in (
+        *(f"rate_mean[{g}]" for g in range(n_groups)), "rate_mean")
+        if draws.has(name)]
     mean_rate = float(np.mean([c.mean() for c in rate_cols])) if rate_cols else math.nan
 
     lo_q, hi_q = 100 * (1 - ci) / 2, 100 * (1 + ci) / 2

@@ -9,10 +9,11 @@ time ``t``, a visit occurs with probability ``1 - exp(-rate_t * w)`` where
 ``log(rate_t) = visit_intercept + visit_severity * sev(t) + visit_offset``.
 The first visit defines t = 0 and is conditioned on, not modeled.
 
-``ProgressionModel`` flattens all sampled parameters into one vector with a
-canonical ordering (shared block, then groups by index, then patients in
-dataset order; per patient init_sev then rate), maps it to an unconstrained
-space for HMC, and evaluates density and gradient in one pass, with the
+``param_layout`` and ``latent_names`` spell every canonical parameter name:
+the shared block, then groups by index, then patients in dataset order (per
+patient init_sev then rate). ``ProgressionModel`` flattens all sampled
+parameters into one vector in that order, maps it to an unconstrained space
+for HMC, and evaluates density and gradient in one pass, with the
 latents centered or non-centered.
 """
 
@@ -182,6 +183,56 @@ def expected_visit_rate(shared: SharedParams, group: GroupParams, t: float) -> f
 # flattened parameterization
 # ---------------------------------------------------------------------------
 
+# The columns of the group table, named as the GroupParams fields, and the
+# value of an entry that is pinned or ablated: the pinned group's N(0, 1)
+# initial severity and zero visit offset. Rate entries are never pinned.
+GROUP_ROLES = ("init_sev_mean", "init_sev_sd", "rate_mean", "rate_sd",
+               "visit_offset")
+_GROUP_DEFAULTS = np.array([0.0, 1.0, np.nan, np.nan, 0.0])
+
+
+def param_layout(n_features: int, n_groups: int, pinned_group: int | None,
+                 variant: VariantConfig):
+    """The canonical global parameters of a fit, from the four facts that
+    decide them: ``(name, role, feature)`` rows in order (feature is the
+    column of a per-feature role, else None), and the ``(n_groups, 5)``
+    group table holding the row of each group's ``GROUP_ROLES`` entry, -1
+    where it is pinned or ablated. A shared rate pair repeats one row down
+    its column. ``pinned_group=None`` pins no group."""
+    rows = []
+
+    def add(name, role, feature=None):
+        rows.append((name, role, feature))
+        return len(rows) - 1
+
+    for j in range(n_features):
+        add(f"loading[{j}]", "loading0" if j == 0 else "loading", j)
+    for role in ("feat_intercept", "noise_var"):
+        for j in range(n_features):
+            add(f"{role}[{j}]", role, j)
+    add("visit_intercept", "visit_intercept")
+    add("visit_severity", "visit_severity")
+    table = np.full((n_groups, 5), -1, dtype=np.intp)
+    if not variant.group_rates:
+        for col in (2, 3):
+            table[:, col] = add(GROUP_ROLES[col], GROUP_ROLES[col])
+    for g in range(n_groups):
+        unpinned = g != pinned_group
+        learned = ((variant.group_init and unpinned,) * 2
+                   + (variant.group_rates,) * 2
+                   + (variant.group_visits and unpinned,))
+        for col, role in enumerate(GROUP_ROLES):
+            if learned[col]:
+                table[g, col] = add(f"{role}[{g}]", role)
+    return rows, table
+
+
+def latent_names(patient_ids) -> list[str]:
+    """The latent columns: ``init_sev[<id>]`` then ``rate[<id>]`` for each
+    patient, in order."""
+    return [f"{v}[{pid}]" for pid in patient_ids for v in ("init_sev", "rate")]
+
+
 @dataclass(frozen=True)
 class ParamEntry:
     name: str
@@ -189,18 +240,8 @@ class ParamEntry:
     lower: float | None
 
 
-def _structural_lower(role: str) -> float | None:
-    if role in ("loading0", "noise_var", "init_sev_sd", "rate_sd"):
-        return 0.0
-    return None
-
-
-# The columns of the group table, named as the GroupParams fields, and the
-# value of an entry that is pinned or ablated: the pinned group's N(0, 1)
-# initial severity and zero visit offset. Rate entries are never pinned.
-_GROUP_ROLES = ("init_sev_mean", "init_sev_sd", "rate_mean", "rate_sd",
-               "visit_offset")
-_GROUP_DEFAULTS = np.array([0.0, 1.0, np.nan, np.nan, 0.0])
+# roles bounded below at 0 where no truncated prior sets the bound
+_POSITIVE_ROLES = ("loading0", "noise_var", "init_sev_sd", "rate_sd")
 
 
 def _gather(x, table, defaults):
@@ -236,41 +277,16 @@ class ProgressionModel:
     # -- layout ------------------------------------------------------------
 
     def _build_layout(self):
-        data, variant = self.data, self.variant
-        d, G = data.n_features, data.n_groups
-        entries: list[ParamEntry] = []
-
-        def add(name, role, feature=None):
+        data = self.data
+        d = data.n_features
+        rows, table = param_layout(d, data.n_groups, data.pinned_group,
+                                   self.variant)
+        entries = []
+        for name, role, feature in rows:
             prior = self.priors.for_role(role, feature)
             lower = prior.lower if isinstance(prior, TruncatedNormal) else \
-                _structural_lower(role)
+                (0.0 if role in _POSITIVE_ROLES else None)
             entries.append(ParamEntry(name, prior, lower))
-            return len(entries) - 1
-
-        for j in range(d):
-            add(f"loading[{j}]", "loading0" if j == 0 else "loading", feature=j)
-        for j in range(d):
-            add(f"feat_intercept[{j}]", "feat_intercept")
-        for j in range(d):
-            add(f"noise_var[{j}]", "noise_var")
-        add("visit_intercept", "visit_intercept")
-        add("visit_severity", "visit_severity")
-
-        # (G, 5) group table: the coordinate of each group's _GROUP_ROLES
-        # entry, -1 where it is pinned or ablated; a shared rate pair repeats
-        # one coordinate down its column
-        table = np.full((G, 5), -1, dtype=np.intp)
-        if not variant.group_rates:
-            table[:, 2] = add("rate_mean", "rate_mean")
-            table[:, 3] = add("rate_sd", "rate_sd")
-        for g in range(G):
-            unpinned = g != data.pinned_group
-            learned = ((variant.group_init and unpinned,) * 2
-                       + (variant.group_rates,) * 2
-                       + (variant.group_visits and unpinned,))
-            for col, role in enumerate(_GROUP_ROLES):
-                if learned[col]:
-                    table[g, col] = add(f"{role}[{g}]", role)
 
         self.entries = entries
         self.n_global = len(entries)
@@ -279,21 +295,14 @@ class ProgressionModel:
         self._group_table = table
         # (4, N): the init and rate columns of each patient's group
         self._latent_table = table[self.idx.group_of, :4].T
+        self.names = [e.name for e in entries] + latent_names(
+            p.patient_id for p in data.patients)
 
-        names = [e.name for e in entries]
-        for p in data.patients:
-            names.append(f"init_sev[{p.patient_id}]")
-            names.append(f"rate[{p.patient_id}]")
-        self.names = names
-
-        lower = np.zeros(self.dim)
-        bounded = np.zeros(self.dim, dtype=bool)
-        for i, e in enumerate(entries):
-            if e.lower is not None:
-                bounded[i] = True
-                lower[i] = e.lower
-        self._lower = lower
-        self._bounded = bounded
+        lower = np.full(self.dim, np.nan)
+        lower[:self.n_global] = [np.nan if e.lower is None else e.lower
+                                 for e in entries]
+        self._bounded = ~np.isnan(lower)
+        self._lower = np.where(self._bounded, lower, 0.0)
 
         self._sl_load = slice(0, d)
         self._sl_fint = slice(d, 2 * d)
@@ -367,7 +376,7 @@ class ProgressionModel:
         return x
 
     def _group_arrays(self, x):
-        """Each group's _GROUP_ROLES values: five (G,) arrays for a vector x,
+        """Each group's GROUP_ROLES values: five (G,) arrays for a vector x,
         five (rows, G) arrays for a (rows, dim) matrix."""
         v = _gather(x, self._group_table, _GROUP_DEFAULTS)
         return tuple(v[..., k] for k in range(5))

@@ -10,11 +10,17 @@ the same canonical names the sampler output uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .model import LOG_RATE_CAP
+from .model import (
+    FULL_VARIANT,
+    GROUP_ROLES,
+    LOG_RATE_CAP,
+    latent_names,
+    param_layout,
+)
 from .priors import PriorSpec, simulation_priors
 from .types import (
     ConfigurationError,
@@ -73,35 +79,22 @@ class TruthSidecar:
     meta: dict = field(default_factory=dict)
 
     def latent(self, patient_id: str) -> PatientLatents:
-        return PatientLatents(self.latents[f"init_sev[{patient_id}]"],
-                              self.latents[f"rate[{patient_id}]"])
+        return PatientLatents(*(self.latents[name]
+                                for name in latent_names([patient_id])))
 
     def true_severity(self, patient_id: str, time: float) -> float:
         return self.latent(patient_id).severity(time)
 
     def param_bundles(self):
-        """Rebuild (SharedParams, [GroupParams]) from the canonical names."""
-        p = self.params
-        d = 0
-        while f"loading[{d}]" in p:
-            d += 1
-        shared = SharedParams(
-            loadings=[p[f"loading[{j}]"] for j in range(d)],
-            feat_intercepts=[p[f"feat_intercept[{j}]"] for j in range(d)],
-            noise_vars=[p[f"noise_var[{j}]"] for j in range(d)],
-            visit_intercept=p["visit_intercept"],
-            visit_severity=p["visit_severity"],
-        )
-        groups = []
-        g = 0
-        while f"init_sev_mean[{g}]" in p:
-            groups.append(GroupParams(p[f"init_sev_mean[{g}]"],
-                                      p[f"init_sev_sd[{g}]"],
-                                      p[f"rate_mean[{g}]"],
-                                      p[f"rate_sd[{g}]"],
-                                      p[f"visit_offset[{g}]"]))
-            g += 1
-        return shared, groups
+        """Rebuild (SharedParams, [GroupParams]) from the names
+        ``truth_param_names`` gives, sized by the generating config in meta."""
+        d = self.meta["n_features"]
+        rows, table = param_layout(d, self.meta["n_groups"], None,
+                                   FULL_VARIANT)
+        x = [self.params[name] for name, _, _ in rows]
+        shared = SharedParams(x[:d], x[d:2 * d], x[2 * d:3 * d], x[3 * d],
+                              x[3 * d + 1])
+        return shared, [GroupParams(*(x[i] for i in row)) for row in table]
 
 
 def draw_true_params(cfg: SimConfig, rng: np.random.Generator):
@@ -196,8 +189,7 @@ def simulate_dataset(cfg: SimConfig, params=None, rng=None):
             pid, group_ids[g], shared, groups[g], cfg,
             np.random.Generator(np.random.Philox(streams[2 + i])))
         patients.append(rec)
-        latents[f"init_sev[{pid}]"] = lat.init_sev
-        latents[f"rate[{pid}]"] = lat.rate
+        latents.update(zip(latent_names([pid]), (lat.init_sev, lat.rate)))
 
     data = Dataset(patients=patients, n_groups=cfg.n_groups,
                    n_features=cfg.n_features, bin_width=cfg.bin_width)
@@ -214,26 +206,20 @@ def simulate_dataset(cfg: SimConfig, params=None, rng=None):
 
 
 def truth_param_names(shared: SharedParams, groups: list[GroupParams]) -> dict[str, float]:
-    """Canonical name -> value map for generating parameters. Group rate
-    parameters are always recorded per group (identical values when shared)."""
-    out = {}
-    for j in range(shared.n_features):
-        out[f"loading[{j}]"] = float(shared.loadings[j])
-    for j in range(shared.n_features):
-        out[f"feat_intercept[{j}]"] = float(shared.feat_intercepts[j])
-    for j in range(shared.n_features):
-        out[f"noise_var[{j}]"] = float(shared.noise_vars[j])
-    out["visit_intercept"] = shared.visit_intercept
-    out["visit_severity"] = shared.visit_severity
-    for g, gp in enumerate(groups):
-        out[f"init_sev_mean[{g}]"] = gp.init_sev_mean
-        out[f"init_sev_sd[{g}]"] = gp.init_sev_sd
-        out[f"rate_mean[{g}]"] = gp.rate_mean
-        out[f"rate_sd[{g}]"] = gp.rate_sd
-        out[f"visit_offset[{g}]"] = gp.visit_offset
-    # aliases for variants that share the rate distribution across groups
-    out["rate_mean"] = float(np.mean([gp.rate_mean for gp in groups]))
-    out["rate_sd"] = float(np.mean([gp.rate_sd for gp in groups]))
+    """Canonical name -> value map for generating parameters: the full
+    variant's layout with no group pinned, so every group records all five
+    entries (rate entries identical when shared), then the shared-rate pair
+    as the means over groups."""
+    d = shared.n_features
+    rows, table = param_layout(d, len(groups), None, FULL_VARIANT)
+    x = np.empty(len(rows))
+    x[:3 * d + 2] = np.concatenate([
+        shared.loadings, shared.feat_intercepts, shared.noise_vars,
+        [shared.visit_intercept, shared.visit_severity]])
+    x[table] = [astuple(gp) for gp in groups]
+    out = dict(zip((name for name, _, _ in rows), x.tolist()))
+    for col in (2, 3):
+        out[GROUP_ROLES[col]] = float(np.mean(x[table[:, col]]))
     return out
 
 

@@ -55,19 +55,6 @@ def ten_patient_sim():
 
 def truth_bundles(data, truth):
     """Rebuild (SharedParams, groups, latents) from a truth sidecar."""
-    d = data.n_features
-    shared = SharedParams(
-        loadings=[truth.params[f"loading[{j}]"] for j in range(d)],
-        feat_intercepts=[truth.params[f"feat_intercept[{j}]"] for j in range(d)],
-        noise_vars=[truth.params[f"noise_var[{j}]"] for j in range(d)],
-        visit_intercept=truth.params["visit_intercept"],
-        visit_severity=truth.params["visit_severity"],
-    )
-    groups = [GroupParams(truth.params[f"init_sev_mean[{g}]"],
-                          truth.params[f"init_sev_sd[{g}]"],
-                          truth.params[f"rate_mean[{g}]"],
-                          truth.params[f"rate_sd[{g}]"],
-                          truth.params[f"visit_offset[{g}]"])
-              for g in range(data.n_groups)]
+    shared, groups = truth.param_bundles()
     latents = [truth.latent(p.patient_id) for p in data.patients]
     return shared, groups, latents

@@ -1,6 +1,7 @@
 """Reconstruction and forecasting baseline fixtures and oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,22 @@ class TestFactorAnalysis:
                                      np.array([0.5, 0.5]), seed=2)
         with pytest.warns(RuntimeWarning, match="did not converge in 3"):
             fa_fit(X, 1, max_iter=3)
+
+    def test_heywood_case_converges_at_the_bound(self):
+        """8 rows of rank 5 under 12 columns: the ML uniquenesses go to 0.
+        EM stops at the bound of 0.005 x each sample variance, converges
+        without a warning, and its log-likelihood never falls."""
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(8, 5)) @ rng.normal(size=(5, 12))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fa_fit(X, 2)
+        assert fit.converged and fit.n_iter < 1000
+        bound = 0.005 * X.var(axis=0)
+        assert np.all(fit.uniquenesses >= bound)
+        assert np.any(fit.uniquenesses == bound)
+        trace = np.array(fit.loglik_trace)
+        assert np.all(np.diff(trace) >= -1e-7 * np.abs(trace[:-1]))
 
     def test_reconstruction_shrinks_toward_mean(self):
         X = self.simulate_one_factor(400, np.array([1.0, 1.0]),

@@ -11,14 +11,30 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dispro.ablation import ModelVariant
 from dispro.dataio import read_draws, write_dataset, write_truth
-from dispro.model import ProgressionModel
+from dispro.model import (
+    GROUP_ROLES,
+    ProgressionModel,
+    VariantConfig,
+    latent_names,
+    param_layout,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
+
+
+
+@pytest.fixture
+def bench_on_path(monkeypatch):
+    """``bench/`` importable by path, without writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+
 
 # what bench/worker.py calls outside the tracer's tables
 WORKER_MODULE_NAMES = [("dispro.fitting", "rough_init"),
@@ -53,8 +69,6 @@ def test_bench_names_resolve():
 def test_bench_call_forms(ten_patient_sim):
     """The calls ``bench/worker.py`` makes, in the forms it makes them, on a
     tiny cohort: a signature change fails here, not in a benchmark run."""
-    import numpy as np
-
     from dispro import fitting
 
     data, _ = ten_patient_sim
@@ -78,12 +92,10 @@ def test_bench_call_forms(ten_patient_sim):
 
 @pytest.mark.parametrize("variant", [v.value for v in ModelVariant])
 def test_bench_synthetic_draws_pass_read_draws(ten_patient_sim, tmp_path,
-                                               monkeypatch, variant):
+                                               bench_on_path, variant):
     """The draws evaluate-n300 writes itself (``bench/inputs.py``) meet the
     ``fit_meta.json`` contract, so a stricter reader fails here rather than
     as failed benchmark operations."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # bench/ stays as is
-    monkeypatch.syspath_prepend(str(BENCH))
     inputs = importlib.import_module("inputs")
     data, truth = ten_patient_sim
     write_dataset(data, tmp_path / "dataset.csv")
@@ -95,3 +107,27 @@ def test_bench_synthetic_draws_pass_read_draws(ten_patient_sim, tmp_path,
     assert draws.meta["variant"] == dict(zip(
         ("group_init", "group_rates", "group_visits"),
         inputs.spec.VARIANTS[variant]))
+
+
+@pytest.mark.parametrize("variant", [v.value for v in ModelVariant])
+def test_layout_matches_bench_reference(bench_on_path, variant):
+    """``param_layout`` gives the global names the benchmark spells out on
+    its own for every group count, pinned group and feature count, and its
+    group table points at each group's entries; ``latent_names`` matches
+    too."""
+    bench_spec = importlib.import_module("spec")
+    flags = VariantConfig(*bench_spec.VARIANTS[variant])
+    for n_groups in (2, 3):
+        for pinned in range(n_groups):
+            for n_features in (1, 4):
+                rows, table = param_layout(n_features, n_groups, pinned, flags)
+                names = [name for name, _, _ in rows]
+                assert names == bench_spec.global_names(
+                    variant, n_features, n_groups, pinned)
+                assert table.shape == (n_groups, 5)
+                for g, col in zip(*np.nonzero(table >= 0)):
+                    role = GROUP_ROLES[col]
+                    assert names[table[g, col]] in (f"{role}[{g}]", role)
+                assert not set(bench_spec.pinned_names(pinned)) & set(names)
+    pids = ["p0", "p,1"]
+    assert latent_names(pids) == bench_spec.latent_names(pids)

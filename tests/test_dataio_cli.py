@@ -116,19 +116,21 @@ class TestDrawsFormat:
         """write_draws gives the bytes of a csv.writer loop over repr'd
         values, and read_draws the values of a csv.reader loop."""
         rng = np.random.default_rng(0)
-        values = (rng.standard_normal((6, 4))
-                  * 10.0 ** rng.integers(-300, 300, size=(6, 4)))
+        values = (rng.standard_normal((6, 9))
+                  * 10.0 ** rng.integers(-300, 300, size=(6, 9)))
         values[0, 0] = 5e-324
         # one patient "p,1": the comma in its latent names forces csv quoting
         data = Dataset(patients=[make_patient("p,1", 0, [1, 0],
                                               [[0.0], [np.nan]])],
                        n_groups=1, n_features=1, bin_width=1.0)
-        names = ["a", "b", "init_sev[p,1]", "rate[p,1]"]
+        names = ["loading[0]", "feat_intercept[0]", "noise_var[0]",
+                 "visit_intercept", "visit_severity", "rate_mean[0]",
+                 "rate_sd[0]", "init_sev[p,1]", "rate[p,1]"]
         draws = PosteriorDraws(names=names, values=values,
                                chain_ids=np.repeat([0, 1], 3),
                                accept_stats=np.ones(6),
                                divergent=np.zeros(6, dtype=bool), n_chains=2,
-                               meta=fit_meta(data, FULL_VARIANT, 2, 0))
+                               meta=fit_meta(data, FULL_VARIANT, 0))
         path = tmp_path / "draws.csv"
         write_draws(draws, path)
         ref = io.StringIO(newline="")
@@ -448,6 +450,20 @@ MALFORMED = {
         lines, 1, 0, "1")),
     "draws_accept_stats_strings": ("draws", lambda lines, meta: meta.update(
         accept_stats=[str(a) for a in meta["accept_stats"]])),
+    # fit metadata whose layout contradicts the global columns
+    "draws_meta_n_groups_plus_one": ("draws", lambda lines, meta: meta[
+        "meta"].update(n_groups=meta["meta"]["n_groups"] + 1)),
+    "draws_meta_pinned_group_flipped": ("draws", lambda lines, meta: meta[
+        "meta"].update(pinned_group=1 - meta["meta"]["pinned_group"])),
+    **{f"bias_draws_meta_variant_{flag}_false": (
+        "bias_draws", lambda lines, meta, f=flag: meta["meta"]["variant"]
+        .update({f: False})) for flag in ("group_visits", "group_init")},
+    "recovery_draws_meta_n_features_minus_one": (
+        "recovery_draws", lambda lines, meta: meta["meta"].update(
+            n_features=meta["meta"]["n_features"] - 1)),
+    **{f"{kind}_meta_n_groups_huge": (kind, lambda lines, meta: meta[
+        "meta"].update(n_groups=10 ** 9))
+       for kind in ("recovery_draws", "bias_draws")},
     "bias_draws_meta_variant_unknown": ("bias_draws", lambda lines, meta:
                                         meta["meta"].update(variant={
                                             "group_init": False,

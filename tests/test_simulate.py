@@ -179,6 +179,21 @@ class TestSimulateDataset:
         with pytest.raises(ConfigurationError):
             SimConfig(bin_width=-0.1)
 
+    def test_truth_params_round_trip(self):
+        """param_bundles gives back the generating parameters, for three
+        groups with their own rates, and the shared-rate names hold the
+        means over groups."""
+        cfg = SimConfig(n_patients=4, n_bins=3, n_groups=3, seed=8,
+                        group_specific_rates=True)
+        shared, groups = draw_true_params(cfg, rng_of(8))
+        _, truth = simulate_dataset(cfg, params=(shared, groups))
+        back, back_groups = truth.param_bundles()
+        for field in ("loadings", "feat_intercepts", "noise_vars",
+                      "visit_intercept", "visit_severity"):
+            assert np.array_equal(getattr(back, field), getattr(shared, field))
+        assert back_groups == groups
+        assert truth.params["rate_sd"] == np.mean([g.rate_sd for g in groups])
+
     def test_truth_sidecar_keys_match_fit_names(self, small_sim):
         data, truth = small_sim
         model = ProgressionModel(data)

@@ -145,30 +145,6 @@ def bias_report(draws, data, truth, variant: ModelVariant,
     )
 
 
-def bias_experiment(data, truth, variants=None, config: SamplerConfig | None = None,
-                    priors=None, threads: int = 1,
-                    keep_draws: bool = False):
-    """Fit each variant on the same dataset and report per-group bias.
-
-    Returns {variant: BiasReport}; with keep_draws also returns the fitted
-    draws per variant (used by the high-risk comparison).
-    """
-    variants = list(variants) if variants is not None else [
-        ModelVariant.FULL, ModelVariant.NO_INITIAL_SEVERITY,
-        ModelVariant.NO_RATE, ModelVariant.NO_VISIT]
-    config = config or SamplerConfig()
-    reports, fits = {}, {}
-    for variant in variants:
-        draws = fit_model(data, priors=priors, variant=build_variant(variant),
-                          config=config, threads=threads)
-        reports[variant] = bias_report(draws, data, truth, variant)
-        if keep_draws:
-            fits[variant] = draws
-    if keep_draws:
-        return reports, fits
-    return reports
-
-
 def expected_visits(shared, group, n_bins: int, bin_width: float) -> float:
     """Approximate expected follow-up visits per patient for one group, from
     the closed-form population rate (first-order in the per-bin
@@ -220,10 +196,11 @@ def draw_disparity_scenario(cfg, init_gap=(1.0, 5.0), rate_gap=(0.7, 3.0),
 
 def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
                    config: SamplerConfig | None = None, variants=None,
-                   quantile: float | None = None, threads: int = 1):
-    """One full ablation trial: draw a disparity scenario, simulate, fit the
-    variants, and score them. Returns {variant: BiasReport} (plus
-    {variant: HighRiskProfile} when ``quantile`` is given)."""
+                   quantile: float = 0.25):
+    """One full ablation trial: draw a disparity scenario, simulate, then fit
+    and score each variant in turn (by default the full model and the three
+    single-disparity ablations). Returns ({variant: BiasReport},
+    {variant: HighRiskProfile})."""
     from .simulate import SimConfig, simulate_dataset
 
     sim_cfg = SimConfig(n_patients=n_patients, n_bins=n_bins,
@@ -233,16 +210,16 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     data, truth = simulate_dataset(sim_cfg, params=params)
     config = config or SamplerConfig(chains=2, warmup=350, draws=350,
                                      seed=seed, target_accept=0.85)
-    if quantile is None:
-        return bias_experiment(data, truth, variants=variants, config=config,
-                               threads=threads)
-    reports, fits = bias_experiment(data, truth, variants=variants,
-                                    config=config, threads=threads,
-                                    keep_draws=True)
-    profiles = {}
-    for variant, draws in fits.items():
+    if variants is None:
+        variants = [ModelVariant.FULL, ModelVariant.NO_INITIAL_SEVERITY,
+                    ModelVariant.NO_RATE, ModelVariant.NO_VISIT]
+    reports, profiles = {}, {}
+    for variant in variants:
+        draws = fit_model(data, variant=build_variant(variant), config=config)
+        reports[variant] = bias_report(draws, data, truth, variant)
         values, groups, _, _ = visit_severity_estimates(draws, data)
         profiles[variant] = high_risk_profile(values, groups, q=quantile)
+        del draws  # one fit's draws in memory at a time
     return reports, profiles
 
 

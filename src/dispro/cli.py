@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,8 @@ from .ablation import (
 )
 from .baselines import prediction_table, reconstruction_table
 from .dataio import (
+    _is_int,
+    _is_number,
     read_dataset,
     read_draws,
     read_truth,
@@ -37,7 +40,13 @@ from .fitting import convergence_summary, fit_model
 from .inference import disparity_summary, recovery_report
 from .model import VariantConfig, latent_names
 from .oracles import verify_theorems
-from .priors import factor_seeded_priors, prior_from_dict, simulation_priors, weakly_informative_priors
+from .priors import (
+    ROLES,
+    factor_seeded_priors,
+    prior_from_dict,
+    simulation_priors,
+    weakly_informative_priors,
+)
 from .sampler import SamplerConfig
 from .simulate import SimConfig, simulate_dataset
 from .svgplot import svg_scatter
@@ -82,7 +91,8 @@ def _build_parser() -> _Parser:
     pf.add_argument("--target-accept", type=float, default=0.8)
     pf.add_argument("--max-leapfrog", type=int, default=1024)
     pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--threads", type=int, default=1)
+    pf.add_argument("--threads", type=int, default=1,
+                    help="ignored: chains run one after another")
     pf.add_argument("--allow-nonconverged", action="store_true")
     pf.add_argument("--rhat-threshold", type=float, default=1.1)
 
@@ -112,23 +122,34 @@ def _build_parser() -> _Parser:
 # simulate
 # ---------------------------------------------------------------------------
 
+_SIM_TYPES = {
+    **dict.fromkeys(("n_patients", "n_features", "n_bins", "n_groups", "seed"),
+                    _is_int),
+    **dict.fromkeys(("bin_width", "group_probability"), _is_number),
+    "group_specific_rates": lambda v: isinstance(v, bool),
+}
+
+
 def _sim_config_from_json(text: str, seed_override) -> SimConfig:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ConfigurationError("simulate config must be a JSON object")
-    priors = None
-    if "priors" in doc:
-        base = simulation_priors()
-        overrides = {role: prior_from_dict(cfg)
-                     for role, cfg in doc.pop("priors").items()}
-        priors = base.replace(**overrides)
-    known = {"n_patients", "group_probability", "n_features", "n_bins",
-             "bin_width", "seed", "n_groups", "group_specific_rates"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise ConfigurationError(f"unknown simulate config keys: {sorted(unknown)}")
+    priors = None
+    if "priors" in doc:
+        roles = doc.pop("priors")
+        if not (isinstance(roles, dict) and set(roles) <= set(ROLES)):
+            raise ConfigurationError(
+                f"simulate config priors must be an object keyed by {ROLES}")
+        priors = simulation_priors().replace(
+            **{role: prior_from_dict(cfg) for role, cfg in roles.items()})
     if seed_override is not None:
         doc["seed"] = seed_override
+    wrong = sorted(k for k, v in doc.items() if not _SIM_TYPES[k](v))
+    if wrong:
+        raise ConfigurationError(f"simulate config keys of the wrong type: {wrong}")
     return SimConfig(priors=priors, **doc)
 
 
@@ -166,8 +187,7 @@ def _cmd_fit(args) -> int:
     config = SamplerConfig(chains=args.chains, warmup=args.warmup,
                            draws=args.draws, target_accept=args.target_accept,
                            max_leapfrog=args.max_leapfrog, seed=args.seed)
-    draws = fit_model(data, priors=priors, variant=variant, config=config,
-                      threads=args.threads)
+    draws = fit_model(data, priors=priors, variant=variant, config=config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_draws(draws, out / "draws.csv")

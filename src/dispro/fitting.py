@@ -23,8 +23,7 @@ from .types import GroupParams, PatientLatents, SharedParams
 
 def fit_model(data, priors: PriorSpec | None = None,
               variant: VariantConfig = FULL_VARIANT,
-              config: SamplerConfig | None = None,
-              threads: int = 1) -> PosteriorDraws:
+              config: SamplerConfig | None = None) -> PosteriorDraws:
     """Fit the progression model by NUTS.
 
     Every chain starts from the data-informed ``rough_init`` point, jittered
@@ -47,7 +46,6 @@ def fit_model(data, priors: PriorSpec | None = None,
     return sample(
         model.logp_and_grad_noncentered, model.dim, config, init=inits,
         names=model.names, constrain=model.constrain_noncentered,
-        threads=threads,
         meta=fit_meta(data, variant, config.seed))
 
 

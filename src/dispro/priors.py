@@ -190,6 +190,6 @@ def prior_from_dict(cfg: dict) -> Prior:
             return Normal(float(cfg["mu"]), float(cfg["sigma"]))
         if family in ("truncnormal", "truncated_normal"):
             return TruncatedNormal(float(cfg["mu"]), float(cfg["sigma"]), float(cfg["lower"]))
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigurationError(f"malformed prior config {cfg!r}") from exc
     raise ConfigurationError(f"unknown prior family {cfg.get('family')!r}")

@@ -10,14 +10,14 @@ estimates a diagonal mass matrix from windowed draw variances, Stan-style:
 an initial step-size-only ramp, doubling variance-estimation windows, and a
 final step-size-only phase.
 
-Determinism contract: one seed yields one counter-based RNG substream per
-chain, so results are bit-identical regardless of chain scheduling.
+Determinism contract: chains run one after another, each from its own
+counter-based RNG substream of the seed, so from a given start chain c's
+draws do not depend on how many chains run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,8 +419,7 @@ def _run_chain(fused, dim, config, init, seed_seq):
 
 
 def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
-           names=None, constrain=None, meta=None,
-           threads: int = 1) -> PosteriorDraws:
+           names=None, constrain=None, meta=None) -> PosteriorDraws:
     """Run NUTS chains against a log-density.
 
     ``logp_and_grad(x)`` returns the log-density and its gradient at x; a
@@ -449,14 +448,8 @@ def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
                 raise InvalidParameterError("init vector must be finite")
             inits.append(vec.copy())
 
-    def run(c):
-        return _run_chain(logp_and_grad, dim, config, inits[c], chain_seeds[c])
-
-    if threads > 1 and config.chains > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, config.chains)) as ex:
-            results = list(ex.map(run, range(config.chains)))
-    else:
-        results = [run(c) for c in range(config.chains)]
+    results = [_run_chain(logp_and_grad, dim, config, inits[c], chain_seeds[c])
+               for c in range(config.chains)]
 
     values = np.concatenate([r[0] for r in results], axis=0)
     if constrain is not None:

@@ -62,8 +62,8 @@ class SimConfig:
             raise ConfigurationError("counts must be positive")
         if self.n_groups < 2:
             raise ConfigurationError("need a pinned and at least one other group")
-        if self.bin_width <= 0:
-            raise ConfigurationError("bin_width must be positive")
+        if not 0 < self.bin_width < np.inf:
+            raise ConfigurationError("bin_width must be positive and finite")
 
     def prior_spec(self) -> PriorSpec:
         return self.priors if self.priors is not None else simulation_priors()

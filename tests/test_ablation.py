@@ -2,6 +2,7 @@
 expectation oracles for the three bias directions."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dispro.ablation import (
     ModelVariant,
     build_variant,
     high_risk_profile,
+    run_bias_trial,
     underserved_group,
 )
 from dispro.oracles import (
@@ -25,6 +27,7 @@ from dispro.oracles import (
     scenario_grid,
     verify_theorems,
 )
+from dispro.sampler import SamplerConfig
 from dispro.types import ConfigurationError, Dataset
 
 from conftest import truth_bundles
@@ -114,6 +117,38 @@ class TestVariants:
         assert underserved_group(ModelVariant.NO_INITIAL_SEVERITY, truth) == 1
         assert underserved_group(ModelVariant.NO_RATE, truth) == 0
         assert underserved_group(ModelVariant.NO_VISIT, truth) == 1
+
+
+def test_bias_trial_scores_one_fit_at_a_time(monkeypatch):
+    """A two-variant trial on a tiny cohort returns a bias report and a
+    high-risk profile per variant, freeing each fit's draws before the next
+    fit starts."""
+    import dispro.ablation as ablation
+
+    fit, seen = ablation.fit_model, []
+
+    def tracked(*args, **kwargs):
+        assert all(ref() is None for ref in seen), "a previous fit is alive"
+        draws = fit(*args, **kwargs)
+        seen.append(weakref.ref(draws))
+        return draws
+
+    monkeypatch.setattr(ablation, "fit_model", tracked)
+    variants = [ModelVariant.FULL, ModelVariant.NO_VISIT]
+    reports, profiles = run_bias_trial(
+        3, n_patients=20, n_bins=10, variants=variants,
+        config=SamplerConfig(chains=2, warmup=20, draws=20, seed=3,
+                             max_leapfrog=31))
+    assert len(seen) == 2
+    assert list(reports) == list(profiles) == variants
+    for variant in variants:
+        assert reports[variant].variant is variant
+        assert set(reports[variant].group_bias) == {0, 1}
+        prof = profiles[variant]
+        assert prof.quantile == 0.25 and not prof.degenerate
+        assert sum(prof.visits_by_group.values()) == prof.n_total
+    assert profiles[variants[0]].visits_by_group == \
+        profiles[variants[1]].visits_by_group
 
 
 class TestHighRiskProfile:

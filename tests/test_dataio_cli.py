@@ -290,11 +290,25 @@ class TestCli:
                      "--out", str(tmp_path / "oz")])
         assert code == 4
 
-    def test_invalid_config_key_exit_1(self, tmp_path):
+    @pytest.mark.parametrize("doc", [
+        {"n_patients": 5, "bogus_key": 1},
+        {"priors": [1]},
+        {"priors": {"bogus_role": {"family": "normal", "mu": 0, "sigma": 1}}},
+        {"n_patients": "10"},
+        {"n_features": 2.5},
+        {"bin_width": "x"},
+        {"n_patients": 1e9},
+        {"bin_width": math.nan},
+        {"priors": {"loading": {"family": "normal", "mu": "x", "sigma": 1}}},
+    ], ids=["unknown-key", "priors-list", "unknown-prior-role",
+            "n_patients-string", "n_features-float", "bin_width-string",
+            "n_patients-1e9", "bin_width-nan", "prior-mu-string"])
+    def test_invalid_config_key_exit_1(self, tmp_path, capsys, doc):
         cfg = tmp_path / "sim.json"
-        cfg.write_text(json.dumps({"n_patients": 5, "bogus_key": 1}))
+        cfg.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "z")]) == 1
+        assert "configuration error:" in capsys.readouterr().err
 
     def test_svg_output_deterministic(self, tmp_path):
         from dispro.svgplot import svg_scatter

@@ -64,12 +64,19 @@ class TestGaussianTargets:
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(d1.accept_stats, d2.accept_stats)
 
-    def test_threaded_matches_sequential(self):
+    def test_chain_substreams_independent_of_chain_count(self):
+        """Each chain runs from its own substream of the seed: with explicit
+        inits, a 2-chain run is the first two chains of a 3-chain run."""
         lpg = std_normal_handles(3)
-        cfg = SamplerConfig(chains=2, warmup=200, draws=200, seed=4)
-        d1 = sample(lpg, 3, cfg, threads=1)
-        d2 = sample(lpg, 3, cfg, threads=2)
-        assert np.array_equal(d1.values, d2.values)
+        inits = np.random.default_rng(0).uniform(-2.0, 2.0, size=(3, 3))
+        d2 = sample(lpg, 3, SamplerConfig(chains=2, warmup=100, draws=100,
+                                          seed=4), init=inits[:2])
+        d3 = sample(lpg, 3, SamplerConfig(chains=3, warmup=100, draws=100,
+                                          seed=4), init=inits)
+        first = d3.chain_ids < 2
+        assert np.array_equal(d2.values, d3.values[first])
+        assert np.array_equal(d2.accept_stats, d3.accept_stats[first])
+        assert np.array_equal(d2.divergent, d3.divergent[first])
 
     def test_detailed_balance_ks(self):
         """Empirical CDF of 4000 one-dimensional draws against the standard

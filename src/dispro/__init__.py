@@ -29,9 +29,8 @@ from .priors import (  # noqa: F401
     weakly_informative_priors,
 )
 from .model import (  # noqa: F401
-    FULL_VARIANT,
+    ModelVariant,
     ProgressionModel,
-    VariantConfig,
     expected_visit_rate,
     log_lik_emission,
     log_lik_visits,

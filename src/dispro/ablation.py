@@ -6,53 +6,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .fitting import fit_model, max_global_rhat, severity_means_by_patient
-from .model import VariantConfig
+from .model import ModelVariant
 from .sampler import SamplerConfig
 from .types import ConfigurationError
-
-
-class ModelVariant(Enum):
-    """The fitted model and its disparity-blind ablations. Each ablated
-    variant removes exactly the group-specific parameters for one disparity;
-    NO_DISPARITIES removes all of them."""
-
-    FULL = "full"
-    NO_INITIAL_SEVERITY = "no_initial_severity"
-    NO_RATE = "no_rate"
-    NO_VISIT = "no_visit"
-    NO_DISPARITIES = "no_disparities"
-
-    @staticmethod
-    def from_name(name: str) -> "ModelVariant":
-        key = name.strip().lower().replace("-", "_")
-        aliases = {"none": ModelVariant.NO_DISPARITIES,
-                   "no_initial": ModelVariant.NO_INITIAL_SEVERITY,
-                   "no_visits": ModelVariant.NO_VISIT}
-        if key in aliases:
-            return aliases[key]
-        for v in ModelVariant:
-            if v.value == key:
-                return v
-        raise ConfigurationError(f"unknown model variant {name!r}")
-
-
-_VARIANT_CONFIGS = {
-    ModelVariant.FULL: VariantConfig(True, True, True),
-    ModelVariant.NO_INITIAL_SEVERITY: VariantConfig(False, True, True),
-    ModelVariant.NO_RATE: VariantConfig(True, False, True),
-    ModelVariant.NO_VISIT: VariantConfig(True, True, False),
-    ModelVariant.NO_DISPARITIES: VariantConfig(False, False, False),
-}
-
-
-def build_variant(variant: ModelVariant) -> VariantConfig:
-    """Model configuration for a variant: which group-specific blocks stay."""
-    return _VARIANT_CONFIGS[variant]
 
 
 @dataclass
@@ -215,7 +175,7 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
                     ModelVariant.NO_RATE, ModelVariant.NO_VISIT]
     reports, profiles = {}, {}
     for variant in variants:
-        draws = fit_model(data, variant=build_variant(variant), config=config)
+        draws = fit_model(data, variant=variant, config=config)
         reports[variant] = bias_report(draws, data, truth, variant)
         values, groups, _, _ = visit_severity_estimates(draws, data)
         profiles[variant] = high_risk_profile(values, groups, q=quantile)

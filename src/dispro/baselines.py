@@ -189,15 +189,7 @@ def visit_matrix(data):
 def patient_matrix(data):
     """One row per eligible patient: features from the first three visits
     concatenated (3 * d columns)."""
-    rows = []
-    for p in data.patients:
-        vbins = p.visit_bins()
-        if vbins.size < 3:
-            continue
-        rows.append(np.concatenate([p.features[t] for t in vbins[:3]]))
-    if not rows:
-        raise DataError("no eligible patients with 3 visits")
-    return np.asarray(rows, dtype=float)
+    return visit_matrix(data).reshape(-1, 3 * data.n_features)
 
 
 # ---------------------------------------------------------------------------

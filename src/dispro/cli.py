@@ -16,9 +16,7 @@ import numpy as np
 
 from . import __version__
 from .ablation import (
-    ModelVariant,
     bias_report,
-    build_variant,
     high_risk_profile,
     visit_severity_estimates,
 )
@@ -38,7 +36,7 @@ from .dataio import (
 )
 from .fitting import convergence_summary, fit_model
 from .inference import disparity_summary, recovery_report
-from .model import VariantConfig, latent_names
+from .model import ModelVariant, latent_names
 from .oracles import verify_theorems
 from .priors import (
     ROLES,
@@ -177,7 +175,7 @@ def _cmd_fit(args) -> int:
         raise ConfigurationError(
             "R-hat needs --chains >= 2 and --draws >= 4")
     data = read_dataset(args.dataset)
-    variant = build_variant(ModelVariant.from_name(args.variant))
+    variant = ModelVariant.from_name(args.variant)
     if args.priors == "simulation":
         priors = simulation_priors()
     elif args.priors == "weak":
@@ -220,14 +218,6 @@ def _check_latents(truth, pids, truth_path) -> None:
     if not set(latent_names(pids)) <= truth.latents.keys():
         raise DataError(f"{truth_path}: lacks latents of the evaluated "
                         "patients")
-
-
-def _variant_of(draws) -> ModelVariant:
-    cfg = VariantConfig(**draws.meta["variant"])
-    for variant in ModelVariant:
-        if build_variant(variant) == cfg:
-            return variant
-    raise DataError(f"no model variant has the fit's flags, {cfg}")
 
 
 def _recovery_trial(fit_dir, truth_path):
@@ -300,7 +290,7 @@ def _evaluate_bias(args, out: Path) -> int:
         if set(draws.meta["patient_ids"]) != pids:
             raise DataError(f"{fit_dir}: fit patients differ from "
                             f"{args.dataset}'s")
-        variant = _variant_of(draws)
+        variant = ModelVariant.from_flags(draws.meta["variant"])
         reports[variant] = bias_report(draws, data, truth, variant)
         values, groups, _, _ = visit_severity_estimates(draws, data)
         profiles[variant] = high_risk_profile(values, groups, q=args.quantile)

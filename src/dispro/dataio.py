@@ -19,13 +19,12 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .model import VariantConfig, latent_names, param_layout
+from .model import ModelVariant, latent_names, param_layout
 from .sampler import PosteriorDraws
 from .types import DataError, Dataset, GroupId, PatientRecord
 
@@ -136,7 +135,7 @@ def read_dataset(path) -> Dataset:
                                         f"at bin {t}: {cell!r}")
                     features[t, j] = value
         patients.append(PatientRecord(
-            patient_id=pid, group=GroupId(g, is_pinned=(g == pinned)),
+            patient_id=pid, group=GroupId(g),
             horizon=len(rows) - 1, visits=visits, features=features))
     return Dataset(patients=patients, n_groups=meta["n_groups"],
                    n_features=n_features, bin_width=float(meta["bin_width"]),
@@ -161,7 +160,7 @@ def read_truth(path):
                         meta=doc.get("meta", {}))
 
 
-def fit_meta(data: Dataset, variant: VariantConfig, seed) -> dict:
+def fit_meta(data: Dataset, variant: ModelVariant, seed) -> dict:
     """``fit_meta.json``'s ``meta``: the dataset facts evaluation reads, the
     variant flags, the global column count and the seed (not read back)."""
     n_global = len(param_layout(data.n_features, data.n_groups,
@@ -171,7 +170,7 @@ def fit_meta(data: Dataset, variant: VariantConfig, seed) -> dict:
             "patient_ids": [p.patient_id for p in data.patients],
             "patient_groups": [p.group.index for p in data.patients],
             "horizon_by_patient": [p.horizon for p in data.patients],
-            "variant": asdict(variant), "n_global": n_global, "seed": seed}
+            "variant": variant.flags, "n_global": n_global, "seed": seed}
 
 
 def write_draws(draws: PosteriorDraws, path) -> None:
@@ -211,8 +210,7 @@ _FIT_META_TYPES = {
     **dict.fromkeys(("patient_groups", "horizon_by_patient"),
                     _list_of(_is_int)),
     "variant": lambda v: (
-        isinstance(v, dict) and all(isinstance(b, bool) for b in v.values())
-        and set(v) == {f.name for f in fields(VariantConfig)}),
+        isinstance(v, dict) and all(isinstance(b, bool) for b in v.values())),
 }
 
 
@@ -242,13 +240,16 @@ def read_draws(path) -> PosteriorDraws:
         "patient_ids", "patient_groups", "horizon_by_patient"))
     n_features, n_groups, n_chains = (meta["n_features"], meta["n_groups"],
                                       doc["n_chains"])
+    variant = ModelVariant.from_flags(meta["variant"])
     # counts bounded by the header first: a huge one is not a huge layout
     in_header = (0 <= n_features and 3 * n_features + 2 <= len(names)
                  and 1 <= n_groups <= len(names))
-    layout = [name for name, _, _ in param_layout(
-        n_features, n_groups, meta["pinned_group"],
-        VariantConfig(**meta["variant"]))[0]] if in_header else []
+    layout = None
+    if in_header and variant is not None:
+        layout = [name for name, _, _ in param_layout(
+            n_features, n_groups, meta["pinned_group"], variant)[0]]
     rules = {
+        "variant flags of a model variant": variant is not None,
         "n_features and n_groups within the header width": in_header,
         "per-patient lists of one length":
             len(pids) == len(groups) == len(horizons),
@@ -257,9 +258,10 @@ def read_draws(path) -> PosteriorDraws:
             0 <= g < n_groups for g in [meta["pinned_group"], *groups]),
         "horizons of at least 1": all(h >= 1 for h in horizons),
         "the columns of the canonical layout of meta, then the latents of "
-        "patient_ids": in_header and names == layout + latent_names(pids),
+        "patient_ids":
+            layout is not None and names == layout + latent_names(pids),
         "n_global the layout's global count":
-            in_header and meta["n_global"] == len(layout),
+            layout is not None and meta["n_global"] == len(layout),
         "one divergent entry per accept_stats entry":
             len(doc["divergent"]) == n_rows,
         "n_chains of at least 1": n_chains >= 1,

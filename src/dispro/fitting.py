@@ -15,14 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .dataio import fit_meta
-from .model import FULL_VARIANT, ProgressionModel, VariantConfig, latent_names
+from .model import ModelVariant, ProgressionModel, latent_names
 from .priors import PriorSpec, TruncatedNormal
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
 from .types import GroupParams, PatientLatents, SharedParams
 
 
 def fit_model(data, priors: PriorSpec | None = None,
-              variant: VariantConfig = FULL_VARIANT,
+              variant: ModelVariant = ModelVariant.FULL,
               config: SamplerConfig | None = None) -> PosteriorDraws:
     """Fit the progression model by NUTS.
 

@@ -9,9 +9,11 @@ time ``t``, a visit occurs with probability ``1 - exp(-rate_t * w)`` where
 ``log(rate_t) = visit_intercept + visit_severity * sev(t) + visit_offset``.
 The first visit defines t = 0 and is conditioned on, not modeled.
 
-``param_layout`` and ``latent_names`` spell every canonical parameter name:
-the shared block, then groups by index, then patients in dataset order (per
-patient init_sev then rate). ``ProgressionModel`` flattens all sampled
+``ModelVariant`` is the full model or one of its disparity-blind ablations,
+with the group-specific blocks it learns. ``param_layout`` and
+``latent_names`` spell every canonical parameter name: the shared block,
+then groups by index, then patients in dataset order (per patient init_sev
+then rate). ``ProgressionModel`` flattens all sampled
 parameters into one vector in that order, maps it to an unconstrained space
 for HMC, and evaluates density and gradient in one pass, with the
 latents centered or non-centered.
@@ -21,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
+from enum import Enum
 
 import numpy as np
 
 from .priors import Prior, PriorSpec, TruncatedNormal, simulation_priors
 from .types import (
+    ConfigurationError,
     Dataset,
     DatasetIndex,
     GroupParams,
@@ -41,23 +45,54 @@ _LOG_2PI = math.log(2.0 * math.pi)
 LOG_RATE_CAP = 30.0
 
 
-@dataclass(frozen=True)
-class VariantConfig:
-    """Which group-specific parameter blocks the model learns.
+class ModelVariant(Enum):
+    """The fitted model and its disparity-blind ablations, each with the
+    group-specific parameter blocks it learns:
 
     group_init    per-group initial-severity mean/sd for non-pinned groups
                   (False pins every group to mean 0, sd 1)
     group_rates   per-group progression-rate mean/sd (False learns one shared pair)
     group_visits  per-group visit-rate offsets for non-pinned groups
                   (False fixes every offset to 0)
-    """
 
-    group_init: bool = True
-    group_rates: bool = True
-    group_visits: bool = True
+    Each ablated variant removes exactly the blocks of one disparity;
+    NO_DISPARITIES removes all three."""
 
+    FULL = "full", True, True, True
+    NO_INITIAL_SEVERITY = "no_initial_severity", False, True, True
+    NO_RATE = "no_rate", True, False, True
+    NO_VISIT = "no_visit", True, True, False
+    NO_DISPARITIES = "no_disparities", False, False, False
 
-FULL_VARIANT = VariantConfig()
+    def __new__(cls, value, group_init, group_rates, group_visits):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.group_init = group_init
+        member.group_rates = group_rates
+        member.group_visits = group_visits
+        return member
+
+    @property
+    def flags(self) -> dict:
+        """The flags by name, as ``fit_meta.json`` stores them."""
+        return {"group_init": self.group_init, "group_rates": self.group_rates,
+                "group_visits": self.group_visits}
+
+    @classmethod
+    def from_flags(cls, flags) -> ModelVariant | None:
+        """The variant with exactly these flags, or None."""
+        return next((v for v in cls if v.flags == flags), None)
+
+    @staticmethod
+    def from_name(name: str) -> ModelVariant:
+        key = name.strip().lower().replace("-", "_")
+        key = {"none": "no_disparities", "no_initial": "no_initial_severity",
+               "no_visits": "no_visit"}.get(key, key)
+        try:
+            return ModelVariant(key)
+        except ValueError:
+            raise ConfigurationError(
+                f"unknown model variant {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +178,7 @@ def log_lik_visits(shared: SharedParams, groups: list[GroupParams],
 
 def log_prior(shared: SharedParams, groups: list[GroupParams],
               latents: list[PatientLatents], data: Dataset, priors: PriorSpec,
-              variant: VariantConfig = FULL_VARIANT) -> float:
+              variant: ModelVariant = ModelVariant.FULL) -> float:
     """Log-prior of all sampled parameters plus per-patient latent densities
     under their group's distributions. Pinned quantities contribute nothing."""
     model = ProgressionModel(data, priors, variant)
@@ -192,7 +227,7 @@ _GROUP_DEFAULTS = np.array([0.0, 1.0, np.nan, np.nan, 0.0])
 
 
 def param_layout(n_features: int, n_groups: int, pinned_group: int | None,
-                 variant: VariantConfig):
+                 variant: ModelVariant):
     """The canonical global parameters of a fit, from the four facts that
     decide them: ``(name, role, feature)`` rows in order (feature is the
     column of a per-feature role, else None), and the ``(n_groups, 5)``
@@ -259,7 +294,7 @@ class ProgressionModel:
     """
 
     def __init__(self, data: Dataset, priors: PriorSpec | None = None,
-                 variant: VariantConfig = FULL_VARIANT):
+                 variant: ModelVariant = ModelVariant.FULL):
         self.data = data
         self.priors = priors if priors is not None else simulation_priors()
         self.variant = variant

@@ -15,9 +15,9 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .model import (
-    FULL_VARIANT,
     GROUP_ROLES,
     LOG_RATE_CAP,
+    ModelVariant,
     latent_names,
     param_layout,
 )
@@ -90,7 +90,7 @@ class TruthSidecar:
         ``truth_param_names`` gives, sized by the generating config in meta."""
         d = self.meta["n_features"]
         rows, table = param_layout(d, self.meta["n_groups"], None,
-                                   FULL_VARIANT)
+                                   ModelVariant.FULL)
         x = [self.params[name] for name, _, _ in rows]
         shared = SharedParams(x[:d], x[d:2 * d], x[2 * d:3 * d], x[3 * d],
                               x[3 * d + 1])
@@ -180,7 +180,7 @@ def simulate_dataset(cfg: SimConfig, params=None, rng=None):
         assignment = assign_rng.choice(cfg.n_groups, size=cfg.n_patients, p=probs)
 
     width = max(4, len(str(cfg.n_patients - 1)))
-    group_ids = [GroupId(g, is_pinned=(g == 0)) for g in range(cfg.n_groups)]
+    group_ids = [GroupId(g) for g in range(cfg.n_groups)]
     patients, latents = [], {}
     for i in range(cfg.n_patients):
         pid = f"p{i:0{width}d}"
@@ -211,7 +211,7 @@ def truth_param_names(shared: SharedParams, groups: list[GroupParams]) -> dict[s
     entries (rate entries identical when shared), then the shared-rate pair
     as the means over groups."""
     d = shared.n_features
-    rows, table = param_layout(d, len(groups), None, FULL_VARIANT)
+    rows, table = param_layout(d, len(groups), None, ModelVariant.FULL)
     x = np.empty(len(rows))
     x[:3 * d + 2] = np.concatenate([
         shared.loadings, shared.feat_intercepts, shared.noise_vars,

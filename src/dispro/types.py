@@ -26,12 +26,12 @@ class DataError(ValueError):
 
 @dataclass(frozen=True)
 class GroupId:
-    """Demographic group label. Exactly one group per model is pinned: its
-    initial-severity distribution is fixed to N(0, 1) and its visit-rate
-    offset to 0, which fixes the latent severity scale."""
+    """Demographic group label. Exactly one group per dataset is pinned
+    (``Dataset.pinned_group``): its initial-severity distribution is fixed to
+    N(0, 1) and its visit-rate offset to 0, which fixes the latent severity
+    scale."""
 
     index: int
-    is_pinned: bool = False
 
     def __post_init__(self):
         if self.index < 0:
@@ -182,8 +182,6 @@ class Dataset:
                 raise DataError(f"{p.patient_id}: feature dimension mismatch")
             if not (0 <= p.group.index < self.n_groups):
                 raise DataError(f"{p.patient_id}: group index out of range")
-            if p.group.is_pinned != (p.group.index == self.pinned_group):
-                raise DataError(f"{p.patient_id}: group pin flag inconsistent with dataset")
 
     @property
     def n_patients(self) -> int:

@@ -13,11 +13,11 @@ from dispro import (
 )
 
 
-def make_patient(pid, group_idx, visits, features, pinned_idx=0):
+def make_patient(pid, group_idx, visits, features):
     visits = np.asarray(visits)
     return PatientRecord(
         patient_id=pid,
-        group=GroupId(group_idx, is_pinned=(group_idx == pinned_idx)),
+        group=GroupId(group_idx),
         horizon=len(visits) - 1,
         visits=visits,
         features=np.asarray(features, dtype=float),

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from dispro import ProgressionModel, TruthSidecar, simulation_priors
 from dispro.ablation import (
     ModelVariant,
-    build_variant,
     high_risk_profile,
     run_bias_trial,
     underserved_group,
@@ -36,9 +35,8 @@ from conftest import truth_bundles
 class TestVariants:
     def test_full_has_five_more_params_than_none(self, small_sim):
         data, _ = small_sim
-        full = ProgressionModel(data, variant=build_variant(ModelVariant.FULL))
-        none = ProgressionModel(data,
-                                variant=build_variant(ModelVariant.NO_DISPARITIES))
+        full = ProgressionModel(data, variant=ModelVariant.FULL)
+        none = ProgressionModel(data, variant=ModelVariant.NO_DISPARITIES)
         assert full.n_global - none.n_global == 5
 
     def test_no_visit_same_emission(self, small_sim):
@@ -49,8 +47,9 @@ class TestVariants:
         # emission does not involve the visit block at all
         ll = log_lik_emission(shared, latents, data)
         assert np.isfinite(ll)
-        cfg = build_variant(ModelVariant.NO_VISIT)
-        assert cfg.group_visits is False and cfg.group_init and cfg.group_rates
+        variant = ModelVariant.NO_VISIT
+        assert (variant.group_visits is False and variant.group_init
+                and variant.group_rates)
 
     def test_variant_parameter_sets(self, small_sim):
         data, _ = small_sim
@@ -66,7 +65,7 @@ class TestVariants:
             ModelVariant.NO_DISPARITIES: {"rate_mean"},
         }
         for variant, expect in names.items():
-            model = ProgressionModel(data, variant=build_variant(variant))
+            model = ProgressionModel(data, variant=variant)
             have = set(model.global_names)
             assert expect <= have
             if variant in (ModelVariant.NO_INITIAL_SEVERITY,
@@ -80,7 +79,7 @@ class TestVariants:
     def test_no_disparities_invariant_under_label_swap(self, small_sim):
         data, truth = small_sim
         priors = simulation_priors()
-        variant = build_variant(ModelVariant.NO_DISPARITIES)
+        variant = ModelVariant.NO_DISPARITIES
         model = ProgressionModel(data, priors, variant)
         shared, groups, latents = truth_bundles(data, truth)
         # blind model: groups all share the pinned latent distributions

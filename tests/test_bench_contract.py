@@ -14,12 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispro.ablation import ModelVariant
 from dispro.dataio import read_draws, write_dataset, write_truth
 from dispro.model import (
     GROUP_ROLES,
+    ModelVariant,
     ProgressionModel,
-    VariantConfig,
     latent_names,
     param_layout,
 )
@@ -114,13 +113,16 @@ def test_layout_matches_bench_reference(bench_on_path, variant):
     """``param_layout`` gives the global names the benchmark spells out on
     its own for every group count, pinned group and feature count, and its
     group table points at each group's entries; ``latent_names`` matches
-    too."""
+    too. Each variant's flags are the benchmark's."""
     bench_spec = importlib.import_module("spec")
-    flags = VariantConfig(*bench_spec.VARIANTS[variant])
+    member = ModelVariant(variant)
+    assert (member.group_init, member.group_rates, member.group_visits) == \
+        bench_spec.VARIANTS[variant]
     for n_groups in (2, 3):
         for pinned in range(n_groups):
             for n_features in (1, 4):
-                rows, table = param_layout(n_features, n_groups, pinned, flags)
+                rows, table = param_layout(n_features, n_groups, pinned,
+                                           member)
                 names = [name for name, _, _ in rows]
                 assert names == bench_spec.global_names(
                     variant, n_features, n_groups, pinned)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from dispro import Dataset, SimConfig, simulate_dataset
-from dispro.ablation import ModelVariant, build_variant
+from dispro.ablation import ModelVariant
 from dispro.cli import main
 from dispro.dataio import (
     fit_meta,
@@ -24,7 +24,6 @@ from dispro.dataio import (
     write_truth,
 )
 from dispro.fitting import fit_model
-from dispro.model import FULL_VARIANT
 from dispro.sampler import PosteriorDraws, SamplerConfig
 
 from conftest import make_patient
@@ -98,7 +97,7 @@ class TestDrawsFormat:
     def test_roundtrip_every_variant(self, sim_pair, tmp_path, variant):
         """read_draws accepts what write_draws writes for each variant."""
         data, _ = sim_pair
-        draws = fit_model(data, variant=build_variant(variant),
+        draws = fit_model(data, variant=variant,
                           config=SamplerConfig(chains=2, warmup=10, draws=4,
                                                max_leapfrog=16, seed=2))
         path = tmp_path / "draws.csv"
@@ -130,7 +129,7 @@ class TestDrawsFormat:
                                chain_ids=np.repeat([0, 1], 3),
                                accept_stats=np.ones(6),
                                divergent=np.zeros(6, dtype=bool), n_chains=2,
-                               meta=fit_meta(data, FULL_VARIANT, 0))
+                               meta=fit_meta(data, ModelVariant.FULL, 0))
         path = tmp_path / "draws.csv"
         write_draws(draws, path)
         ref = io.StringIO(newline="")
@@ -345,6 +344,18 @@ def _drop_last_patient(lines):
     lines[:] = [line for line in lines if line.split(",")[0] != last]
 
 
+def _flags_of_no_variant(lines, meta):
+    """Flags (False, True, False), which name no model variant, with the
+    columns and n_global of the layout they give: only the flags are
+    wrong."""
+    header = lines[0].split(",")
+    keep = [i for i, name in enumerate(header) if not name.startswith(
+        ("init_sev_mean[", "init_sev_sd[", "visit_offset["))]
+    lines[:] = [",".join(line.split(",")[i] for i in keep) for line in lines]
+    meta["meta"]["n_global"] -= len(header) - len(keep)
+    meta["meta"]["variant"].update(group_init=False, group_visits=False)
+
+
 def _drop_one_latent(truth):
     truth["latents"].pop(next(k for k in sorted(truth["latents"])
                               if k.startswith("rate[")))
@@ -483,6 +494,8 @@ MALFORMED = {
                                             "group_init": False,
                                             "group_rates": True,
                                             "group_visits": False})),
+    **{f"{kind}_meta_variant_unknown_layout_consistent": (
+        kind, _flags_of_no_variant) for kind in ("draws", "recovery_draws")},
 }
 
 

@@ -26,7 +26,7 @@ from dispro import (
     simulate_dataset,
     simulation_priors,
 )
-from dispro.model import FULL_VARIANT, LOG_RATE_CAP
+from dispro.model import LOG_RATE_CAP
 from dispro.priors import Normal, TruncatedNormal
 
 from conftest import (
@@ -228,8 +228,7 @@ class TestLogPosterior:
             make_patient("a", 0, [1, 1, 0],
                          [[0.5, np.nan], [0.2, 1.0], [np.nan, np.nan]]),
             make_patient("b", 1, [1, 0, 1],
-                         [[-0.3, 0.4], [np.nan, np.nan], [0.9, np.nan]],
-                         pinned_idx=0),
+                         [[-0.3, 0.4], [np.nan, np.nan], [0.9, np.nan]]),
         ]
         data = Dataset(pats, 2, 2, 0.5)
         priors = simulation_priors()

@@ -207,7 +207,7 @@ def bootstrap_dataset(values):
         feats = np.full((2, 1), np.nan)
         feats[0, 0] = v
         patients.append(PatientRecord(patient_id=f"p{i}",
-                                      group=GroupId(0, is_pinned=True),
+                                      group=GroupId(0),
                                       horizon=1,
                                       visits=np.array([1, 0], dtype=np.int8),
                                       features=feats))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dispro import InvalidParameterError, ProgressionModel, simulation_priors
-from dispro.ablation import ModelVariant, build_variant
+from dispro.ablation import ModelVariant
 
 from conftest import truth_bundles
 
@@ -119,7 +119,7 @@ def test_constrain_noncentered_matrix_matches_rows(small_sim, variant):
     """A (rows, dim) matrix of non-centered draws maps bit for bit as each
     row does alone."""
     data, _ = small_sim
-    model = ProgressionModel(data, variant=build_variant(variant))
+    model = ProgressionModel(data, variant=variant)
     rng = np.random.default_rng(4)
     thetas = np.array([model.init_from_priors(rng, non_centered=True)
                        for _ in range(7)])
@@ -130,7 +130,7 @@ def test_constrain_noncentered_matrix_matches_rows(small_sim, variant):
 @pytest.mark.parametrize("variant", list(ModelVariant))
 def test_to_noncentered_inverts_constrain_noncentered(small_sim, variant):
     data, _ = small_sim
-    model = ProgressionModel(data, variant=build_variant(variant))
+    model = ProgressionModel(data, variant=variant)
     rng = np.random.default_rng(5)
     for _ in range(20):
         theta = model.init_from_priors(rng, non_centered=True)

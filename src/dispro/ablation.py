@@ -10,8 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import fit_model, max_global_rhat, severity_means_by_patient
-from .model import ModelVariant
+from .inference import _pearson
+from .model import ModelVariant, expected_visit_rate, latent_names
 from .sampler import SamplerConfig
+from .simulate import SimConfig, draw_true_params, simulate_dataset
 from .types import ConfigurationError
 
 
@@ -62,38 +64,31 @@ def underserved_group(variant: ModelVariant, truth) -> int:
     return pick(groups, key=lambda g: truth.params[key.format(g)])
 
 
-def severity_error_points(draws, data, truth):
-    """(group, inferred, true) severity arrays over all patient-bins.
-
-    Inferred severity per (patient, bin) is the posterior-mean line; true
-    severity the generating line.
-    """
-    est_by_pid = severity_means_by_patient(draws)
-    groups, est, true = [], [], []
-    for p in data.patients:
-        sev0_e, rate_e = est_by_pid[p.patient_id]
-        lat = truth.latent(p.patient_id)
-        t = np.arange(p.horizon + 1) * data.bin_width
-        est.append(sev0_e + rate_e * t)
-        true.append(lat.init_sev + lat.rate * t)
-        groups.append(np.full(p.horizon + 1, p.group.index))
-    return (np.concatenate(groups), np.concatenate(est), np.concatenate(true))
-
-
-def bias_report(draws, data, truth, variant: ModelVariant,
+def bias_report(draws, truth, variant: ModelVariant,
                 rhat_threshold: float = 1.1) -> BiasReport:
-    """Score one fitted variant against ground truth."""
-    g_arr, est, true = severity_error_points(draws, data, truth)
+    """Score one fitted variant against ground truth.
+
+    The points are every (patient, bin) of the fit's patients: the inferred
+    severity is the posterior-mean line, the true severity the generating
+    line, both at bins 0..horizon.
+    """
+    meta = draws.meta
+    horizons = np.asarray(meta["horizon_by_patient"])
+    patient = np.repeat(np.arange(horizons.size), horizons + 1)
+    t = np.concatenate([np.arange(h + 1) for h in horizons]) * meta["bin_width"]
+    sev0, rate = severity_means_by_patient(draws)
+    true0, true_rate = np.array([truth.latents[name] for name in latent_names(
+        meta["patient_ids"])]).reshape(-1, 2).T
+    est = sev0[patient] + rate[patient] * t
+    true = true0[patient] + true_rate[patient] * t
+    g_arr = np.asarray(meta["patient_groups"])[patient]
     group_bias, group_corr = {}, {}
-    for g in range(data.n_groups):
+    for g in range(meta["n_groups"]):
         m = g_arr == g
         if not np.any(m):
             continue
         group_bias[g] = float(np.mean(est[m] - true[m]))
-        if est[m].std() == 0.0 or true[m].std() == 0.0:
-            group_corr[g] = None
-        else:
-            group_corr[g] = float(np.corrcoef(est[m], true[m])[0, 1])
+        group_corr[g] = _pearson(est[m], true[m])
     worst = max_global_rhat(draws)
     return BiasReport(
         variant=variant,
@@ -109,8 +104,6 @@ def expected_visits(shared, group, n_bins: int, bin_width: float) -> float:
     """Approximate expected follow-up visits per patient for one group, from
     the closed-form population rate (first-order in the per-bin
     probability)."""
-    from .model import expected_visit_rate
-
     total = 0.0
     for t in range(1, n_bins + 1):
         lam = expected_visit_rate(shared, group, t * bin_width)
@@ -131,8 +124,6 @@ def draw_disparity_scenario(cfg, init_gap=(1.0, 5.0), rate_gap=(0.7, 3.0),
     patient), in which case the shared intercepts absorb the group's feature
     offset and per-trial bias signs become uninformative noise rather than
     the systematic effect under study. Returns (params, n_tries)."""
-    from .simulate import draw_true_params
-
     if not cfg.group_specific_rates:
         raise ConfigurationError(
             "ablation trials need group-specific progression rates")
@@ -161,8 +152,6 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     and score each variant in turn (by default the full model and the three
     single-disparity ablations). Returns ({variant: BiasReport},
     {variant: HighRiskProfile})."""
-    from .simulate import SimConfig, simulate_dataset
-
     sim_cfg = SimConfig(n_patients=n_patients, n_bins=n_bins,
                         bin_width=1.0 / n_bins, seed=seed,
                         group_specific_rates=True)
@@ -176,8 +165,8 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     reports, profiles = {}, {}
     for variant in variants:
         draws = fit_model(data, variant=variant, config=config)
-        reports[variant] = bias_report(draws, data, truth, variant)
-        values, groups, _, _ = visit_severity_estimates(draws, data)
+        reports[variant] = bias_report(draws, truth, variant)
+        values, groups = visit_severity_estimates(draws, data)
         profiles[variant] = high_risk_profile(values, groups, q=quantile)
         del draws  # one fit's draws in memory at a time
     return reports, profiles
@@ -230,14 +219,11 @@ def high_risk_profile(values, groups, q: float = 0.25) -> HighRiskProfile:
 
 
 def visit_severity_estimates(draws, data):
-    """Visit-level posterior-mean severities: (values, groups, pids, bins)."""
-    est_by_pid = severity_means_by_patient(draws)
-    values, groups, pids, bins = [], [], [], []
-    for p in data.patients:
-        sev0_e, rate_e = est_by_pid[p.patient_id]
-        for t in p.visit_bins():
-            values.append(sev0_e + rate_e * t * data.bin_width)
-            groups.append(p.group.index)
-            pids.append(p.patient_id)
-            bins.append(int(t))
-    return (np.array(values), np.array(groups), pids, np.array(bins))
+    """Visit-level posterior-mean severities and the visits' groups:
+    (values, groups). ``draws`` must be a fit of ``data``, whose patient
+    order it shares."""
+    sev0, rate = severity_means_by_patient(draws)
+    bins = [p.visit_bins() for p in data.patients]
+    patient = np.repeat(np.arange(len(bins)), [b.size for b in bins])
+    values = sev0[patient] + rate[patient] * np.concatenate(bins) * data.bin_width
+    return values, np.array([p.group.index for p in data.patients])[patient]

@@ -24,6 +24,7 @@ from .baselines import prediction_table, reconstruction_table
 from .dataio import (
     _is_int,
     _is_number,
+    fit_meta,
     read_dataset,
     read_draws,
     read_truth,
@@ -281,18 +282,24 @@ def _evaluate_bias(args, out: Path) -> int:
             "bias mode needs --dataset, one --truth, and one --fit per variant")
     data = read_dataset(args.dataset)
     truth = read_truth(args.truth[0])
-    pids = {p.patient_id for p in data.patients}
-    _check_latents(truth, pids, args.truth[0])
+    _check_latents(truth, [p.patient_id for p in data.patients], args.truth[0])
     reports = {}
     profiles = {}
     for fit_dir in args.fit:
         draws = read_draws(Path(fit_dir) / "draws.csv")
-        if set(draws.meta["patient_ids"]) != pids:
-            raise DataError(f"{fit_dir}: fit patients differ from "
-                            f"{args.dataset}'s")
         variant = ModelVariant.from_flags(draws.meta["variant"])
-        reports[variant] = bias_report(draws, data, truth, variant)
-        values, groups, _, _ = visit_severity_estimates(draws, data)
+        # a fit of --dataset has the meta fit_model writes for it
+        want, meta = fit_meta(data, variant, None), dict(draws.meta, seed=None)
+        differ = sorted(k for k in want.keys() | meta.keys()
+                        if want.get(k) != meta.get(k))
+        if differ:
+            raise DataError(f"{fit_dir}: not a fit of {args.dataset}; "
+                            f"its meta differs in {differ}")
+        if variant in reports:
+            raise ConfigurationError(f"{fit_dir}: a second fit of variant "
+                                     f"{variant.value}")
+        reports[variant] = bias_report(draws, truth, variant)
+        values, groups = visit_severity_estimates(draws, data)
         profiles[variant] = high_risk_profile(values, groups, q=args.quantile)
         del draws  # one fit's draws in memory at a time
     variants = list(reports)

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .model import ModelVariant, latent_names, param_layout
 from .sampler import PosteriorDraws
+from .simulate import TruthSidecar
 from .types import DataError, Dataset, GroupId, PatientRecord
 
 
@@ -147,9 +148,7 @@ def write_truth(truth, path) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def read_truth(path):
-    from .simulate import TruthSidecar
-
+def read_truth(path) -> TruthSidecar:
     doc = json.loads(Path(path).read_text())
     if not (isinstance(doc, dict)
             and all(isinstance(doc.get(k), dict)

@@ -178,8 +178,10 @@ def _worst_rhat(values) -> float:
     return max((r for r in values if np.isfinite(r)), default=0.0)
 
 
-def severity_means_by_patient(draws: PosteriorDraws) -> dict[str, tuple[float, float]]:
-    """patient_id -> (posterior-mean initial severity, posterior-mean rate)."""
-    pids = draws.meta["patient_ids"]
-    means = [draws.mean(name) for name in latent_names(pids)]
-    return dict(zip(pids, zip(means[::2], means[1::2])))
+def severity_means_by_patient(
+        draws: PosteriorDraws) -> tuple[np.ndarray, np.ndarray]:
+    """(init_sev, rate): each patient's posterior-mean latents, as two (N,)
+    arrays in ``meta["patient_ids"]`` order."""
+    means = np.array([draws.mean(name)
+                      for name in latent_names(draws.meta["patient_ids"])])
+    return means[::2], means[1::2]

@@ -127,8 +127,7 @@ def _group_severity_points(trial, draws, latents):
     width = _bin_width(draws)
     horizon = draws.meta["horizon_by_patient"]
     pts = []
-    means = severity_means_by_patient(draws)
-    sev0_est, rate_est = np.array([means[p] for p in pids]).T
+    sev0_est, rate_est = severity_means_by_patient(draws)
     sev0_true, rate_true = np.array(
         [latents[name] for name in latent_names(pids)]).reshape(-1, 2).T
     # mean severity over a trajectory of bins 0..T is sev0 + rate * (T/2) * width

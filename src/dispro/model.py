@@ -550,8 +550,7 @@ class ProgressionModel:
             parts += prior_parts
             if not non_centered:
                 parts += self._log_sd_parts(gs, rs)
-            # Jacobian of the constraining transform
-            parts.append(float(np.sum(theta[self._bounded])))
+            parts.append(self.log_jacobian(theta))
             ll = _fsum(parts)
             if not np.isfinite(ll):
                 return sentinel

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dispro.cli import main
 from dispro.dataio import read_draws, write_dataset, write_truth
 from dispro.model import (
     GROUP_ROLES,
@@ -93,8 +94,9 @@ def test_bench_call_forms(ten_patient_sim):
 def test_bench_synthetic_draws_pass_read_draws(ten_patient_sim, tmp_path,
                                                bench_on_path, variant):
     """The draws evaluate-n300 writes itself (``bench/inputs.py``) meet the
-    ``fit_meta.json`` contract, so a stricter reader fails here rather than
-    as failed benchmark operations."""
+    ``fit_meta.json`` contract and bias mode's rule that a fit be one of
+    ``--dataset``, so a stricter reader or rule fails here rather than as
+    failed benchmark operations."""
     inputs = importlib.import_module("inputs")
     data, truth = ten_patient_sim
     write_dataset(data, tmp_path / "dataset.csv")
@@ -106,6 +108,10 @@ def test_bench_synthetic_draws_pass_read_draws(ten_patient_sim, tmp_path,
     assert draws.meta["variant"] == dict(zip(
         ("group_init", "group_rates", "group_visits"),
         inputs.spec.VARIANTS[variant]))
+    assert main(["evaluate", "--mode", "bias", "--fit", str(tmp_path / "fit"),
+                 "--dataset", str(tmp_path / "dataset.csv"),
+                 "--truth", str(tmp_path / "truth.json"),
+                 "--out", str(tmp_path / "bias")]) == 0
 
 
 @pytest.mark.parametrize("variant", [v.value for v in ModelVariant])

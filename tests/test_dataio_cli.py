@@ -356,6 +356,12 @@ def _flags_of_no_variant(lines, meta):
     meta["meta"]["variant"].update(group_init=False, group_visits=False)
 
 
+def _edit_first(meta, key, edit):
+    """Replace the first patient's entry of ``meta.<key>`` by its edit."""
+    values = meta["meta"][key]
+    values[0] = edit(values[0])
+
+
 def _drop_one_latent(truth):
     truth["latents"].pop(next(k for k in sorted(truth["latents"])
                               if k.startswith("rate[")))
@@ -368,10 +374,13 @@ class _NewDocument:
         self.value = value
 
 
-# kind -> (table, JSON sidecar, the command that reads both)
+# kind -> (table, JSON sidecar, the command that reads both); the fit read
+# is the table's directory
 FILES = {"dataset": ("dataset.csv", "dataset.csv.meta.json", "fit"),
          "draws": ("draws.csv", "fit_meta.json", "disparity"),
          "bias_draws": ("draws.csv", "fit_meta.json", "bias"),
+         "bias_no_disparities_draws": ("no_disparities/draws.csv",
+                                       "no_disparities/fit_meta.json", "bias"),
          "recovery_draws": ("draws.csv", "fit_meta.json", "recovery"),
          "bias_dataset": ("dataset.csv", "dataset.csv.meta.json", "bias"),
          "truth": ("dataset.csv", "truth.json", "bias"),
@@ -496,28 +505,45 @@ MALFORMED = {
                                             "group_visits": False})),
     **{f"{kind}_meta_variant_unknown_layout_consistent": (
         kind, _flags_of_no_variant) for kind in ("draws", "recovery_draws")},
+    # a fit of another cohort with the same patient ids
+    "bias_draws_meta_patient_group_flipped": ("bias_draws", lambda lines, meta:
+                                              _edit_first(meta, "patient_groups",
+                                                          lambda g: 1 - g)),
+    "bias_draws_meta_horizon_plus_one": ("bias_draws", lambda lines, meta:
+                                         _edit_first(meta, "horizon_by_patient",
+                                                     lambda h: h + 1)),
+    # the columns of a no_disparities fit do not depend on the pinned group
+    "bias_no_disparities_draws_meta_pinned_group_flipped": (
+        "bias_no_disparities_draws", lambda lines, meta: meta["meta"].update(
+            pinned_group=1 - meta["meta"]["pinned_group"])),
 }
 
 
 @pytest.fixture(scope="module")
 def valid_fit(sim_pair, tmp_path_factory):
-    """A dataset, its truth and a short fit of it, side by side, to
-    corrupt."""
+    """A dataset, its truth and a short full-model fit of it, side by side,
+    to corrupt; short fits of two more variants in subdirectories named
+    after them."""
     data, truth = sim_pair
     fit_dir = tmp_path_factory.mktemp("valid_fit")
     write_dataset(data, fit_dir / "dataset.csv")
     write_truth(truth, fit_dir / "truth.json")
-    draws = fit_model(data, config=SamplerConfig(chains=2, warmup=20,
-                                                 draws=10, seed=1))
-    write_draws(draws, fit_dir / "draws.csv")
+    for variant in (ModelVariant.FULL, ModelVariant.NO_VISIT,
+                    ModelVariant.NO_DISPARITIES):
+        out = fit_dir if variant is ModelVariant.FULL else fit_dir / variant.value
+        out.mkdir(exist_ok=True)
+        draws = fit_model(data, variant=variant, config=SamplerConfig(
+            chains=2, warmup=20, draws=10, seed=1))
+        write_draws(draws, out / "draws.csv")
     return fit_dir
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(valid_fit, tmp_path, case):
     """Every malformed dataset, draws or truth file, and every dataset,
-    fit and truth that disagree on the patients, ends in exit 2, not a
-    traceback or a silent read."""
+    fit and truth that disagree on the patients or a bias-mode fit whose
+    meta is not the dataset's, ends in exit 2, not a traceback or a silent
+    read."""
     kind, fault = MALFORMED[case]
     table, sidecar, command = FILES[kind]
     lines = (valid_fit / table).read_text().splitlines()
@@ -529,15 +555,16 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, case):
     shutil.copytree(valid_fit, bad)
     (bad / table).write_text("\n".join(lines) + "\n")
     (bad / sidecar).write_text(json.dumps(meta))
+    fit = str((bad / table).parent)
     argv = {"fit": ["fit", "--dataset", str(bad / "dataset.csv"),
                     "--chains", "2", "--warmup", "10", "--draws", "10"],
             "disparity": ["evaluate", "--mode", "disparity", "--fit",
-                          str(bad), "--years-per-unit", "1"],
-            "bias": ["evaluate", "--mode", "bias", "--fit", str(bad),
+                          fit, "--years-per-unit", "1"],
+            "bias": ["evaluate", "--mode", "bias", "--fit", fit,
                      "--dataset", str(bad / "dataset.csv"),
                      "--truth", str(bad / "truth.json")],
             "recovery": ["evaluate", "--mode", "recovery",
-                         *["--fit", str(bad), "--truth",
+                         *["--fit", fit, "--truth",
                            str(bad / "truth.json")] * 2]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
 
@@ -558,11 +585,21 @@ def test_evaluate_holds_one_fit_at_a_time(valid_fit, tmp_path, monkeypatch,
         return draws
 
     monkeypatch.setattr(cli, "read_draws", tracked)
-    fit = ["--fit", str(valid_fit)]
+    fits = [str(valid_fit / d) for d in ("", "no_visit", "no_disparities")]
     truth = ["--truth", str(valid_fit / "truth.json")]
-    argv = {"bias": [*fit * 3, *truth, "--dataset",
-                     str(valid_fit / "dataset.csv")],
-            "recovery": [*fit, *truth] * 3}
+    argv = {"bias": [*(a for f in fits for a in ("--fit", f)), *truth,
+                     "--dataset", str(valid_fit / "dataset.csv")],
+            "recovery": [a for f in fits for a in ("--fit", f, *truth)]}
     assert main(["evaluate", "--mode", mode, *argv[mode],
                  "--out", str(tmp_path / "out")]) == 0
     assert len(seen) == 3
+
+
+def test_bias_repeated_variant_exit_1(valid_fit, tmp_path):
+    """Bias mode scores each variant once: a second fit of the same variant
+    is a usage error, not a silent replacement of the first."""
+    assert main(["evaluate", "--mode", "bias", "--fit", str(valid_fit),
+                 "--fit", str(valid_fit), "--dataset",
+                 str(valid_fit / "dataset.csv"), "--truth",
+                 str(valid_fit / "truth.json"),
+                 "--out", str(tmp_path / "out")]) == 1

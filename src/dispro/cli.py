@@ -276,6 +276,19 @@ def _evaluate_recovery(args, out: Path) -> int:
     return EXIT_OK
 
 
+def _check_fit_of(draws, data, fit_dir, dataset_path) -> ModelVariant:
+    """The fit's variant, after checking that the fit is one of ``data``: a
+    fit of a dataset has the meta ``fit_model`` writes for it, seed aside."""
+    variant = ModelVariant.from_flags(draws.meta["variant"])
+    want, meta = fit_meta(data, variant, None), dict(draws.meta, seed=None)
+    differ = sorted(k for k in want.keys() | meta.keys()
+                    if want.get(k) != meta.get(k))
+    if differ:
+        raise DataError(f"{fit_dir}: not a fit of {dataset_path}; "
+                        f"its meta differs in {differ}")
+    return variant
+
+
 def _evaluate_bias(args, out: Path) -> int:
     if not args.fit or len(args.truth) != 1 or args.dataset is None:
         raise ConfigurationError(
@@ -287,14 +300,7 @@ def _evaluate_bias(args, out: Path) -> int:
     profiles = {}
     for fit_dir in args.fit:
         draws = read_draws(Path(fit_dir) / "draws.csv")
-        variant = ModelVariant.from_flags(draws.meta["variant"])
-        # a fit of --dataset has the meta fit_model writes for it
-        want, meta = fit_meta(data, variant, None), dict(draws.meta, seed=None)
-        differ = sorted(k for k in want.keys() | meta.keys()
-                        if want.get(k) != meta.get(k))
-        if differ:
-            raise DataError(f"{fit_dir}: not a fit of {args.dataset}; "
-                            f"its meta differs in {differ}")
+        variant = _check_fit_of(draws, data, fit_dir, args.dataset)
         if variant in reports:
             raise ConfigurationError(f"{fit_dir}: a second fit of variant "
                                      f"{variant.value}")
@@ -385,6 +391,9 @@ def _evaluate_disparity(args, out: Path) -> int:
         raise ConfigurationError(
             "disparity mode needs --years-per-unit (dataset-specific; no default)")
     draws = read_draws(Path(args.fit[0]) / "draws.csv")
+    if args.dataset is not None:
+        _check_fit_of(draws, read_dataset(args.dataset), args.fit[0],
+                      args.dataset)
     summ = disparity_summary(draws, years_per_unit=args.years_per_unit)
     rows = []
     for g, entry in summ.per_group.items():

@@ -1,6 +1,5 @@
 """Posterior post-processing: severity estimates, parameter-recovery and
-calibration reports, disparity-magnitude summaries, and cluster-bootstrap
-intervals."""
+calibration reports, and disparity-magnitude summaries."""
 
 from __future__ import annotations
 
@@ -220,51 +219,3 @@ def delay_conversion(init_sev_gap: float, mean_rate: float,
 
 def visit_rate_ratio(visit_offset: float) -> float:
     return math.exp(visit_offset)
-
-
-@dataclass
-class BootstrapInterval:
-    lower: float
-    upper: float
-    n_effective: int
-    n_dropped: int
-    point: float | None = None
-
-
-def cluster_bootstrap(statistic, data, draws, n_boot: int = 1000,
-                      seed: int = 0, ci: float = 0.95) -> BootstrapInterval:
-    """Patient-level cluster bootstrap of a cohort statistic.
-
-    ``statistic(patient_ids, data, draws)`` receives a resampled-with-
-    replacement list of patient ids (duplicates intended) and returns a
-    float; replicates where it raises ValueError/ArithmeticError or returns
-    NaN are dropped and counted. The interval is an equal-tailed percentile
-    interval, deterministic for a given seed.
-    """
-    if n_boot < 100:
-        raise ConfigurationError("n_boot must be at least 100")
-    pids = [p.patient_id for p in data.patients]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    values, dropped = [], 0
-    for _ in range(n_boot):
-        take = rng.integers(0, len(pids), size=len(pids))
-        sample_ids = [pids[i] for i in take]
-        try:
-            v = float(statistic(sample_ids, data, draws))
-        except (ValueError, ArithmeticError):
-            dropped += 1
-            continue
-        if math.isnan(v):
-            dropped += 1
-            continue
-        values.append(v)
-    if not values:
-        raise ConfigurationError("statistic failed on every bootstrap replicate")
-    lo, hi = np.percentile(values, [100 * (1 - ci) / 2, 100 * (1 + ci) / 2])
-    try:
-        point = float(statistic(pids, data, draws))
-    except (ValueError, ArithmeticError):
-        point = None
-    return BootstrapInterval(lower=float(lo), upper=float(hi),
-                             n_effective=len(values), n_dropped=dropped,
-                             point=point)

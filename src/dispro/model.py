@@ -26,6 +26,7 @@ from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import exprel, log_ndtr
 
 from .priors import Prior, PriorSpec, TruncatedNormal, simulation_priors
 from .types import (
@@ -113,23 +114,71 @@ def _emission_block(L, B, V, cells_per_feature, sev0, rate, idx: DatasetIndex):
     return parts, sev, w, rw
 
 
-def _visit_block(vint, vsev, row_offset, sev0, rate, idx: DatasetIndex,
-                 bin_width):
+def _visit_block(vint, vsev, offset, sev0, rate, idx: DatasetIndex,
+                 bin_width, want_grad=False):
     """Partial sums of the censored-Poisson log-likelihood of the visit
-    indicators over bins 1..horizon (severity at each bin's left edge), with
-    the per-row severity and expected count q. None when a log rate exceeds
-    the cap or an observed visit falls in a zero-probability bin."""
-    sev = sev0[idx.row_patient] + rate[idx.row_patient] * idx.row_time
-    eta = vint + vsev * sev + row_offset
-    if eta.size and np.max(eta) > LOG_RATE_CAP:
+    indicators over bins 1..horizon (severity at each bin's left edge) and,
+    with ``want_grad``, its per-patient derivatives A and K in ``a`` and
+    ``c``; None when a log rate exceeds the cap or an observed visit falls
+    in a zero-probability bin. Patient i's log rate in bin k is
+    ``a_i + c_i k`` (``a_i = vint + vsev sev0_i + offset_i``, ``c_i = vsev
+    rate_i w``), so its expected count over all bins, S0_i, is a geometric
+    series, summed from the larger (capped) endpoint so nothing overflows."""
+    c, H = vsev * rate * bin_width, idx.horizon
+    # one exponential stands for all of a patient's bins, so the rounding
+    # errors of its exponent, which bin by bin average out, are carried
+    s, err1 = _two_sum(offset, vsev * sev0)
+    a, err2 = _two_sum(vint, s)
+    top, err3 = _two_sum(a, np.maximum(c, c * H))
+    if top.max(initial=-np.inf) > LOG_RATE_CAP:
         return None
-    q = bin_width * np.exp(eta)
-    q_event = q[idx.row_event]
-    if np.any(q_event == 0.0):
+    p, k = idx.event_patient, idx.event_bin
+    q = bin_width * np.exp(a[p] + c[p] * k)
+    if not q.all():
         return None
-    parts = [float(np.sum(np.log(-np.expm1(-q_event)))),
-             -float(np.sum(q[~idx.row_event]))]
-    return parts, sev, q
+    ratio, mean_bin = _geometric(c, H)
+    s0 = bin_width * np.exp(top) * (1.0 + (err1 + err2 + err3)) * ratio
+    # sum_events log(1 - e^-q) - (sum_i S0_i - sum_events q)
+    parts = [float(np.sum(np.log(-np.expm1(-q)))), -float(np.sum(s0)),
+             float(np.sum(q))]
+    if not want_grad:
+        return parts, None, None
+    # every bin adds -q to d(loglik)/d(eta), as S0 and the mean bin carry;
+    # an event bin adds q / expm1(q) instead
+    g = q / np.expm1(q) + q
+    A = np.bincount(p, weights=g, minlength=H.size) - s0
+    K = np.bincount(p, weights=g * k, minlength=H.size) - s0 * mean_bin
+    return parts, A, K
+
+
+def _two_sum(x, y):
+    """``x + y`` rounded, and the rounding error of that sum (Knuth's
+    TwoSum: exact for any two floats that do not overflow)."""
+    s = x + y
+    z = s - x
+    return s, (x - (s - z)) + (y - z)
+
+
+def _geometric(c, H):
+    """For the weights ``e^(c k)`` over bins k = 1..H, scaled so that the
+    larger endpoint's is 1: their sum, in [1, H], and their mean bin. With
+    ``m(y) = expm1(-y)`` and b = |c| the sum is ``m(b H) / m(b)``, and the
+    mean lies ``H / m(b H) - 1 / m(b) + H - 1`` bins from that endpoint."""
+    b = np.abs(c)
+    # Below |c| H = 0.01 the distance loses digits (1e-16 / (|c| H)) and at
+    # c = 0 both forms are 0 / 0; there a series, exact to (|c| H)^5 / 15000,
+    # and exprel take over.
+    small = b * H < 0.01
+    bs = np.where(small, 1.0, b)  # keeps the replaced entries finite
+    m1, mh = np.expm1(-bs), np.expm1(-bs * H)
+    ratio = mh / m1
+    j = H / mh - 1.0 / m1 + (H - 1.0)
+    if small.any():
+        b, h = np.abs(c[small]), H[small]
+        ratio[small] = h * exprel(-b * h) / exprel(-b)
+        j[small] = ((h - 1.0) / 2 - b * (h * h - 1.0) / 12
+                    + b ** 3 * (h ** 4 - 1.0) / 720)
+    return ratio, np.where(c > 0, H - j, 1.0 + j)
 
 
 def _fsum(parts) -> float:
@@ -171,8 +220,8 @@ def log_lik_visits(shared: SharedParams, groups: list[GroupParams],
     idx = DatasetIndex.build(data)
     offsets = np.array([g.visit_offset for g in groups])
     block = _visit_block(shared.visit_intercept, shared.visit_severity,
-                         offsets[idx.group_of[idx.row_patient]],
-                         *_latent_arrays(latents), idx, data.bin_width)
+                         offsets[idx.group_of], *_latent_arrays(latents), idx,
+                         data.bin_width)
     return -math.inf if block is None else math.fsum(block[0])
 
 
@@ -304,7 +353,6 @@ class ProgressionModel:
         # Per-feature emission cell counts for the constant log(2*pi*v) term.
         self._cells_per_feature = np.bincount(
             self.idx.cell_feature, minlength=data.n_features).astype(float)
-        self._row_group = self.idx.group_of[self.idx.row_patient]
         # Patients per group, for the sum of per-patient log group sds.
         self._patients_per_group = np.bincount(
             self.idx.group_of, minlength=data.n_groups).astype(float)
@@ -346,8 +394,6 @@ class ProgressionModel:
         self._i_vsev = 3 * d + 1
 
     def _build_prior_tables(self):
-        from scipy.special import log_ndtr
-
         mu = np.empty(self.n_global)
         sig = np.empty(self.n_global)
         const = np.empty(self.n_global)
@@ -539,12 +585,13 @@ class ProgressionModel:
 
             parts, sev_c, w_c, rw = _emission_block(
                 L, B, V, self._cells_per_feature, sev0, rate, idx)
+            w = self.data.bin_width
             visits = _visit_block(x[self._i_vint], x[self._i_vsev],
-                                  goff[self._row_group], sev0, rate, idx,
-                                  self.data.bin_width)
+                                  goff[idx.group_of], sev0, rate, idx, w,
+                                  want_grad)
             if visits is None:
                 return sentinel
-            visit_parts, sev_v, q = visits
+            visit_parts, A, K = visits
             parts += visit_parts
             zg, prior_parts = self._prior_parts(x[:base], z_i, z_r)
             parts += prior_parts
@@ -570,18 +617,12 @@ class ProgressionModel:
             d_rate = np.bincount(idx.cell_patient, weights=u_c * idx.cell_time,
                                  minlength=N)
 
-            # d(loglik)/d(eta): q / expm1(q) on event rows, -q otherwise
-            c_eta = -q
-            event = idx.row_event
-            c_eta[event] = q[event] / np.expm1(q[event])
+            # visit terms through a = vint + vsev*sev0 + offset, c = vsev*rate*w
             vsev = x[self._i_vsev]
-            gx[self._i_vint] = np.sum(c_eta)
-            gx[self._i_vsev] = np.sum(c_eta * sev_v)
-            c_pat = np.bincount(idx.row_patient, weights=c_eta, minlength=N)
-            d_sev += vsev * c_pat
-            d_rate += vsev * np.bincount(idx.row_patient,
-                                         weights=c_eta * idx.row_time,
-                                         minlength=N)
+            gx[self._i_vint] = np.sum(A)
+            gx[self._i_vsev] = np.sum(sev0 * A + rate * w * K)
+            d_sev += vsev * A
+            d_rate += vsev * w * K
 
             gx[:base] -= zg / self._prior_sigma
 
@@ -600,7 +641,7 @@ class ProgressionModel:
             # coordinates, in group order where a shared coordinate repeats
             by_group = np.stack([np.bincount(idx.group_of, weights=t,
                                              minlength=self.data.n_groups)
-                                 for t in (*group_terms, c_pat)], axis=1)
+                                 for t in (*group_terms, A)], axis=1)
             free = self._group_table >= 0
             np.add.at(gx, self._group_table[free], by_group[free])
 

@@ -192,24 +192,24 @@ class Dataset:
 class DatasetIndex:
     """Flat index arrays over a dataset for vectorized likelihood work.
 
-    Emission cells enumerate every observed (patient, bin, feature) triple;
-    visit rows enumerate every modeled bin t in 1..horizon per patient (bin 0
-    is conditioned on, not modeled).
-    """
+    Emission cells enumerate every observed (patient, bin, feature) triple.
+    Visits are modeled over bins 1..horizon per patient (bin 0 is conditioned
+    on): the model sums all bins in closed form from the horizon, so only
+    the observed visits in those bins are kept, one event row each."""
 
     group_of: np.ndarray        # (n_patients,) int
+    horizon: np.ndarray         # (n_patients,) float, last modeled bin
     cell_patient: np.ndarray    # (n_cells,) int
     cell_time: np.ndarray       # (n_cells,) float, bin * bin_width
     cell_feature: np.ndarray    # (n_cells,) int
     cell_value: np.ndarray      # (n_cells,) float
-    row_patient: np.ndarray     # (n_rows,) int
-    row_time: np.ndarray        # (n_rows,) float
-    row_event: np.ndarray       # (n_rows,) bool, D[t] == 1
+    event_patient: np.ndarray   # (n_events,) int
+    event_bin: np.ndarray       # (n_events,) float, bin k in 1..horizon
 
     @staticmethod
     def build(data: Dataset) -> "DatasetIndex":
         cp, ct, cj, cx = [], [], [], []
-        vp, vt, vd = [], [], []
+        ep, ek = [], []
         for i, pat in enumerate(data.patients):
             obs = np.isfinite(pat.features)
             rows, cols = np.nonzero(obs)
@@ -217,19 +217,18 @@ class DatasetIndex:
             ct.append(rows * data.bin_width)
             cj.append(cols)
             cx.append(pat.features[rows, cols])
-            t = np.arange(1, pat.horizon + 1)
-            vp.append(np.full(t.shape, i))
-            vt.append(t * data.bin_width)
-            vd.append(pat.visits[1:] == 1)
+            k = np.flatnonzero(pat.visits[1:] == 1) + 1
+            ep.append(np.full(k.shape, i))
+            ek.append(k)
         cat = lambda parts, dt: (np.concatenate(parts).astype(dt) if parts
                                  else np.empty(0, dtype=dt))
         return DatasetIndex(
             group_of=np.array([p.group.index for p in data.patients], dtype=np.intp),
+            horizon=np.array([p.horizon for p in data.patients], dtype=float),
             cell_patient=cat(cp, np.intp),
             cell_time=cat(ct, float),
             cell_feature=cat(cj, np.intp),
             cell_value=cat(cx, float),
-            row_patient=cat(vp, np.intp),
-            row_time=cat(vt, float),
-            row_event=cat(vd, bool),
+            event_patient=cat(ep, np.intp),
+            event_bin=cat(ek, float),
         )

@@ -58,3 +58,46 @@ def truth_bundles(data, truth):
     shared, groups = truth.param_bundles()
     latents = [truth.latent(p.patient_id) for p in data.patients]
     return shared, groups, latents
+
+
+# (id, group, horizon, init_sev, rate, visit bins in 1..horizon) of the edge
+# cohort. With bin width 1 and visit intercept 1.5, severity coefficient 1
+# and group-1 offset -0.5, patient i's log visit rate in bin k is
+# a_i + c_i k with c_i = rate.
+EDGE_PATIENTS = (
+    ("every_bin", 0, 12, -3.0, 0.05, range(1, 13)),  # S0 = the event sum
+    ("flat", 0, 10, -2.5, 0.0, (3, 7)),              # c == 0
+    ("tiny_slope", 0, 10, -2.5, 1e-9, (2, 5, 10)),   # |c| H = 1e-8
+    ("series_end", 0, 10, -2.5, 9e-4, (4, 6)),       # |c| H = 0.009
+    ("closed_start", 0, 10, -2.5, -1.1e-3, (4, 6)),  # |c| H = 0.011
+    ("up_40", 1, 40, -41.0, 1.0, (30, 38, 40)),      # eta -39 .. 0
+    ("down_40", 1, 40, 0.0, -1.0, (1, 2, 9)),        # eta 0 .. -39
+)
+# |c| H = 800: eta runs between about -780 and 0, so exp underflows to 0 at
+# the far end, and for up_800 the form anchored at the first bin,
+# e^(a + c) expm1(c H) / expm1(c), is 0 * inf.
+EDGE_PATIENTS_STEEP = (
+    ("up_800", 1, 40, -801.0, 20.0, (39, 40)),
+    ("down_800", 1, 40, 19.0, -20.0, (1,)),
+)
+
+
+def edge_visit_cohort(patients=EDGE_PATIENTS):
+    """A cohort whose visit processes sit at the edges of the closed-form
+    visit likelihood, with one feature observed near its mean at each visit,
+    and the parameter bundles that put them there:
+    (data, shared, groups, latents)."""
+    records, latents = [], []
+    for pid, g, horizon, sev0, rate, bins in patients:
+        visits = np.zeros(horizon + 1, dtype=int)
+        visits[[0, *bins]] = 1
+        feats = np.full((horizon + 1, 1), np.nan)
+        on = np.flatnonzero(visits)
+        feats[on, 0] = sev0 + rate * on + 0.1 * (-1.0) ** on
+        records.append(make_patient(pid, g, visits, feats))
+        latents.append(PatientLatents(sev0, rate))
+    data = Dataset(records, 2, 1, 1.0)
+    shared = SharedParams([1.0], [0.0], [1.0], 1.5, 1.0)
+    groups = [GroupParams(0.0, 1.0, 0.0, 0.5, 0.0),
+              GroupParams(-20.0, 1.1, 0.0, 1.0, -0.5)]
+    return data, shared, groups, latents

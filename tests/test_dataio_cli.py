@@ -381,6 +381,9 @@ FILES = {"dataset": ("dataset.csv", "dataset.csv.meta.json", "fit"),
          "bias_draws": ("draws.csv", "fit_meta.json", "bias"),
          "bias_no_disparities_draws": ("no_disparities/draws.csv",
                                        "no_disparities/fit_meta.json", "bias"),
+         "disparity_no_disparities_draws": (
+             "no_disparities/draws.csv", "no_disparities/fit_meta.json",
+             "disparity_dataset"),
          "recovery_draws": ("draws.csv", "fit_meta.json", "recovery"),
          "bias_dataset": ("dataset.csv", "dataset.csv.meta.json", "bias"),
          "truth": ("dataset.csv", "truth.json", "bias"),
@@ -513,9 +516,11 @@ MALFORMED = {
                                          _edit_first(meta, "horizon_by_patient",
                                                      lambda h: h + 1)),
     # the columns of a no_disparities fit do not depend on the pinned group
-    "bias_no_disparities_draws_meta_pinned_group_flipped": (
-        "bias_no_disparities_draws", lambda lines, meta: meta["meta"].update(
-            pinned_group=1 - meta["meta"]["pinned_group"])),
+    **{f"{kind}_meta_pinned_group_flipped": (
+        kind, lambda lines, meta: meta["meta"].update(
+            pinned_group=1 - meta["meta"]["pinned_group"]))
+       for kind in ("bias_no_disparities_draws",
+                    "disparity_no_disparities_draws")},
 }
 
 
@@ -541,9 +546,9 @@ def valid_fit(sim_pair, tmp_path_factory):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exit_2(valid_fit, tmp_path, case):
     """Every malformed dataset, draws or truth file, and every dataset,
-    fit and truth that disagree on the patients or a bias-mode fit whose
-    meta is not the dataset's, ends in exit 2, not a traceback or a silent
-    read."""
+    fit and truth that disagree on the patients or a fit whose meta is not
+    that of the dataset given to bias or disparity mode, ends in exit 2,
+    not a traceback or a silent read."""
     kind, fault = MALFORMED[case]
     table, sidecar, command = FILES[kind]
     lines = (valid_fit / table).read_text().splitlines()
@@ -560,6 +565,9 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, case):
                     "--chains", "2", "--warmup", "10", "--draws", "10"],
             "disparity": ["evaluate", "--mode", "disparity", "--fit",
                           fit, "--years-per-unit", "1"],
+            "disparity_dataset": ["evaluate", "--mode", "disparity", "--fit",
+                                  fit, "--years-per-unit", "1", "--dataset",
+                                  str(bad / "dataset.csv")],
             "bias": ["evaluate", "--mode", "bias", "--fit", fit,
                      "--dataset", str(bad / "dataset.csv"),
                      "--truth", str(bad / "truth.json")],
@@ -603,3 +611,14 @@ def test_bias_repeated_variant_exit_1(valid_fit, tmp_path):
                  str(valid_fit / "dataset.csv"), "--truth",
                  str(valid_fit / "truth.json"),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+@pytest.mark.parametrize("fit", ["", "no_disparities"],
+                         ids=["full", "no_disparities"])
+def test_disparity_dataset_accepts_its_fits(valid_fit, tmp_path, fit):
+    """Disparity mode with ``--dataset`` still reads a fit of that
+    dataset."""
+    assert main(["evaluate", "--mode", "disparity", "--fit",
+                 str(valid_fit / fit), "--years-per-unit", "1", "--dataset",
+                 str(valid_fit / "dataset.csv"),
+                 "--out", str(tmp_path / "out")]) == 0

@@ -26,10 +26,13 @@ from dispro import (
     simulate_dataset,
     simulation_priors,
 )
-from dispro.model import LOG_RATE_CAP
+from dispro.model import LOG_RATE_CAP, _visit_block
 from dispro.priors import Normal, TruncatedNormal
 
 from conftest import (
+    EDGE_PATIENTS,
+    EDGE_PATIENTS_STEEP,
+    edge_visit_cohort,
     make_patient,
     pinned_group_params,
     single_cell_dataset,
@@ -136,6 +139,68 @@ class TestVisits:
                 q = lam * data.bin_width
                 total += math.log(1 - math.exp(-q)) if p.visits[t] else -q
         assert ll == pytest.approx(total, rel=1e-10)
+
+    @pytest.mark.parametrize("patients", [EDGE_PATIENTS, EDGE_PATIENTS_STEEP],
+                             ids=["edge", "steep"])
+    def test_closed_form_matches_bin_loop(self, patients):
+        """The closed-form visit log-likelihood and its per-patient
+        derivatives A and K in the intercept a and slope c of the log rate,
+        against a bin-by-bin ``math.fsum`` loop: a patient with a visit in
+        every bin, slopes of exactly 0 and 1e-9, |c| H on either side of
+        the mean bin's switch to its series, |c| H = 40 of both signs and
+        |c| H = 800, where exp underflows at one end."""
+        data, shared, groups, latents = edge_visit_cohort(patients)
+        w = data.bin_width
+        total, A, K = [], [], []
+        for p, lat in zip(data.patients, latents):
+            off = groups[p.group.index].visit_offset
+            dA, dK = [], []
+            for t in range(1, p.horizon + 1):
+                sev = lat.init_sev + lat.rate * t * w
+                q = w * math.exp(shared.visit_intercept
+                                 + shared.visit_severity * sev + off)
+                if p.visits[t]:
+                    total.append(math.log(-math.expm1(-q)))
+                    d = q / math.expm1(q)
+                else:
+                    total.append(-q)
+                    d = -q
+                dA.append(d)
+                dK.append(t * d)
+            A.append(math.fsum(dA))
+            K.append(math.fsum(dK))
+        ll = log_lik_visits(shared, groups, latents, data)
+        assert ll == pytest.approx(math.fsum(total), rel=1e-10)
+
+        model = ProgressionModel(data)
+        offsets = np.array([g.visit_offset for g in groups])[model.idx.group_of]
+        _, got_a, got_k = _visit_block(
+            shared.visit_intercept, shared.visit_severity, offsets,
+            np.array([la.init_sev for la in latents]),
+            np.array([la.rate for la in latents]), model.idx, w,
+            want_grad=True)
+        assert got_a == pytest.approx(A, rel=1e-10)
+        assert got_k == pytest.approx(K, rel=1e-10)
+
+    def test_cap_checked_at_the_far_endpoint(self):
+        """Only the last bin's log rate exceeds the cap, the first is far
+        below it: the likelihood and the density still end at the
+        sentinel; just under the cap both are finite."""
+        data, shared, groups, latents = edge_visit_cohort()
+        i = [p.patient_id for p in data.patients].index("up_40")
+        model = ProgressionModel(data)
+        for shift, finite in ((LOG_RATE_CAP - 0.5, True),
+                              (LOG_RATE_CAP + 0.5, False)):
+            bumped = list(latents)
+            bumped[i] = PatientLatents(latents[i].init_sev + shift,
+                                       latents[i].rate)
+            ll = log_lik_visits(shared, groups, bumped, data)
+            theta = model.unconstrain(model.pack(shared, groups, bumped))
+            lp, grad = model.logp_and_grad(theta)
+            assert np.isfinite(ll) == np.isfinite(lp) == finite
+            if not finite:
+                assert ll == lp == -math.inf
+                assert np.all(grad == 0.0)
 
 
 class TestPrior:

@@ -6,7 +6,7 @@ import pytest
 
 from dispro import ProgressionModel
 
-from conftest import truth_bundles
+from conftest import edge_visit_cohort, truth_bundles
 
 
 FD_H = 1e-5
@@ -70,6 +70,25 @@ def test_noncentered_matches_finite_differences(ten_patient_sim):
             theta)
         worst = max(worst, float(np.max(gradient_rel_err(grad, fd, lp))))
     assert worst < 1e-5
+
+
+@pytest.mark.parametrize("non_centered", [False, True])
+def test_edge_visit_cohort_matches_finite_differences(non_centered):
+    """At the edge cohort's own point: a patient with a visit in every bin,
+    visit-rate slopes of exactly 0 and 1e-9 (the difference steps stay in
+    the series branch of the mean bin), slopes on either side of that
+    branch's end and |c| H = 40 of both signs."""
+    data, shared, groups, latents = edge_visit_cohort()
+    model = ProgressionModel(data)
+    x = model.pack(shared, groups, latents)
+    if non_centered:
+        theta, fn = model.to_noncentered(x), model.logp_and_grad_noncentered
+    else:
+        theta, fn = model.unconstrain(x), model.logp_and_grad
+    lp, grad = fn(theta)
+    assert np.isfinite(lp)
+    fd = fd_gradient(lambda t: fn(t, want_grad=False)[0], theta)
+    assert np.max(gradient_rel_err(grad, fd, lp)) < 1e-5
 
 
 def test_feature_intercept_gradient_closed_form(ten_patient_sim):

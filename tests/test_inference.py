@@ -1,5 +1,5 @@
 """Posterior post-processing: severity estimates, recovery statistics,
-disparity arithmetic, and the cluster bootstrap."""
+and disparity arithmetic."""
 
 import math
 
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dispro.inference import (
-    cluster_bootstrap,
     delay_conversion,
     disparity_summary,
     recovery_report,
@@ -16,7 +15,7 @@ from dispro.inference import (
 )
 from dispro.sampler import PosteriorDraws
 from dispro.simulate import TruthSidecar
-from dispro.types import ConfigurationError, Dataset, GroupId, PatientRecord
+from dispro.types import ConfigurationError
 
 import conftest
 
@@ -199,68 +198,3 @@ class TestDisparityArithmetic:
             d.mean("init_sev_mean[1]") / summ.mean_rate * 8.5, rel=1e-12)
         lo, hi = entry["init_sev_gap_ci"]
         assert lo < entry["init_sev_gap"] < hi
-
-
-def bootstrap_dataset(values):
-    patients = []
-    for i, v in enumerate(values):
-        feats = np.full((2, 1), np.nan)
-        feats[0, 0] = v
-        patients.append(PatientRecord(patient_id=f"p{i}",
-                                      group=GroupId(0),
-                                      horizon=1,
-                                      visits=np.array([1, 0], dtype=np.int8),
-                                      features=feats))
-    return Dataset(patients, 1, 1, 1.0)
-
-
-class TestClusterBootstrap:
-    def test_constant_statistic(self):
-        data = bootstrap_dataset(np.zeros(50))
-        iv = cluster_bootstrap(lambda pids, d, dr: 7.5, data, None,
-                               n_boot=200, seed=1)
-        assert iv.lower == iv.upper == 7.5
-
-    def test_clt_width(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(size=400)
-        data = bootstrap_dataset(values)
-        lookup = {p.patient_id: values[i]
-                  for i, p in enumerate(data.patients)}
-
-        def stat(pids, d, dr):
-            return float(np.mean([lookup[p] for p in pids]))
-
-        iv = cluster_bootstrap(stat, data, None, n_boot=1000, seed=3)
-        width = iv.upper - iv.lower
-        expect = 2 * 1.96 / math.sqrt(400)
-        assert abs(width - expect) / expect < 0.25
-
-    def test_deterministic(self):
-        data = bootstrap_dataset(np.arange(30, dtype=float))
-
-        def stat(pids, d, dr):
-            return float(np.mean([int(p[1:]) for p in pids]))
-
-        a = cluster_bootstrap(stat, data, None, n_boot=150, seed=9)
-        b = cluster_bootstrap(stat, data, None, n_boot=150, seed=9)
-        assert (a.lower, a.upper) == (b.lower, b.upper)
-
-    def test_failed_replicates_dropped_and_counted(self):
-        data = bootstrap_dataset(np.arange(20, dtype=float))
-        calls = {"n": 0}
-
-        def stat(pids, d, dr):
-            calls["n"] += 1
-            if calls["n"] % 3 == 0:
-                raise ValueError("unlucky replicate")
-            return float(len(set(pids)))
-
-        iv = cluster_bootstrap(stat, data, None, n_boot=300, seed=4)
-        assert iv.n_dropped > 0
-        assert iv.n_effective + iv.n_dropped == 300
-
-    def test_minimum_replicates(self):
-        data = bootstrap_dataset(np.zeros(5))
-        with pytest.raises(ConfigurationError):
-            cluster_bootstrap(lambda *a: 0.0, data, None, n_boot=50, seed=0)

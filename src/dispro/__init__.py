@@ -32,9 +32,6 @@ from .model import (  # noqa: F401
     ModelVariant,
     ProgressionModel,
     expected_visit_rate,
-    log_lik_emission,
-    log_lik_visits,
-    log_prior,
     marginal_feature_moments,
 )
 from .simulate import SimConfig, TruthSidecar, draw_true_params, simulate_dataset  # noqa: F401

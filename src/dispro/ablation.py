@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import fit_model, max_global_rhat, severity_means_by_patient
+from .fitting import (RHAT_THRESHOLD, fit_model, max_global_rhat,
+                      severity_means_by_patient)
 from .inference import _pearson
 from .model import ModelVariant, expected_visit_rate, latent_names
 from .sampler import SamplerConfig
@@ -64,8 +65,7 @@ def underserved_group(variant: ModelVariant, truth) -> int:
     return pick(groups, key=lambda g: truth.params[key.format(g)])
 
 
-def bias_report(draws, truth, variant: ModelVariant,
-                rhat_threshold: float = 1.1) -> BiasReport:
+def bias_report(draws, truth, variant: ModelVariant) -> BiasReport:
     """Score one fitted variant against ground truth.
 
     The points are every (patient, bin) of the fit's patients: the inferred
@@ -96,7 +96,7 @@ def bias_report(draws, truth, variant: ModelVariant,
         group_correlation=group_corr,
         underserved_group=underserved_group(variant, truth),
         max_global_rhat=worst,
-        flagged_nonconverged=bool(worst > rhat_threshold),
+        flagged_nonconverged=bool(worst > RHAT_THRESHOLD),
     )
 
 
@@ -111,38 +111,35 @@ def expected_visits(shared, group, n_bins: int, bin_width: float) -> float:
     return total
 
 
-def draw_disparity_scenario(cfg, init_gap=(1.0, 5.0), rate_gap=(0.7, 3.0),
-                            visit_gap=(0.4, 1.2), min_visits=2.5,
-                            max_tries=500):
+def draw_disparity_scenario(cfg):
     """Generating parameters for an ablation trial: redraw from the priors
-    until the groups differ in all three disparities by a detectable margin
-    AND both groups are expected to produce enough follow-up visits to pin
-    the shared parameters.
+    (at most 500 times) until the groups differ in all three disparities by
+    a detectable margin AND both groups are expected to produce enough
+    follow-up visits to pin the shared parameters.
 
     Unfiltered prior draws frequently starve one group of data (a large
     negative visit offset or steeply declining severity leaves ~1 visit per
     patient), in which case the shared intercepts absorb the group's feature
     offset and per-trial bias signs become uninformative noise rather than
-    the systematic effect under study. Returns (params, n_tries)."""
+    the systematic effect under study. Returns (shared, groups)."""
     if not cfg.group_specific_rates:
         raise ConfigurationError(
             "ablation trials need group-specific progression rates")
-    for k in range(max_tries):
+    for k in range(500):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence((cfg.seed, 0xB1A5, k))))
         shared, groups = draw_true_params(cfg, rng)
         d_init = abs(groups[1].init_sev_mean - groups[0].init_sev_mean)
         d_rate = abs(groups[1].rate_mean - groups[0].rate_mean)
         d_visit = abs(groups[1].visit_offset - groups[0].visit_offset)
-        if not (init_gap[0] <= d_init <= init_gap[1]
-                and rate_gap[0] <= d_rate <= rate_gap[1]
-                and visit_gap[0] <= d_visit <= visit_gap[1]):
+        if not (1.0 <= d_init <= 5.0 and 0.7 <= d_rate <= 3.0
+                and 0.4 <= d_visit <= 1.2):
             continue
         if min(expected_visits(shared, g, cfg.n_bins, cfg.bin_width)
-               for g in groups) < min_visits:
+               for g in groups) < 2.5:
             continue
-        return (shared, groups), k + 1
-    raise ConfigurationError(f"no qualifying parameter draw in {max_tries} tries")
+        return shared, groups
+    raise ConfigurationError("no qualifying parameter draw in 500 tries")
 
 
 def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
@@ -155,8 +152,7 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     sim_cfg = SimConfig(n_patients=n_patients, n_bins=n_bins,
                         bin_width=1.0 / n_bins, seed=seed,
                         group_specific_rates=True)
-    params, _ = draw_disparity_scenario(sim_cfg)
-    data, truth = simulate_dataset(sim_cfg, params=params)
+    data, truth = simulate_dataset(sim_cfg, draw_disparity_scenario(sim_cfg))
     config = config or SamplerConfig(chains=2, warmup=350, draws=350,
                                      seed=seed, target_accept=0.85)
     if variants is None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,10 +36,10 @@ from .dataio import (
     write_table,
     write_truth,
 )
-from .fitting import convergence_summary, fit_model
+from .fitting import RHAT_THRESHOLD, convergence_summary, fit_model
 from .inference import disparity_summary, recovery_report
 from .model import ModelVariant, latent_names
-from .oracles import verify_theorems
+from .oracles import PrecisionError, verify_theorems
 from .priors import (
     ROLES,
     factor_seeded_priors,
@@ -67,6 +68,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive(text: str) -> float:
+    """The argparse type of a tolerance or scale: a finite number above 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="dispro", description=__doc__)
     p.add_argument("--version", action="version", version=f"dispro {__version__}")
@@ -93,7 +102,7 @@ def _build_parser() -> _Parser:
     pf.add_argument("--threads", type=int, default=1,
                     help="ignored: chains run one after another")
     pf.add_argument("--allow-nonconverged", action="store_true")
-    pf.add_argument("--rhat-threshold", type=float, default=1.1)
+    pf.add_argument("--rhat-threshold", type=_positive, default=RHAT_THRESHOLD)
 
     pe = sub.add_parser("evaluate", help="post-process fits into reports")
     pe.add_argument("--mode", required=True,
@@ -104,12 +113,12 @@ def _build_parser() -> _Parser:
     pe.add_argument("--truth", action="append", default=[],
                     help="truth sidecar path (repeatable, matched to --fit)")
     pe.add_argument("--dataset", default=None)
-    pe.add_argument("--years-per-unit", type=float, default=None)
+    pe.add_argument("--years-per-unit", type=_positive, default=None)
     pe.add_argument("--quantile", type=float, default=0.25)
     pe.add_argument("--train-window", type=int, default=None)
     pe.add_argument("--informative", default=None,
                     help="comma-separated informative feature indices")
-    pe.add_argument("--tol", type=float, default=1e-6)
+    pe.add_argument("--tol", type=_positive, default=1e-6)
     pe.add_argument("--seed", type=int, default=0)
 
     pr = sub.add_parser("report", help="render a text report from an output dir")
@@ -347,7 +356,12 @@ def _evaluate_baselines(args, out: Path) -> int:
     data = read_dataset(args.dataset)
     subset = None
     if args.informative:
-        subset = [int(s) for s in args.informative.split(",") if s != ""]
+        subset = [s.strip() for s in args.informative.split(",") if s != ""]
+        if not all(s.isdecimal() and int(s) < data.n_features for s in subset):
+            raise ConfigurationError(
+                f"--informative {args.informative!r} is not a list of "
+                f"feature indices in 0..{data.n_features - 1}")
+        subset = [int(s) for s in subset]
     recon = reconstruction_table(data, feature_subset=subset)
     write_table(out / "reconstruction.tsv",
                 ["method", "mape_all", "mape_informative"],
@@ -489,6 +503,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except PrecisionError as exc:
+        print(f"oracle error: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ from .priors import PriorSpec, TruncatedNormal
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
 from .types import GroupParams, PatientLatents, SharedParams
 
+RHAT_THRESHOLD = 1.1  # a worst global R-hat above this is not converged
+
 
 def fit_model(data, priors: PriorSpec | None = None,
               variant: ModelVariant = ModelVariant.FULL,

@@ -152,15 +152,15 @@ class DisparitySummary:
     years_per_unit: float | None = None
 
 
-def disparity_summary(draws: PosteriorDraws, years_per_unit: float | None = None,
-                      ci: float = 0.95) -> DisparitySummary:
+def disparity_summary(draws: PosteriorDraws,
+                      years_per_unit: float | None = None) -> DisparitySummary:
     """Disparity magnitudes from a fitted model.
 
     Initial-severity gaps are posterior means of each group's init_sev_mean
     (the pinned group's is 0 by construction). The care-delay conversion
     divides the gap by the posterior-mean progression rate averaged over
     groups; it is undefined when that rate is ~0. Visit-rate ratios are
-    exp(visit_offset). Intervals are equal-tailed posterior percentiles.
+    exp(visit_offset). Intervals are equal-tailed 95% posterior intervals.
     """
     meta = draws.meta
     n_groups = int(meta["n_groups"])
@@ -174,7 +174,7 @@ def disparity_summary(draws: PosteriorDraws, years_per_unit: float | None = None
         if draws.has(name)]
     mean_rate = float(np.mean([c.mean() for c in rate_cols])) if rate_cols else math.nan
 
-    lo_q, hi_q = 100 * (1 - ci) / 2, 100 * (1 + ci) / 2
+    lo_q, hi_q = 100 * (1 - 0.95) / 2, 100 * (1 + 0.95) / 2
     per_group = {}
     for g in range(n_groups):
         if g == pinned:

@@ -191,49 +191,8 @@ def _fsum(parts) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spec-level operations on parameter bundles
+# population-level closed forms
 # ---------------------------------------------------------------------------
-
-def _latent_arrays(latents: list[PatientLatents]):
-    return (np.array([la.init_sev for la in latents], dtype=float),
-            np.array([la.rate for la in latents], dtype=float))
-
-
-def log_lik_emission(shared: SharedParams, latents: list[PatientLatents],
-                     data: Dataset) -> float:
-    """Gaussian log-likelihood of every observed feature cell; missing cells
-    contribute nothing."""
-    if np.any(shared.noise_vars <= 0):
-        raise InvalidParameterError("noise variances must be positive")
-    idx = DatasetIndex.build(data)
-    counts = np.bincount(idx.cell_feature, minlength=data.n_features)
-    parts = _emission_block(shared.loadings, shared.feat_intercepts,
-                            shared.noise_vars, counts, *_latent_arrays(latents),
-                            idx)[0]
-    return math.fsum(parts)
-
-
-def log_lik_visits(shared: SharedParams, groups: list[GroupParams],
-                   latents: list[PatientLatents], data: Dataset) -> float:
-    """Censored-Poisson log-likelihood of the visit indicators over bins
-    1..horizon per patient. Severity is taken at each bin's left edge."""
-    idx = DatasetIndex.build(data)
-    offsets = np.array([g.visit_offset for g in groups])
-    block = _visit_block(shared.visit_intercept, shared.visit_severity,
-                         offsets[idx.group_of], *_latent_arrays(latents), idx,
-                         data.bin_width)
-    return -math.inf if block is None else math.fsum(block[0])
-
-
-def log_prior(shared: SharedParams, groups: list[GroupParams],
-              latents: list[PatientLatents], data: Dataset, priors: PriorSpec,
-              variant: ModelVariant = ModelVariant.FULL) -> float:
-    """Log-prior of all sampled parameters plus per-patient latent densities
-    under their group's distributions. Pinned quantities contribute nothing."""
-    model = ProgressionModel(data, priors, variant)
-    x = model.pack(shared, groups, latents)
-    return model.logprior_constrained(x)
-
 
 def marginal_feature_moments(shared: SharedParams, group: GroupParams,
                              t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -453,7 +412,8 @@ class ProgressionModel:
         free = self._group_table >= 0
         x[self._group_table[free]] = np.array([astuple(gp) for gp in groups])[free]
         base = self.n_global
-        x[base::2], x[base + 1::2] = _latent_arrays(latents)
+        x[base::2] = [la.init_sev for la in latents]
+        x[base + 1::2] = [la.rate for la in latents]
         return x
 
     def _group_arrays(self, x):
@@ -487,20 +447,6 @@ class ProgressionModel:
         centered latent densities."""
         n = self._patients_per_group
         return [-float(np.sum(n * np.log(gs))), -float(np.sum(n * np.log(rs)))]
-
-    def logprior_constrained(self, x: np.ndarray) -> float:
-        """Log-prior of sampled globals plus latent densities, in constrained
-        space (no Jacobian)."""
-        base = self.n_global
-        b = self._bounded[:base]
-        if np.any(x[:base][b] <= self._lower[:base][b]):
-            return -math.inf
-        _, gs, _, rs, _ = self._group_arrays(x)
-        m_i, s_i, m_r, s_r = self._latent_scales(x)
-        z_i = (x[base::2] - m_i) / s_i
-        z_r = (x[base + 1::2] - m_r) / s_r
-        parts = self._prior_parts(x[:base], z_i, z_r)[1]
-        return _fsum(parts + self._log_sd_parts(gs, rs))
 
     def log_posterior(self, theta: np.ndarray) -> float:
         return self.logp_and_grad(theta, want_grad=False)[0]

@@ -19,6 +19,7 @@ estimates and raises instead of returning a value that misses tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -202,33 +203,24 @@ def mlrp_bias_oracle(theorem: Theorem, scenario, tol: float = 1e-6) -> OracleRes
                         error_bound=bound)
 
 
-def scenario_grid(theorem: Theorem, shifts=None, noise_scales=None,
-                  both_directions: bool = True):
-    """Standard verification grid: shift magnitudes crossed with noise
-    scales, in both shift directions."""
-    shifts = list(shifts if shifts is not None
-                  else np.round(np.linspace(0.1, 3.0, 5), 3))
-    noise_scales = list(noise_scales if noise_scales is not None
-                        else [0.25, 0.7, 1.5, 4.0])
-    signed = []
-    for s in shifts:
-        signed.append(float(s))
-        if both_directions:
-            signed.append(-float(s))
+def scenario_grid(theorem: Theorem):
+    """The verification grid for one theorem: five shift magnitudes, each
+    in both directions, crossed with four noise scales."""
     out = []
-    for shift in signed:
-        for ns in noise_scales:
+    for s in np.round(np.linspace(0.1, 3.0, 5), 3):
+        for shift, ns in itertools.product((float(s), -float(s)),
+                                           (0.25, 0.7, 1.5, 4.0)):
             if theorem is Theorem.INITIAL_SEVERITY:
-                out.append(SeverityScenario(shift=shift, noise_sd=float(ns),
+                out.append(SeverityScenario(shift=shift, noise_sd=ns,
                                             t=0.0, observed=0.3))
             elif theorem is Theorem.RATE:
-                out.append(SeverityScenario(shift=shift, noise_sd=float(ns),
+                out.append(SeverityScenario(shift=shift, noise_sd=ns,
                                             t=0.5, observed=0.3,
                                             rate=GaussianLatent(0.5, 1.0)))
             else:
                 for event in (1, 0):
                     out.append(VisitScenario(shift=shift,
-                                             severity=GaussianLatent(0.0, float(ns)),
+                                             severity=GaussianLatent(0.0, ns),
                                              event=event))
     return out
 

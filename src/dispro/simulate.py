@@ -156,7 +156,7 @@ def _simulate_patient(pid, group, shared, gp, cfg, rng):
     return record, PatientLatents(float(sev0), float(rate))
 
 
-def simulate_dataset(cfg: SimConfig, params=None, rng=None):
+def simulate_dataset(cfg: SimConfig, params=None):
     """Generate one cohort. Returns (Dataset, TruthSidecar).
 
     Reproducibility contract: one root seed deterministically yields the

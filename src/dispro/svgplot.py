@@ -14,13 +14,14 @@ _W, _H = 480, 420
 _ML, _MR, _MT, _MB = 64, 20, 40, 56
 
 
-def _ticks(lo: float, hi: float, n: int = 5):
+def _ticks(lo: float, hi: float):
+    """Ticks over [lo, hi], 1, 2 or 5 times a power of ten apart."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         lo, hi = lo - 1.0, hi + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -32,12 +33,11 @@ def _ticks(lo: float, hi: float, n: int = 5):
     return ticks
 
 
-def svg_scatter(path, series, title="", xlabel="", ylabel="",
-                identity_line=True) -> None:
-    """Write a scatter plot.
+def svg_scatter(path, series, title="", xlabel="", ylabel="") -> None:
+    """Write a scatter plot with the y = x reference line.
 
     series: mapping label -> (x array, y array); each series gets one color
-    from a fixed palette. identity_line draws the y = x reference.
+    from a fixed palette.
     """
     xs = [float(v) for _, (x, _) in series.items() for v in x]
     ys = [float(v) for _, (_, y) in series.items() for v in y]
@@ -80,10 +80,9 @@ def svg_scatter(path, series, title="", xlabel="", ylabel="",
                      f'font-family="sans-serif" font-size="10">{t:g}</text>')
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="black"/>')
-    if identity_line:
-        parts.append(f'<line x1="{sx(lo):.2f}" y1="{sy(lo):.2f}" '
-                     f'x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
-                     f'stroke="#888888" stroke-dasharray="5,4"/>')
+    parts.append(f'<line x1="{sx(lo):.2f}" y1="{sy(lo):.2f}" '
+                 f'x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
+                 f'stroke="#888888" stroke-dasharray="5,4"/>')
     legend_y = _MT + 14
     for i, (label, (x, y)) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from dispro import (
     SimConfig,
     simulate_dataset,
 )
+from dispro.model import _emission_block, _visit_block
+from dispro.types import DatasetIndex
 
 
 def make_patient(pid, group_idx, visits, features):
@@ -58,6 +62,26 @@ def truth_bundles(data, truth):
     shared, groups = truth.param_bundles()
     latents = [truth.latent(p.patient_id) for p in data.patients]
     return shared, groups, latents
+
+
+def block_sums(data, shared, latents, groups=None):
+    """The emission and visit log-likelihoods of parameter bundles, from the
+    density's own blocks on ``DatasetIndex.build(data)``: each the
+    ``math.fsum`` of its block's partial sums, the visit one None where
+    ``_visit_block`` rejects the point. Without ``groups`` every visit
+    offset is 0."""
+    idx = DatasetIndex.build(data)
+    sev0 = np.array([la.init_sev for la in latents])
+    rate = np.array([la.rate for la in latents])
+    counts = np.bincount(idx.cell_feature, minlength=data.n_features)
+    emission = _emission_block(shared.loadings, shared.feat_intercepts,
+                               shared.noise_vars, counts, sev0, rate, idx)[0]
+    offsets = (np.zeros(data.n_groups) if groups is None
+               else np.array([g.visit_offset for g in groups]))
+    visits = _visit_block(shared.visit_intercept, shared.visit_severity,
+                          offsets[idx.group_of], sev0, rate, idx,
+                          data.bin_width)
+    return math.fsum(emission), None if visits is None else math.fsum(visits[0])
 
 
 # (id, group, horizon, init_sev, rate, visit bins in 1..horizon) of the edge

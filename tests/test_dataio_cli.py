@@ -289,6 +289,13 @@ class TestCli:
                      "--out", str(tmp_path / "oz")])
         assert code == 4
 
+    def test_oracle_precision_error_exit_4(self, tmp_path, capsys):
+        """A valid tolerance that the quadrature cannot meet is an oracle
+        failure with a message, not a traceback."""
+        assert main(["evaluate", "--mode", "oracles", "--tol", "1e-30",
+                     "--out", str(tmp_path / "oz")]) == 4
+        assert "oracle error: quadrature error bound" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [
         {"n_patients": 5, "bogus_key": 1},
         {"priors": [1]},
@@ -622,3 +629,33 @@ def test_disparity_dataset_accepts_its_fits(valid_fit, tmp_path, fit):
                  str(valid_fit / fit), "--years-per-unit", "1", "--dataset",
                  str(valid_fit / "dataset.csv"),
                  "--out", str(tmp_path / "out")]) == 0
+
+
+# options that name no valid tolerance, scale or feature subset; {fit} is
+# the valid_fit directory
+BAD_OPTIONS = {
+    **{f"tol_{name}": ["evaluate", "--mode", "oracles", "--tol", value]
+       for name, value in (("0", "0"), ("negative", "-1"), ("nan", "nan"))},
+    **{f"years_per_unit_{name}": ["evaluate", "--mode", "disparity", "--fit",
+                                  "{fit}", "--years-per-unit", value]
+       for name, value in (("nan", "nan"), ("negative", "-1"))},
+    "rhat_threshold_nan": ["fit", "--dataset", "{fit}/dataset.csv",
+                           "--chains", "2", "--warmup", "10", "--draws", "10",
+                           "--rhat-threshold", "nan"],
+    **{f"informative_{name}": ["evaluate", "--mode", "baselines", "--dataset",
+                               "{fit}/dataset.csv", "--informative", value]
+       for name, value in (("letters", "a,b"), ("fraction", "1.5"),
+                           ("negative", "-1"), ("past_last_feature", "99"))},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
+def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
+    """A tolerance or scale that is not a finite number above 0, and an
+    ``--informative`` that is not a list of the dataset's feature indices,
+    end in exit 1 with a message: not a traceback, a silent pass or exit
+    2."""
+    argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(("usage error:", "configuration error:"))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .fitting import (RHAT_THRESHOLD, fit_model, max_global_rhat,
                       severity_means_by_patient)
-from .inference import _pearson
+from .inference import pearson
 from .model import ModelVariant, expected_visit_rate, latent_names
 from .sampler import SamplerConfig
 from .simulate import SimConfig, draw_true_params, simulate_dataset
@@ -88,7 +88,7 @@ def bias_report(draws, truth, variant: ModelVariant) -> BiasReport:
         if not np.any(m):
             continue
         group_bias[g] = float(np.mean(est[m] - true[m]))
-        group_corr[g] = _pearson(est[m], true[m])
+        group_corr[g] = pearson(est[m], true[m])
     worst = max_global_rhat(draws)
     return BiasReport(
         variant=variant,

@@ -39,7 +39,6 @@ def mean_impute(X: np.ndarray) -> np.ndarray:
 class PcaFit:
     components: np.ndarray  # (k_effective, p), orthonormal rows
     means: np.ndarray       # (p,)
-    explained: np.ndarray   # (k_effective,) eigenvalues, descending
 
 
 def pca_fit(X, k: int) -> PcaFit:
@@ -61,8 +60,7 @@ def pca_fit(X, k: int) -> PcaFit:
     scale = max(float(np.max(evals)), 1.0)
     keep = [i for i in order if evals[i] > 1e-12 * scale]
     components = evecs[:, keep].T
-    return PcaFit(components=components, means=means,
-                  explained=evals[keep])
+    return PcaFit(components=components, means=means)
 
 
 def pca_reconstruct(X, fit: PcaFit) -> np.ndarray:

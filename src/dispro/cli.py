@@ -23,8 +23,6 @@ from .ablation import (
 )
 from .baselines import prediction_table, reconstruction_table
 from .dataio import (
-    _is_int,
-    _is_number,
     fit_meta,
     read_dataset,
     read_draws,
@@ -68,12 +66,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive(text: str) -> float:
-    """The argparse type of a tolerance or scale: a finite number above 0."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
-    return value
+def _checked(convert, holds, what: str):
+    """An argparse type: the text through ``convert``, a value that
+    ``holds``; ``what`` names such a value in the error."""
+    def number(text: str):
+        value = convert(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    return number
+
+
+# tolerances and scales; bin counts; quantiles
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_positive_int = _checked(int, lambda v: v > 0, "an integer > 0")
+_fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _build_parser() -> _Parser:
@@ -114,12 +121,11 @@ def _build_parser() -> _Parser:
                     help="truth sidecar path (repeatable, matched to --fit)")
     pe.add_argument("--dataset", default=None)
     pe.add_argument("--years-per-unit", type=_positive, default=None)
-    pe.add_argument("--quantile", type=float, default=0.25)
-    pe.add_argument("--train-window", type=int, default=None)
+    pe.add_argument("--quantile", type=_fraction, default=0.25)
+    pe.add_argument("--train-window", type=_positive_int, default=None)
     pe.add_argument("--informative", default=None,
                     help="comma-separated informative feature indices")
     pe.add_argument("--tol", type=_positive, default=1e-6)
-    pe.add_argument("--seed", type=int, default=0)
 
     pr = sub.add_parser("report", help="render a text report from an output dir")
     pr.add_argument("--in", dest="in_dir", required=True)
@@ -130,11 +136,12 @@ def _build_parser() -> _Parser:
 # simulate
 # ---------------------------------------------------------------------------
 
+# the JSON types each simulate config key takes (a bool is not an int here)
 _SIM_TYPES = {
     **dict.fromkeys(("n_patients", "n_features", "n_bins", "n_groups", "seed"),
-                    _is_int),
-    **dict.fromkeys(("bin_width", "group_probability"), _is_number),
-    "group_specific_rates": lambda v: isinstance(v, bool),
+                    (int,)),
+    **dict.fromkeys(("bin_width", "group_probability"), (int, float)),
+    "group_specific_rates": (bool,),
 }
 
 
@@ -155,7 +162,7 @@ def _sim_config_from_json(text: str, seed_override) -> SimConfig:
             **{role: prior_from_dict(cfg) for role, cfg in roles.items()})
     if seed_override is not None:
         doc["seed"] = seed_override
-    wrong = sorted(k for k, v in doc.items() if not _SIM_TYPES[k](v))
+    wrong = sorted(k for k, v in doc.items() if type(v) not in _SIM_TYPES[k])
     if wrong:
         raise ConfigurationError(f"simulate config keys of the wrong type: {wrong}")
     return SimConfig(priors=priors, **doc)
@@ -244,6 +251,7 @@ def _evaluate_recovery(args, out: Path) -> int:
     if len(args.fit) < 2:
         raise ConfigurationError("recovery mode needs at least 2 trials")
     report = recovery_report(map(_recovery_trial, args.fit, args.truth))
+    out.mkdir(parents=True, exist_ok=True)
     rows = [(name, st["n"], st["pearson_r"], st["slope"])
             for name, st in sorted(report.per_param.items())]
     write_table(out / "recovery_params.tsv",
@@ -318,6 +326,7 @@ def _evaluate_bias(args, out: Path) -> int:
         profiles[variant] = high_risk_profile(values, groups, q=args.quantile)
         del draws  # one fit's draws in memory at a time
     variants = list(reports)
+    out.mkdir(parents=True, exist_ok=True)
     header = ["metric", "group", *[v.value for v in variants]]
     rows = []
     n_groups = data.n_groups
@@ -363,6 +372,7 @@ def _evaluate_baselines(args, out: Path) -> int:
                 f"feature indices in 0..{data.n_features - 1}")
         subset = [int(s) for s in subset]
     recon = reconstruction_table(data, feature_subset=subset)
+    out.mkdir(parents=True, exist_ok=True)
     write_table(out / "reconstruction.tsv",
                 ["method", "mape_all", "mape_informative"],
                 [(m, r["mape_all"], r.get("mape_informative"))
@@ -384,6 +394,7 @@ def _evaluate_baselines(args, out: Path) -> int:
 
 def _evaluate_oracles(args, out: Path) -> int:
     ok, rows = verify_theorems(tol=args.tol)
+    out.mkdir(parents=True, exist_ok=True)
     write_table(out / "oracle_log.tsv",
                 ["theorem", "shift", "noise", "t_or_event", "e_population",
                  "e_group", "expected_sign", "holds"],
@@ -409,6 +420,7 @@ def _evaluate_disparity(args, out: Path) -> int:
         _check_fit_of(draws, read_dataset(args.dataset), args.fit[0],
                       args.dataset)
     summ = disparity_summary(draws, years_per_unit=args.years_per_unit)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for g, entry in summ.per_group.items():
         rows.append([g, entry.get("init_sev_gap"), entry.get("delay_time_units"),
@@ -427,8 +439,8 @@ def _evaluate_disparity(args, out: Path) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    """Run one evaluate mode, which makes ``--out`` once its inputs pass."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     handler = {"recovery": _evaluate_recovery, "bias": _evaluate_bias,
                "baselines": _evaluate_baselines, "oracles": _evaluate_oracles,
                "disparity": _evaluate_disparity}[args.mode]
@@ -436,7 +448,7 @@ def _cmd_evaluate(args) -> int:
     write_manifest(out, f"evaluate:{args.mode}",
                    {k: v for k, v in vars(args).items()
                     if k not in ("command",)},
-                   args.seed)
+                   None)
     return code
 
 

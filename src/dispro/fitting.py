@@ -12,11 +12,13 @@ every chain in the correct basin; per-chain jitter keeps starts dispersed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .dataio import fit_meta
 from .model import ModelVariant, ProgressionModel, latent_names
-from .priors import PriorSpec, TruncatedNormal
+from .priors import PriorSpec
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
 from .types import GroupParams, PatientLatents, SharedParams
 
@@ -45,10 +47,10 @@ def fit_model(data, priors: PriorSpec | None = None,
     inits = np.array([jittered_init(model, center, r, non_centered=True)
                       for r in init_rngs])
 
-    return sample(
-        model.logp_and_grad_noncentered, model.dim, config, init=inits,
-        names=model.names, constrain=model.constrain_noncentered,
-        meta=fit_meta(data, variant, config.seed))
+    draws = sample(model.logp_and_grad_noncentered, config, inits)
+    return replace(draws, names=model.names,
+                   values=model.constrain_noncentered(draws.values),
+                   meta=fit_meta(data, variant, config.seed))
 
 
 def rough_init(model: ProgressionModel, data) -> np.ndarray:
@@ -130,7 +132,7 @@ def rough_init(model: ProgressionModel, data) -> np.ndarray:
     for i, e in enumerate(model.entries):
         if e.lower is not None:
             margin = (max(0.05, 0.05 * e.prior.sigma)
-                      if isinstance(e.prior, TruncatedNormal) else 0.05)
+                      if e.prior.lower is not None else 0.05)
             x[i] = max(x[i], e.lower + margin)
     return x
 

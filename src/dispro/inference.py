@@ -14,14 +14,6 @@ from .sampler import PosteriorDraws
 from .types import ConfigurationError
 
 
-def _bin_width(draws: PosteriorDraws) -> float:
-    try:
-        return float(draws.meta["bin_width"])
-    except KeyError:
-        raise ConfigurationError(
-            "draws carry no bin_width metadata; fit them with fit_model") from None
-
-
 def severity_estimate(draws: PosteriorDraws, patient_id: str, t: int) -> tuple[float, float]:
     """Posterior mean and sd of one patient's severity at bin t.
 
@@ -29,7 +21,7 @@ def severity_estimate(draws: PosteriorDraws, patient_id: str, t: int) -> tuple[f
     init_sev + rate * t * bin_width and the estimate is its average over
     draws.
     """
-    time = t * _bin_width(draws)
+    time = t * draws.meta["bin_width"]
     init_name, rate_name = latent_names([patient_id])
     try:
         sev = draws.column(init_name) + draws.column(rate_name) * time
@@ -58,7 +50,7 @@ class RecoveryReport:
         return float(np.mean(vals)) if vals else math.nan
 
 
-def _pearson(x: np.ndarray, y: np.ndarray):
+def pearson(x: np.ndarray, y: np.ndarray):
     if x.size < 2 or float(np.std(x)) == 0.0 or float(np.std(y)) == 0.0:
         return None  # correlation undefined under degenerate variance
     return float(np.corrcoef(x, y)[0, 1])
@@ -104,13 +96,13 @@ def recovery_report(trials) -> RecoveryReport:
         true = np.array([p[0] for p in pairs])
         est = np.array([p[1] for p in pairs])
         per_param[name] = {"n": len(pairs),
-                           "pearson_r": _pearson(true, est),
+                           "pearson_r": pearson(true, est),
                            "slope": _slope_through_origin(true, est)}
 
     sev_true = np.array([p[2] for p in severity_scatter])
     sev_est = np.array([p[3] for p in severity_scatter])
     calibration = {"n": len(severity_scatter),
-                   "pearson_r": _pearson(sev_true, sev_est),
+                   "pearson_r": pearson(sev_true, sev_est),
                    "slope": _slope_through_origin(sev_true, sev_est)}
     return RecoveryReport(per_param=per_param,
                           severity_calibration=calibration,
@@ -123,7 +115,7 @@ def _group_severity_points(trial, draws, latents):
     patient-bins, one point per group."""
     pids = draws.meta["patient_ids"]
     groups = np.asarray(draws.meta["patient_groups"])
-    width = _bin_width(draws)
+    width = draws.meta["bin_width"]
     horizon = draws.meta["horizon_by_patient"]
     pts = []
     sev0_est, rate_est = severity_means_by_patient(draws)
@@ -187,17 +179,16 @@ def disparity_summary(draws: PosteriorDraws,
             entry["init_sev_gap_ci"] = [float(np.percentile(col, lo_q)),
                                         float(np.percentile(col, hi_q))]
             if abs(mean_rate) > 1e-12:
-                entry["delay_time_units"] = delay_conversion(gap, mean_rate, 1.0)
+                entry["delay_time_units"] = gap / mean_rate
                 if years_per_unit is not None:
-                    entry["delay_years"] = delay_conversion(gap, mean_rate,
-                                                            years_per_unit)
+                    entry["delay_years"] = gap / mean_rate * years_per_unit
             else:
                 entry["delay_time_units"] = None  # undefined at ~zero rate
         if draws.has(f"visit_offset[{g}]"):
             col = draws.column(f"visit_offset[{g}]")
             off = float(col.mean())
             entry["visit_offset"] = off
-            entry["visit_rate_ratio"] = visit_rate_ratio(off)
+            entry["visit_rate_ratio"] = math.exp(off)
             entry["visit_rate_ratio_ci"] = [float(np.exp(np.percentile(col, lo_q))),
                                             float(np.exp(np.percentile(col, hi_q)))]
         else:
@@ -206,16 +197,3 @@ def disparity_summary(draws: PosteriorDraws,
         per_group[g] = entry
     return DisparitySummary(reference_group=pinned, mean_rate=mean_rate,
                             per_group=per_group, years_per_unit=years_per_unit)
-
-
-def delay_conversion(init_sev_gap: float, mean_rate: float,
-                     years_per_unit: float) -> float:
-    """Care-delay arithmetic: a severity gap over a progression rate gives
-    time units, scaled to calendar years."""
-    if abs(mean_rate) < 1e-12:
-        raise ConfigurationError("delay undefined: mean progression rate is ~0")
-    return init_sev_gap / mean_rate * years_per_unit
-
-
-def visit_rate_ratio(visit_offset: float) -> float:
-    return math.exp(visit_offset)

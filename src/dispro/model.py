@@ -26,9 +26,9 @@ from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import exprel, log_ndtr
+from scipy.special import exprel
 
-from .priors import Prior, PriorSpec, TruncatedNormal, simulation_priors
+from .priors import Prior, PriorSpec, simulation_priors
 from .types import (
     ConfigurationError,
     Dataset,
@@ -326,7 +326,7 @@ class ProgressionModel:
         entries = []
         for name, role, feature in rows:
             prior = self.priors.for_role(role, feature)
-            lower = prior.lower if isinstance(prior, TruncatedNormal) else \
+            lower = prior.lower if prior.lower is not None else \
                 (0.0 if role in _POSITIVE_ROLES else None)
             entries.append(ParamEntry(name, prior, lower))
 
@@ -359,17 +359,11 @@ class ProgressionModel:
         for i, prior in enumerate(e.prior for e in self.entries):
             mu[i] = prior.mu
             sig[i] = prior.sigma
-            const[i] = -0.5 * _LOG_2PI - math.log(prior.sigma)
-            if isinstance(prior, TruncatedNormal):
-                # truncation normalizer: -log P(X > lower)
-                const[i] -= float(log_ndtr((prior.mu - prior.lower) / prior.sigma))
+            # with the truncation normalizer -log P(X > lower)
+            const[i] = -0.5 * _LOG_2PI - math.log(prior.sigma) - prior.log_norm
         self._prior_mu = mu
         self._prior_sigma = sig
         self._prior_const_sum = float(const.sum())
-
-    @property
-    def global_names(self) -> list[str]:
-        return self.names[:self.n_global]
 
     # -- transforms ----------------------------------------------------------
 

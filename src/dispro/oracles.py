@@ -70,20 +70,17 @@ class GaussianLatent:
 class SeverityScenario:
     """Scenario for the initial-severity and rate oracles.
 
-    Severity at time t is init + rate * t; one feature is observed as
-    coef * severity + intercept plus N(0, noise_sd^2). ``shift`` moves the
+    Severity at time t is init + rate * t with init ~ N(0, 1); one feature
+    is observed as the severity plus N(0, noise_sd^2). ``shift`` moves the
     group's latent mean: a positive shift makes the group
     likelihood-ratio-dominate the population (the disadvantaged direction
     for initial severity and rate).
     """
 
-    init: GaussianLatent = GaussianLatent(0.0, 1.0)
     rate: GaussianLatent = GaussianLatent(0.0, 1.0)
     t: float = 0.0
     shift: float = 1.0
     observed: float = 0.0
-    coef: float = 1.0
-    intercept: float = 0.0
     noise_sd: float = 1.0
 
 
@@ -91,30 +88,19 @@ class SeverityScenario:
 class VisitScenario:
     """Scenario for the visit-frequency oracle.
 
-    The bin-level visit probability at severity z is
-    1 - exp(-exp(base_log_rate + severity_coef * z) * bin_width), strictly
-    increasing in z with limits 0 and 1 (severity_coef > 0 required). The
-    group's curve is the population's shifted by ``shift``: positive shift
-    means the group visits less at the same severity.
+    The bin-level visit probability at severity z is 1 - exp(-exp(z)),
+    strictly increasing in z with limits 0 and 1. The group's curve is the
+    population's shifted by ``shift``: positive shift means the group
+    visits less at the same severity.
     """
 
     severity: GaussianLatent = GaussianLatent(0.0, 1.0)
-    base_log_rate: float = 0.0
-    severity_coef: float = 1.0
-    bin_width: float = 1.0
     shift: float = 1.0
     event: int = 1
 
     def __post_init__(self):
-        if self.severity_coef <= 0:
-            raise ConfigurationError("severity_coef must be positive for a "
-                                     "monotone visit curve")
         if self.event not in (0, 1):
             raise ConfigurationError("event must be 0 or 1")
-
-    def visit_prob(self, z):
-        return -math.expm1(-math.exp(self.base_log_rate
-                                     + self.severity_coef * z) * self.bin_width)
 
 
 @dataclass(frozen=True)
@@ -123,7 +109,6 @@ class OracleResult:
     e_group: float
     inequality_holds: bool
     expected_sign: int        # +1: group above population; -1: below
-    error_bound: float
 
 
 def _quad(fn, lo, hi):
@@ -167,21 +152,21 @@ def mlrp_bias_oracle(theorem: Theorem, scenario, tol: float = 1e-6) -> OracleRes
             raise ConfigurationError("rate scenarios need t > 0")
         # severity init + rate * t of independent normals is itself normal;
         # the group's shift moves its mean by shift (init) or shift * t (rate)
-        severity = GaussianLatent(sc.init.mean + sc.rate.mean * sc.t,
-                                  math.hypot(sc.init.sd, sc.rate.sd * sc.t))
+        severity = GaussianLatent(sc.rate.mean * sc.t,
+                                  math.hypot(1.0, sc.rate.sd * sc.t))
         delta = sc.shift if theorem is Theorem.INITIAL_SEVERITY else sc.shift * sc.t
 
         def like(sev):
-            u = (sc.observed - (sc.coef * sev + sc.intercept)) / sc.noise_sd
+            u = (sc.observed - sev) / sc.noise_sd
             return math.exp(-0.5 * u * u)
 
         population = (severity, like)
         group = (severity.shifted(delta), like)
     elif theorem is Theorem.VISIT_FREQUENCY:
-        def visit(s):
+        def visit(s):  # P(visit in a bin at severity z) = 1 - exp(-exp(z - s))
             if sc.event == 1:
-                return lambda z: sc.visit_prob(z - s)
-            return lambda z: 1.0 - sc.visit_prob(z - s)
+                return lambda z: -math.expm1(-math.exp(z - s))
+            return lambda z: 1.0 + math.expm1(-math.exp(z - s))
 
         population = (sc.severity, visit(0.0))
         group = (sc.severity, visit(sc.shift))
@@ -199,8 +184,7 @@ def mlrp_bias_oracle(theorem: Theorem, scenario, tol: float = 1e-6) -> OracleRes
     else:
         holds = abs(e_grp - e_pop) <= max(tol, bound)
     return OracleResult(e_population=e_pop, e_group=e_grp,
-                        inequality_holds=holds, expected_sign=expected,
-                        error_bound=bound)
+                        inequality_holds=holds, expected_sign=expected)
 
 
 def scenario_grid(theorem: Theorem):

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import log_ndtr, ndtri
 
+from .baselines import fa_fit
 from .types import ConfigurationError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -30,6 +31,7 @@ class Normal:
             raise ConfigurationError(f"Normal prior needs finite mu and sigma > 0, got {self}")
 
     lower = None
+    log_norm = 0.0  # log P(X in support): no truncation
 
     def logpdf(self, x):
         z = (x - self.mu) / self.sigma
@@ -53,13 +55,14 @@ class TruncatedNormal:
                 and np.isfinite(self.mu) and np.isfinite(self.lower)):
             raise ConfigurationError(f"TruncatedNormal prior is malformed: {self}")
 
-    def _log_norm(self) -> float:
-        # P(X > lower) = Phi((mu - lower)/sigma)
+    @property
+    def log_norm(self) -> float:
+        """log P(X > lower) = log Phi((mu - lower) / sigma)."""
         return float(log_ndtr((self.mu - self.lower) / self.sigma))
 
     def logpdf(self, x):
         z = (x - self.mu) / self.sigma
-        base = -0.5 * (_LOG_2PI + z * z) - math.log(self.sigma) - self._log_norm()
+        base = -0.5 * (_LOG_2PI + z * z) - math.log(self.sigma) - self.log_norm
         return np.where(np.asarray(x) > self.lower, base, -np.inf) if np.ndim(x) else (
             base if x > self.lower else -math.inf)
 
@@ -166,8 +169,6 @@ def factor_seeded_priors(dataset) -> PriorSpec:
     give a data-driven scale for the loading priors. The sign of the first
     loading is flipped positive to match the sign pin.
     """
-    from .baselines import fa_fit
-
     rows = [p.features[0] for p in dataset.patients
             if p.group.index == dataset.pinned_group]
     if len(rows) < 2:

@@ -50,7 +50,7 @@ class SamplerConfig:
 
 @dataclass
 class PosteriorDraws:
-    """Flattened sampler output in constrained space, chain-major order."""
+    """Flattened draws in chain-major order."""
 
     names: list[str]
     values: np.ndarray        # (chains * draws, dim)
@@ -374,10 +374,10 @@ class _ChainState:
         return (*tree.prop, tree.metro_sum / max(tree.n_leapfrog, 1), tree.divergent)
 
 
-def _run_chain(fused, dim, config, init, seed_seq):
+def _run_chain(fused, config, q, seed_seq):
+    dim = q.size
     rng = np.random.Generator(np.random.Philox(seed_seq))
     state = _ChainState(fused, dim, config, rng)
-    q = np.asarray(init, dtype=float)
     lp, grad = fused(q)
     if not np.isfinite(lp):
         raise InvalidParameterError("initial point has non-finite density")
@@ -418,42 +418,24 @@ def _run_chain(fused, dim, config, init, seed_seq):
     return out, accepts, divergents
 
 
-def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
-           names=None, constrain=None, meta=None) -> PosteriorDraws:
+def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
     """Run NUTS chains against a log-density.
 
     ``logp_and_grad(x)`` returns the log-density and its gradient at x; a
-    non-finite log-density marks a rejected point. init may be None (each
-    chain starts uniform in (-2, 2) per coordinate, in the handle's space), a
-    single vector shared by all chains, or one vector per chain.
-    ``constrain`` optionally maps the raw draws matrix (one row per draw) to
-    constrained space for storage; ``names`` labels the output columns.
+    non-finite log-density marks a rejected point. ``inits`` holds one
+    finite start per chain, shape (chains, dim). Draws are in the handle's
+    space, in columns named ``theta[i]``.
     """
-    if dim < 1:
-        raise ConfigurationError("dim must be at least 1")
-    root = np.random.SeedSequence(config.seed)
-    chain_seeds = root.spawn(config.chains + 1)
-    init_rng = np.random.Generator(np.random.Philox(chain_seeds[-1]))
-
-    inits = []
-    for c in range(config.chains):
-        if init is None:
-            inits.append(init_rng.uniform(-2.0, 2.0, size=dim))
-        else:
-            arr = np.asarray(init, dtype=float)
-            vec = arr[c] if arr.ndim == 2 else arr
-            if vec.shape != (dim,):
-                raise InvalidParameterError("init vector has wrong length")
-            if not np.all(np.isfinite(vec)):
-                raise InvalidParameterError("init vector must be finite")
-            inits.append(vec.copy())
-
-    results = [_run_chain(logp_and_grad, dim, config, inits[c], chain_seeds[c])
+    inits = np.asarray(inits, dtype=float)
+    if inits.ndim != 2 or inits.shape[0] != config.chains or inits.size == 0:
+        raise InvalidParameterError("inits must have shape (chains, dim)")
+    if not np.all(np.isfinite(inits)):
+        raise InvalidParameterError("init vector must be finite")
+    chain_seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
+    results = [_run_chain(logp_and_grad, config, inits[c], chain_seeds[c])
                for c in range(config.chains)]
 
     values = np.concatenate([r[0] for r in results], axis=0)
-    if constrain is not None:
-        values = constrain(values)
     accepts = np.concatenate([r[1] for r in results])
     divergents = np.concatenate([r[2] for r in results])
     chain_ids = np.repeat(np.arange(config.chains), config.draws)
@@ -465,9 +447,7 @@ def sample(logp_and_grad, dim: int, config: SamplerConfig, init=None, *,
             f"{frac:.1%} of post-warmup transitions were divergent; "
             "estimates are unreliable")
 
-    if names is None:
-        names = [f"theta[{i}]" for i in range(dim)]
-    return PosteriorDraws(names=list(names), values=values,
-                          chain_ids=chain_ids, accept_stats=accepts,
-                          divergent=divergents, n_chains=config.chains,
-                          warnings=warnings, meta=dict(meta or {}))
+    return PosteriorDraws(names=[f"theta[{i}]" for i in range(inits.shape[1])],
+                          values=values, chain_ids=chain_ids,
+                          accept_stats=accepts, divergent=divergents,
+                          n_chains=config.chains, warnings=warnings)

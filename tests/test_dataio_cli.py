@@ -631,8 +631,8 @@ def test_disparity_dataset_accepts_its_fits(valid_fit, tmp_path, fit):
                  "--out", str(tmp_path / "out")]) == 0
 
 
-# options that name no valid tolerance, scale or feature subset; {fit} is
-# the valid_fit directory
+# options that name no valid tolerance, scale, feature subset, training
+# window or quantile; {fit} is the valid_fit directory
 BAD_OPTIONS = {
     **{f"tol_{name}": ["evaluate", "--mode", "oracles", "--tol", value]
        for name, value in (("0", "0"), ("negative", "-1"), ("nan", "nan"))},
@@ -646,16 +646,25 @@ BAD_OPTIONS = {
                                "{fit}/dataset.csv", "--informative", value]
        for name, value in (("letters", "a,b"), ("fraction", "1.5"),
                            ("negative", "-1"), ("past_last_feature", "99"))},
+    **{f"train_window_{name}": ["evaluate", "--mode", "baselines", "--dataset",
+                                "{fit}/dataset.csv", "--train-window", value]
+       for name, value in (("0", "0"), ("negative", "-3"))},
+    **{f"quantile_{name}": ["evaluate", "--mode", "bias", "--fit", "{fit}",
+                            "--dataset", "{fit}/dataset.csv",
+                            "--truth", "{fit}/truth.json", "--quantile", value]
+       for name, value in (("0", "0"), ("1", "1"), ("nan", "nan"))},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
 def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
-    """A tolerance or scale that is not a finite number above 0, and an
+    """A tolerance or scale that is not a finite number above 0, an
     ``--informative`` that is not a list of the dataset's feature indices,
-    end in exit 1 with a message: not a traceback, a silent pass or exit
-    2."""
+    a ``--train-window`` that is not an integer above 0 and a
+    ``--quantile`` outside (0, 1) end in exit 1 with a message, not a
+    traceback, a silent pass or exit 2, and before ``--out`` is made."""
     argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(("usage error:", "configuration error:"))
+    assert not (tmp_path / "out").exists()

@@ -460,7 +460,7 @@ class TestLogPosterior:
         escapes on the way."""
         data, _ = simulate_dataset(SimConfig(n_patients=50, seed=7))
         model = ProgressionModel(data)
-        scales = [i for i, n in enumerate(model.global_names)
+        scales = [i for i, n in enumerate(model.names[:model.n_global])
                   if n.startswith(("noise_var[", "init_sev_sd[", "rate_sd["))]
         assert len(scales) == 7
         rng = np.random.default_rng(0)

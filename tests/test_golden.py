@@ -1,0 +1,102 @@
+"""The sha256 of every file one small, fixed pipeline writes, against
+``tests/golden.json``.
+
+The pipeline simulates two 30-patient cohorts, fits all five variants of
+the first and the full model of the second, runs ``evaluate`` in every
+mode and renders reports, in process and with relative paths, so no output
+holds a path of the machine it ran on. Numbers depend on the numpy and
+scipy builds and the platform, so ``golden.json`` records them and a
+mismatch fails the test by name.
+
+A change that moves numbers on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names the files that moved.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from dispro.cli import main
+from dispro.model import ModelVariant
+
+GOLDEN = Path(__file__).with_name("golden.json")
+SIM = {"n_patients": 30, "n_bins": 12, "bin_width": 1 / 12, "seed": 5}
+FIT = ["--chains", "2", "--warmup", "20", "--draws", "10",
+       "--max-leapfrog", "15", "--seed", "3", "--allow-nonconverged"]
+VARIANTS = [v.value for v in ModelVariant]
+EVALUATE = {
+    "recovery": ["--fit", "fit_full", "--truth", "sim_a/truth.json",
+                 "--fit", "fit_b", "--truth", "sim_b/truth.json"],
+    "bias": ["--dataset", "sim_a/dataset.csv", "--truth", "sim_a/truth.json",
+             *(a for v in VARIANTS for a in ("--fit", f"fit_{v}"))],
+    "baselines": ["--dataset", "sim_a/dataset.csv", "--train-window", "6",
+                  "--informative", "0,1"],
+    "oracles": [],
+    "disparity": ["--fit", "fit_full", "--dataset", "sim_a/dataset.csv",
+                  "--years-per-unit", "8.5"],
+}
+
+
+def environment() -> dict:
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "platform": f"{platform.system()}-{platform.machine()}"}
+
+
+def run_pipeline(root: Path) -> dict[str, str]:
+    """Run the pipeline in ``root``; returns {relative path: sha256} of
+    every file in it."""
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        Path("sim.json").write_text(json.dumps(SIM))
+        argvs = [["simulate", "--config", "sim.json", "--out", "sim_a"],
+                 ["simulate", "--config", "sim.json", "--seed", "6",
+                  "--out", "sim_b"]]
+        argvs += [["fit", "--dataset", "sim_a/dataset.csv", "--variant", v,
+                   "--out", f"fit_{v}", *FIT] for v in VARIANTS]
+        argvs.append(["fit", "--dataset", "sim_b/dataset.csv",
+                      "--out", "fit_b", *FIT])
+        argvs += [["evaluate", "--mode", mode, *args, "--out", f"ev_{mode}"]
+                  for mode, args in EVALUATE.items()]
+        argvs += [["report", "--in", d]
+                  for d in ("fit_full", *(f"ev_{m}" for m in EVALUATE))]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        return {p.as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(Path(".").rglob("*")) if p.is_file()}
+    finally:
+        os.chdir(cwd)
+
+
+def test_pipeline_outputs_match_golden(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    env = environment()
+    moved = {k: (golden["environment"].get(k), v) for k, v in env.items()
+             if golden["environment"].get(k) != v}
+    assert not moved, f"golden.json was made under other versions: {moved}"
+    files = run_pipeline(tmp_path)
+    want = golden["files"]
+    differ = sorted(k for k in want.keys() | files.keys()
+                    if want.get(k) != files.get(k))
+    assert differ == [], f"outputs that differ from golden.json: {differ}"
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(io.StringIO())):
+        doc = {"environment": environment(), "files": run_pipeline(Path(tmp))}
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(doc['files'])} hashes to {GOLDEN}", file=sys.stderr)

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from dispro.inference import (
-    delay_conversion,
     disparity_summary,
     recovery_report,
     severity_estimate,
-    visit_rate_ratio,
 )
 from dispro.sampler import PosteriorDraws
 from dispro.simulate import TruthSidecar
@@ -159,24 +157,38 @@ class TestRecoveryReport:
             recovery_report([_mk_trial(["visit_intercept"], [1.0], [1.0])])
 
 
+def constant_disparity(gap, rate, offset=0.0, years_per_unit=8.5):
+    """Group 1's disparity entry from draws that hold group 1's
+    initial-severity gap, both groups' rate means and group 1's visit
+    offset constant."""
+    names = ["rate_mean[0]", "rate_mean[1]", "init_sev_mean[1]",
+             "visit_offset[1]"]
+    d = synthetic_draws(names, np.tile([rate, rate, gap, offset], (4, 1)),
+                        meta={"n_groups": 2, "pinned_group": 0,
+                              "bin_width": 0.1})
+    return disparity_summary(d, years_per_unit=years_per_unit).per_group[1]
+
+
 class TestDisparityArithmetic:
     def test_worked_delay_conversion(self):
         # severity gap over mean progression rate, scaled to years
-        years = delay_conversion(0.22, 0.62, 8.5)
+        years = constant_disparity(0.22, 0.62)["delay_years"]
         assert round(0.22 / 0.62, 2) == 0.35
         assert years == pytest.approx(3.0, abs=0.05)
-        years2 = delay_conversion(0.27, 0.62, 8.5)
+        years2 = constant_disparity(0.27, 0.62)["delay_years"]
         assert round(0.27 / 0.62, 2) == 0.44
         assert years2 == pytest.approx(3.7, abs=0.05)
 
     def test_rate_ratio(self):
-        assert visit_rate_ratio(0.0) == 1.0
-        assert visit_rate_ratio(-0.11) == pytest.approx(math.exp(-0.11),
-                                                        rel=1e-15)
+        assert constant_disparity(0.2, 0.6, 0.0)["visit_rate_ratio"] == 1.0
+        assert constant_disparity(0.2, 0.6, -0.11)["visit_rate_ratio"] == \
+            pytest.approx(math.exp(-0.11), rel=1e-15)
 
     def test_zero_rate_undefined(self):
-        with pytest.raises(ConfigurationError):
-            delay_conversion(0.2, 0.0, 8.5)
+        for rate in (0.0, 1e-13, -1e-13):
+            entry = constant_disparity(0.2, rate)
+            assert entry["delay_time_units"] is None
+            assert "delay_years" not in entry
 
     def test_summary_from_draws(self):
         rng = np.random.default_rng(11)

@@ -1,7 +1,10 @@
-"""Every public top-level function and class of ``src/dispro`` has a use:
-its name appears, as a word, somewhere outside its own definition in the
-package (``__init__.py`` aside), the demos or the benchmark. Tests do not
-count as a use."""
+"""Every public top-level function and class of ``src/dispro``, and every
+public method and property of its public classes, has a use outside its own
+definition in the package (``__init__.py`` aside), the demos or the
+benchmark. A top-level name is used where it appears as a word; a method or
+property where it is read as an attribute of anything but an imported
+module (``spec.global_names`` is no use of a method ``global_names``).
+Tests do not count as a use."""
 
 import ast
 import re
@@ -13,7 +16,31 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "mcse": "per-global MCSE is to be written into diagnostics.json "
             "(ROADMAP direction 1)",
+    "ProgressionModel.init_from_priors":
+        "draws the globals from the priors for simulation-based calibration "
+        "(ROADMAP direction 4)",
+    "Normal.logpdf": "the prior density the density tests check the model's "
+                     "prior tables against",
+    "TruncatedNormal.logpdf": "the prior density the density tests check the "
+                              "model's prior tables against",
 }
+
+
+def _own_lines(node) -> range:
+    start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return range(start - 1, node.end_lineno)
+
+
+def _attribute_reads(tree) -> list[tuple[str, int]]:
+    """(attribute, line index) of every ``x.attribute`` whose ``x`` is not
+    a module bound by an ``import`` statement."""
+    modules = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    return [(node.attr, node.lineno - 1) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in modules)]
 
 
 def unused_public_names() -> list[str]:
@@ -22,19 +49,30 @@ def unused_public_names() -> list[str]:
     users = [*package, *sorted((ROOT / "demos").glob("*.py")),
              *sorted((ROOT / "bench").glob("*.py"))]
     lines = {p: p.read_text().splitlines() for p in users}
+    trees = {p: ast.parse("\n".join(lines[p])) for p in users}
+    reads = {p: _attribute_reads(trees[p]) for p in users}
     unused = []
     for path in package:
-        for node in ast.parse("\n".join(lines[path])).body:
+        for node in trees[path].body:
             if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     or node.name.startswith("_")):
                 continue
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            own = range(start - 1, node.end_lineno)
+            own = _own_lines(node)
             word = re.compile(rf"\b{re.escape(node.name)}\b")
             if not any(word.search(line) for p in users
                        for i, line in enumerate(lines[p])
                        if not (p == path and i in own)):
                 unused.append(node.name)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if (not isinstance(item, ast.FunctionDef)
+                        or item.name.startswith("_")):
+                    continue
+                own = _own_lines(item)
+                if not any(attr == item.name and not (p == path and i in own)
+                           for p in users for attr, i in reads[p]):
+                    unused.append(f"{node.name}.{item.name}")
     return unused
 
 

@@ -32,11 +32,19 @@ def std_normal_handles(dim):
     return logp_and_grad
 
 
+def uniform_inits(cfg, dim):
+    """Starts uniform in (-2, 2), one row per chain, from the substream of
+    the seed after the chains' own."""
+    seq = np.random.SeedSequence(cfg.seed).spawn(cfg.chains + 1)[-1]
+    return np.random.Generator(np.random.Philox(seq)).uniform(
+        -2.0, 2.0, size=(cfg.chains, dim))
+
+
 class TestGaussianTargets:
     def test_standard_normal_5d(self):
         lpg = std_normal_handles(5)
         cfg = SamplerConfig(chains=4, warmup=500, draws=1000, seed=11)
-        d = sample(lpg, 5, cfg)
+        d = sample(lpg, cfg, uniform_inits(cfg, 5))
         for i in range(5):
             nm = f"theta[{i}]"
             assert abs(d.mean(nm)) < 3 * mcse(d, nm)
@@ -51,16 +59,16 @@ class TestGaussianTargets:
         def lpg(x):
             return -0.5 * float(x @ prec @ x), -(prec @ x)
 
-        d = sample(lpg, 2, SamplerConfig(chains=4, warmup=500, draws=1000,
-                                         seed=5))
+        cfg = SamplerConfig(chains=4, warmup=500, draws=1000, seed=5)
+        d = sample(lpg, cfg, uniform_inits(cfg, 2))
         emp = np.cov(d.values.T)
         assert float(np.max(np.abs(emp - cov) / np.abs(cov))) < 0.10
 
     def test_determinism(self):
         lpg = std_normal_handles(3)
         cfg = SamplerConfig(chains=2, warmup=200, draws=300, seed=99)
-        d1 = sample(lpg, 3, cfg)
-        d2 = sample(lpg, 3, cfg)
+        d1 = sample(lpg, cfg, uniform_inits(cfg, 3))
+        d2 = sample(lpg, cfg, uniform_inits(cfg, 3))
         assert np.array_equal(d1.values, d2.values)
         assert np.array_equal(d1.accept_stats, d2.accept_stats)
 
@@ -69,10 +77,10 @@ class TestGaussianTargets:
         inits, a 2-chain run is the first two chains of a 3-chain run."""
         lpg = std_normal_handles(3)
         inits = np.random.default_rng(0).uniform(-2.0, 2.0, size=(3, 3))
-        d2 = sample(lpg, 3, SamplerConfig(chains=2, warmup=100, draws=100,
-                                          seed=4), init=inits[:2])
-        d3 = sample(lpg, 3, SamplerConfig(chains=3, warmup=100, draws=100,
-                                          seed=4), init=inits)
+        d2 = sample(lpg, SamplerConfig(chains=2, warmup=100, draws=100,
+                                       seed=4), inits[:2])
+        d3 = sample(lpg, SamplerConfig(chains=3, warmup=100, draws=100,
+                                       seed=4), inits)
         first = d3.chain_ids < 2
         assert np.array_equal(d2.values, d3.values[first])
         assert np.array_equal(d2.accept_stats, d3.accept_stats[first])
@@ -82,8 +90,8 @@ class TestGaussianTargets:
         """Empirical CDF of 4000 one-dimensional draws against the standard
         normal CDF, below the 1% KS critical value."""
         lpg = std_normal_handles(1)
-        d = sample(lpg, 1, SamplerConfig(chains=4, warmup=500, draws=1000,
-                                         seed=21))
+        cfg = SamplerConfig(chains=4, warmup=500, draws=1000, seed=21)
+        d = sample(lpg, cfg, uniform_inits(cfg, 1))
         stat = kstest(d.column("theta[0]"), "norm").statistic
         assert stat < 1.63 / math.sqrt(4000)
 
@@ -91,7 +99,7 @@ class TestGaussianTargets:
         lpg = std_normal_handles(2)
         cfg = SamplerConfig(chains=1, warmup=50, draws=50, seed=0)
         with pytest.raises(InvalidParameterError):
-            sample(lpg, 2, cfg, init=np.array([np.nan, 0.0]))
+            sample(lpg, cfg, np.array([[np.nan, 0.0]]))
 
 
 class TestEnergyConservation:
@@ -243,8 +251,8 @@ class TestDiagnostics:
                     np.array([-v / 9.0 + z * z * math.exp(-2 * v) - 1.0,
                               -z * math.exp(-2 * v)]))
 
-        d = sample(lpg, 2, SamplerConfig(chains=2, warmup=150, draws=400,
-                                         seed=12))
+        cfg = SamplerConfig(chains=2, warmup=150, draws=400, seed=12)
+        d = sample(lpg, cfg, uniform_inits(cfg, 2))
         if float(d.divergent.mean()) > 0.20:
             assert any("divergent" in w for w in d.warnings)
         else:

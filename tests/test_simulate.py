@@ -197,7 +197,7 @@ class TestSimulateDataset:
     def test_truth_sidecar_keys_match_fit_names(self, small_sim):
         data, truth = small_sim
         model = ProgressionModel(data)
-        for name in model.global_names:
+        for name in model.names[:model.n_global]:
             assert name in truth.params, name
         for p in data.patients:
             assert f"init_sev[{p.patient_id}]" in truth.latents

@@ -109,8 +109,9 @@ def _emission_block(L, B, V, cells_per_feature, sev0, rate, idx: DatasetIndex):
     resid = idx.cell_value - (L[idx.cell_feature] * sev + B[idx.cell_feature])
     w = resid / V[idx.cell_feature]
     rw = resid * w
-    parts = [-0.5 * float(np.sum(cells_per_feature * np.log(2.0 * np.pi * V))),
-             -0.5 * float(np.sum(rw))]
+    parts = [-0.5 * float(np.add.reduce(cells_per_feature
+                                        * np.log(2.0 * np.pi * V))),
+             -0.5 * float(np.add.reduce(rw))]
     return parts, sev, w, rw
 
 
@@ -130,17 +131,17 @@ def _visit_block(vint, vsev, offset, sev0, rate, idx: DatasetIndex,
     s, err1 = _two_sum(offset, vsev * sev0)
     a, err2 = _two_sum(vint, s)
     top, err3 = _two_sum(a, np.maximum(c, c * H))
-    if top.max(initial=-np.inf) > LOG_RATE_CAP:
+    if np.maximum.reduce(top, initial=-np.inf) > LOG_RATE_CAP:
         return None
     p, k = idx.event_patient, idx.event_bin
     q = bin_width * np.exp(a[p] + c[p] * k)
     if not q.all():
         return None
-    ratio, mean_bin = _geometric(c, H)
+    ratio, mean_bin = _geometric(c, H, want_grad)
     s0 = bin_width * np.exp(top) * (1.0 + (err1 + err2 + err3)) * ratio
     # sum_events log(1 - e^-q) - (sum_i S0_i - sum_events q)
-    parts = [float(np.sum(np.log(-np.expm1(-q)))), -float(np.sum(s0)),
-             float(np.sum(q))]
+    parts = [float(np.add.reduce(np.log(-np.expm1(-q)))),
+             -float(np.add.reduce(s0)), float(np.add.reduce(q))]
     if not want_grad:
         return parts, None, None
     # every bin adds -q to d(loglik)/d(eta), as S0 and the mean bin carry;
@@ -159,25 +160,30 @@ def _two_sum(x, y):
     return s, (x - (s - z)) + (y - z)
 
 
-def _geometric(c, H):
+def _geometric(c, H, want_grad):
     """For the weights ``e^(c k)`` over bins k = 1..H, scaled so that the
-    larger endpoint's is 1: their sum, in [1, H], and their mean bin. With
-    ``m(y) = expm1(-y)`` and b = |c| the sum is ``m(b H) / m(b)``, and the
-    mean lies ``H / m(b H) - 1 / m(b) + H - 1`` bins from that endpoint."""
+    larger endpoint's is 1: their sum, in [1, H], and, with ``want_grad``,
+    their mean bin (else None). With ``m(y) = expm1(-y)`` and b = |c| the
+    sum is ``m(b H) / m(b)``, and the mean lies ``H / m(b H) - 1 / m(b) +
+    H - 1`` bins from that endpoint."""
     b = np.abs(c)
     # Below |c| H = 0.01 the distance loses digits (1e-16 / (|c| H)) and at
     # c = 0 both forms are 0 / 0; there a series, exact to (|c| H)^5 / 15000,
     # and exprel take over.
-    small = b * H < 0.01
-    bs = np.where(small, 1.0, b)  # keeps the replaced entries finite
+    small = (b * H < 0.01).nonzero()[0]
+    bs = b.copy()
+    bs[small] = 1.0  # keeps the replaced entries finite
     m1, mh = np.expm1(-bs), np.expm1(-bs * H)
     ratio = mh / m1
+    if small.size:
+        bs, h = b[small], H[small]
+        ratio[small] = h * exprel(-bs * h) / exprel(-bs)
+    if not want_grad:
+        return ratio, None
     j = H / mh - 1.0 / m1 + (H - 1.0)
-    if small.any():
-        b, h = np.abs(c[small]), H[small]
-        ratio[small] = h * exprel(-b * h) / exprel(-b)
-        j[small] = ((h - 1.0) / 2 - b * (h * h - 1.0) / 12
-                    + b ** 3 * (h ** 4 - 1.0) / 720)
+    if small.size:
+        j[small] = ((h - 1.0) / 2 - bs * (h * h - 1.0) / 12
+                    + bs ** 3 * (h ** 4 - 1.0) / 720)
     return ratio, np.where(c > 0, H - j, 1.0 + j)
 
 
@@ -287,12 +293,6 @@ class ParamEntry:
 _POSITIVE_ROLES = ("loading0", "noise_var", "init_sev_sd", "rate_sd")
 
 
-def _gather(x, table, defaults):
-    """``x[..., table]`` with ``defaults`` where the table holds -1; x is one
-    vector or a (rows, dim) matrix."""
-    return np.where(table >= 0, x[..., table], defaults)
-
-
 class ProgressionModel:
     """Flattened, differentiable posterior for one dataset and model variant.
 
@@ -335,16 +335,31 @@ class ProgressionModel:
         self.n_patients = data.n_patients
         self.dim = self.n_global + 2 * self.n_patients
         self._group_table = table
-        # (4, N): the init and rate columns of each patient's group
-        self._latent_table = table[self.idx.group_of, :4].T
         self.names = [e.name for e in entries] + latent_names(
             p.patient_id for p in data.patients)
 
-        lower = np.full(self.dim, np.nan)
-        lower[:self.n_global] = [np.nan if e.lower is None else e.lower
-                                 for e in entries]
-        self._bounded = ~np.isnan(lower)
-        self._lower = np.where(self._bounded, lower, 0.0)
+        lower = np.array([np.nan if e.lower is None else e.lower
+                          for e in entries])
+        # the bounded coordinates, all global, and their lower bounds
+        self._bounded = np.flatnonzero(~np.isnan(lower))
+        self._lower = lower[self._bounded]
+
+        # One index into [globals, _GROUP_DEFAULTS] for every group value
+        # the density reads: each group's initial-severity sd and rate sd,
+        # then per patient, row by row, the (m_i, s_i, m_r, s_r) of the
+        # latent map (see _latent_scales) and the visit offset.
+        G, N = data.n_groups, self.n_patients
+        cols = np.where(table >= 0, table, self.n_global + np.arange(5))
+        self._take = np.concatenate(
+            (cols[:, 1], cols[:, 3], cols[self.idx.group_of].T.ravel()))
+        self._take_latent = slice(2 * G, 2 * G + 4 * N)
+        # The group scatter of the gradient: per-patient terms binned by
+        # (term, group), and the table coordinate of each learned bin.
+        flat = table.T.ravel()
+        self._scatter_bins = (np.arange(5)[:, None] * G
+                              + self.idx.group_of).ravel()
+        self._scatter_used = np.flatnonzero(flat >= 0)
+        self._scatter_to = flat[self._scatter_used]
 
         self._sl_load = slice(0, d)
         self._sl_fint = slice(d, 2 * d)
@@ -369,8 +384,9 @@ class ProgressionModel:
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
+        x = u.copy()
         with np.errstate(over="ignore"):
-            x = np.where(self._bounded, self._lower + np.exp(u), u)
+            x[..., self._bounded] = self._lower + np.exp(u[..., self._bounded])
         return x
 
     def unconstrain(self, x: np.ndarray) -> np.ndarray:
@@ -379,9 +395,9 @@ class ProgressionModel:
             raise InvalidParameterError(f"expected vector of length {self.dim}")
         if not np.all(np.isfinite(x)):
             raise InvalidParameterError("non-finite parameter value")
-        over = x[self._bounded] - self._lower[self._bounded]
+        over = x[self._bounded] - self._lower
         if np.any(over <= 0):
-            bad = np.flatnonzero(self._bounded)[over <= 0][0]
+            bad = self._bounded[over <= 0][0]
             raise InvalidParameterError(
                 f"{self.names[bad]} = {x[bad]} violates its lower bound")
         u = x.copy()
@@ -389,7 +405,7 @@ class ProgressionModel:
         return u
 
     def log_jacobian(self, u: np.ndarray) -> float:
-        return float(np.sum(u[self._bounded]))
+        return float(np.add.reduce(u[self._bounded]))
 
     # -- packing -------------------------------------------------------------
 
@@ -410,37 +426,16 @@ class ProgressionModel:
         x[base + 1::2] = [la.rate for la in latents]
         return x
 
-    def _group_arrays(self, x):
-        """Each group's GROUP_ROLES values: five (G,) arrays for a vector x,
-        five (rows, G) arrays for a (rows, dim) matrix."""
-        v = _gather(x, self._group_table, _GROUP_DEFAULTS)
-        return tuple(v[..., k] for k in range(5))
-
     def _latent_scales(self, x):
         """Per-patient (m_i, s_i, m_r, s_r): the mean and sd of the patient's
         group initial-severity and rate distributions, the scales of the
         latent map ``init_sev = m_i + s_i * u``, ``rate = m_r + s_r * w``.
         (N,) arrays for a vector x, (rows, N) for a (rows, dim) matrix."""
-        v = _gather(x, self._latent_table, _GROUP_DEFAULTS[:4, None])
-        return tuple(v[..., k, :] for k in range(4))
+        ext = np.concatenate((x[..., :self.n_global], np.broadcast_to(
+            _GROUP_DEFAULTS, (*x.shape[:-1], 5))), axis=-1)
+        return np.split(ext[..., self._take[self._take_latent]], 4, axis=-1)
 
     # -- densities -----------------------------------------------------------
-
-    def _prior_parts(self, xg, z_i, z_r):
-        """Standardized globals and the partial sums of the global priors and
-        of the standard-normal part of the latent priors, given the
-        standardized latents ``z_i`` (initial severity) and ``z_r`` (rate)."""
-        zg = (xg - self._prior_mu) / self._prior_sigma
-        return zg, [self._prior_const_sum, -0.5 * float(np.sum(zg * zg)),
-                    -self.n_patients * _LOG_2PI,
-                    -0.5 * float(np.sum(z_i * z_i)),
-                    -0.5 * float(np.sum(z_r * z_r))]
-
-    def _log_sd_parts(self, gs, rs):
-        """-sum over patients of log(group sd): the normalizers of the
-        centered latent densities."""
-        n = self._patients_per_group
-        return [-float(np.sum(n * np.log(gs))), -float(np.sum(n * np.log(rs)))]
 
     def log_posterior(self, theta: np.ndarray) -> float:
         return self.logp_and_grad(theta, want_grad=False)[0]
@@ -500,20 +495,23 @@ class ProgressionModel:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.dim,):
             raise InvalidParameterError(f"expected vector of length {self.dim}")
-        if not np.all(np.isfinite(theta)):
+        if not np.logical_and.reduce(np.isfinite(theta)):
             raise InvalidParameterError("non-finite unconstrained input")
-        sentinel = (-math.inf, np.zeros(self.dim) if want_grad else None)
         # Overflow, log 0 and inf/inf in rejected regions end at the sentinel.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             x = self.constrain(theta)
-            L, B, V = x[self._sl_load], x[self._sl_fint], x[self._sl_noise]
-            _, gs, _, rs, goff = self._group_arrays(x)
-            if not (np.all(np.isfinite(x))
-                    and min(V.min(), gs.min(), rs.min()) > 0.0):
-                return sentinel
-            idx = self.idx
             base = self.n_global
-            m_i, s_i, m_r, s_r = self._latent_scales(x)
+            L, B, V = x[self._sl_load], x[self._sl_fint], x[self._sl_noise]
+            G, N = self.data.n_groups, self.n_patients
+            v = np.concatenate((x[:base], _GROUP_DEFAULTS))[self._take]
+            gs, rs = v[:G], v[G:2 * G]
+            # the latents are the input, finite; only globals can overflow
+            if not (np.logical_and.reduce(np.isfinite(x[:base]))
+                    and min(np.minimum.reduce(V), np.minimum.reduce(gs),
+                            np.minimum.reduce(rs)) > 0.0):
+                return self._rejected(want_grad)
+            idx = self.idx
+            m_i, s_i, m_r, s_r, goff = v[2 * G:].reshape(5, N)
             if non_centered:
                 z_i, z_r = x[base::2], x[base + 1::2]
                 sev0 = m_i + s_i * z_i
@@ -527,26 +525,32 @@ class ProgressionModel:
                 L, B, V, self._cells_per_feature, sev0, rate, idx)
             w = self.data.bin_width
             visits = _visit_block(x[self._i_vint], x[self._i_vsev],
-                                  goff[idx.group_of], sev0, rate, idx, w,
-                                  want_grad)
+                                  goff, sev0, rate, idx, w, want_grad)
             if visits is None:
-                return sentinel
+                return self._rejected(want_grad)
             visit_parts, A, K = visits
             parts += visit_parts
-            zg, prior_parts = self._prior_parts(x[:base], z_i, z_r)
-            parts += prior_parts
+            # the global priors and the standard-normal part of the latent
+            # priors; centered, also -sum over patients of log(group sd)
+            zg = (x[:base] - self._prior_mu) / self._prior_sigma
+            parts += [self._prior_const_sum,
+                      -0.5 * float(np.add.reduce(zg * zg)), -N * _LOG_2PI,
+                      -0.5 * float(np.add.reduce(z_i * z_i)),
+                      -0.5 * float(np.add.reduce(z_r * z_r))]
             if not non_centered:
-                parts += self._log_sd_parts(gs, rs)
+                n = self._patients_per_group
+                parts += [-float(np.add.reduce(n * np.log(gs))),
+                          -float(np.add.reduce(n * np.log(rs)))]
             parts.append(self.log_jacobian(theta))
             ll = _fsum(parts)
-            if not np.isfinite(ll):
-                return sentinel
+            if not math.isfinite(ll):
+                return self._rejected(want_grad)
             if not want_grad:
                 return ll, None
 
             # ------- gradient in constrained space -------
             gx = np.zeros(self.dim)
-            d, N = self.data.n_features, self.n_patients
+            d = self.data.n_features
             cf = idx.cell_feature
             gx[self._sl_load] = np.bincount(cf, weights=w_c * sev_c, minlength=d)
             gx[self._sl_fint] = np.bincount(cf, weights=w_c, minlength=d)
@@ -559,8 +563,8 @@ class ProgressionModel:
 
             # visit terms through a = vint + vsev*sev0 + offset, c = vsev*rate*w
             vsev = x[self._i_vsev]
-            gx[self._i_vint] = np.sum(A)
-            gx[self._i_vsev] = np.sum(sev0 * A + rate * w * K)
+            gx[self._i_vint] = np.add.reduce(A)
+            gx[self._i_vsev] = np.add.reduce(sev0 * A + rate * w * K)
             d_sev += vsev * A
             d_rate += vsev * w * K
 
@@ -579,16 +583,19 @@ class ProgressionModel:
                                z_r / s_r, (z_r * z_r - 1.0) / s_r)
             # per-patient terms summed by group into the group table's
             # coordinates, in group order where a shared coordinate repeats
-            by_group = np.stack([np.bincount(idx.group_of, weights=t,
-                                             minlength=self.data.n_groups)
-                                 for t in (*group_terms, A)], axis=1)
-            free = self._group_table >= 0
-            np.add.at(gx, self._group_table[free], by_group[free])
+            by_group = np.bincount(self._scatter_bins,
+                                   weights=np.concatenate((*group_terms, A)),
+                                   minlength=5 * G)
+            np.add.at(gx, self._scatter_to, by_group[self._scatter_used])
 
             # chain rule through x = lower + exp(u), plus d/du of the Jacobian
             b = self._bounded
-            gx[b] = gx[b] * (x[b] - self._lower[b]) + 1.0
+            gx[b] = gx[b] * (x[b] - self._lower) + 1.0
             return ll, gx
+
+    def _rejected(self, want_grad):
+        """The -inf sentinel of a rejected point, with a zero gradient."""
+        return -math.inf, np.zeros(self.dim) if want_grad else None
 
     # -- initialization -------------------------------------------------------
 

@@ -57,6 +57,26 @@ def ten_patient_sim():
     return simulate_dataset(cfg)
 
 
+def missing_cell_cohort():
+    """A 10-patient, 4-feature cohort in which about a third of the cells
+    at visit bins are missing (every visit keeps at least one), with the
+    same patients as ``ten_patient_sim``."""
+    data, _ = simulate_dataset(SimConfig(n_patients=10, n_bins=15,
+                                         bin_width=1.0 / 15, seed=77))
+    rng = np.random.default_rng(0)
+    records = []
+    for p in data.patients:
+        feats = p.features.copy()
+        for t in p.visit_bins():
+            drop = rng.random(data.n_features) < 0.35
+            drop[rng.integers(data.n_features)] = False
+            feats[t, drop] = np.nan
+        records.append(make_patient(p.patient_id, p.group.index, p.visits,
+                                    feats))
+    return Dataset(records, data.n_groups, data.n_features, data.bin_width,
+                   data.pinned_group)
+
+
 def truth_bundles(data, truth):
     """Rebuild (SharedParams, groups, latents) from a truth sidecar."""
     shared, groups = truth.param_bundles()

@@ -12,7 +12,8 @@ A change that moves numbers on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names the files that moved.
+which prints the files whose hash was added, removed or changed against
+the old file before it overwrites it.
 """
 
 import hashlib
@@ -95,8 +96,15 @@ if __name__ == "__main__":
     import io
     import tempfile
 
+    old = json.loads(GOLDEN.read_text())["files"] if GOLDEN.exists() else {}
     with (tempfile.TemporaryDirectory() as tmp,
           contextlib.redirect_stdout(io.StringIO())):
         doc = {"environment": environment(), "files": run_pipeline(Path(tmp))}
+    new = doc["files"]
+    for label, names in (("added", new.keys() - old.keys()),
+                         ("removed", old.keys() - new.keys()),
+                         ("changed", {k for k in new.keys() & old.keys()
+                                      if new[k] != old[k]})):
+        print(f"{label} ({len(names)}):", *sorted(names), sep="\n  ")
     GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(doc['files'])} hashes to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {len(new)} hashes to {GOLDEN}", file=sys.stderr)

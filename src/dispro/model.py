@@ -135,7 +135,7 @@ def _visit_block(vint, vsev, offset, sev0, rate, idx: DatasetIndex,
         return None
     p, k = idx.event_patient, idx.event_bin
     q = bin_width * np.exp(a[p] + c[p] * k)
-    if not q.all():
+    if not np.logical_and.reduce(q):  # a zero-probability bin has a visit
         return None
     ratio, mean_bin = _geometric(c, H, want_grad)
     s0 = bin_width * np.exp(top) * (1.0 + (err1 + err2 + err3)) * ratio
@@ -343,6 +343,8 @@ class ProgressionModel:
         # the bounded coordinates, all global, and their lower bounds
         self._bounded = np.flatnonzero(~np.isnan(lower))
         self._lower = lower[self._bounded]
+        self._positive = np.array([k for k, (_, role, _) in enumerate(rows)
+                                   if role in _POSITIVE_ROLES[1:]])
 
         # One index into [globals, _GROUP_DEFAULTS] for every group value
         # the density reads: each group's initial-severity sd and rate sd,
@@ -383,10 +385,12 @@ class ProgressionModel:
     # -- transforms ----------------------------------------------------------
 
     def constrain(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        x = u.copy()
         with np.errstate(over="ignore"):
-            x[..., self._bounded] = self._lower + np.exp(u[..., self._bounded])
+            return self._constrain(np.asarray(u, dtype=float))
+
+    def _constrain(self, u):
+        x = u.copy()
+        x[..., self._bounded] = self._lower + np.exp(u[..., self._bounded])
         return x
 
     def unconstrain(self, x: np.ndarray) -> np.ndarray:
@@ -499,17 +503,17 @@ class ProgressionModel:
             raise InvalidParameterError("non-finite unconstrained input")
         # Overflow, log 0 and inf/inf in rejected regions end at the sentinel.
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            x = self.constrain(theta)
+            x = self._constrain(theta)
             base = self.n_global
+            # the latents are the input, finite; only globals can overflow,
+            # and noise variances and group sds can underflow to 0
+            if not (np.logical_and.reduce(np.isfinite(x[:base]))
+                    and np.minimum.reduce(x[self._positive]) > 0.0):
+                return self._rejected(want_grad)
             L, B, V = x[self._sl_load], x[self._sl_fint], x[self._sl_noise]
             G, N = self.data.n_groups, self.n_patients
             v = np.concatenate((x[:base], _GROUP_DEFAULTS))[self._take]
             gs, rs = v[:G], v[G:2 * G]
-            # the latents are the input, finite; only globals can overflow
-            if not (np.logical_and.reduce(np.isfinite(x[:base]))
-                    and min(np.minimum.reduce(V), np.minimum.reduce(gs),
-                            np.minimum.reduce(rs)) > 0.0):
-                return self._rejected(want_grad)
             idx = self.idx
             m_i, s_i, m_r, s_r, goff = v[2 * G:].reshape(5, N)
             if non_centered:

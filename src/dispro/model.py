@@ -100,18 +100,21 @@ class ModelVariant(Enum):
 # likelihood blocks on flat arrays
 # ---------------------------------------------------------------------------
 
-def _emission_block(L, B, V, cells_per_feature, sev0, rate, idx: DatasetIndex):
-    """Partial sums of the Gaussian log-likelihood of the observed feature
-    cells (the log(2 pi v) constant, taken once per feature, and the
-    quadratic term), with the per-cell severity, precision-weighted residual
-    and squared standardized residual that the gradient reuses."""
-    sev = sev0[idx.cell_patient] + rate[idx.cell_patient] * idx.cell_time
-    resid = idx.cell_value - (L[idx.cell_feature] * sev + B[idx.cell_feature])
-    w = resid / V[idx.cell_feature]
-    rw = resid * w
-    parts = [-0.5 * float(np.add.reduce(cells_per_feature
+def _emission_block(L, B, V, sev0, rate, idx: DatasetIndex):
+    """Partial sums of the Gaussian log-likelihood of the observed cells
+    (per feature, the log(2 pi v) constant and the quadratic term) over the
+    (features, visits) rows of ``idx``, and what the gradient reuses: the
+    per-visit severity, the precision-weighted residuals (0 at missing
+    cells) and the per-feature sums of squared standardized residuals."""
+    sev = sev0[idx.visit_patient] + rate[idx.visit_patient] * idx.visit_time
+    resid = idx.visit_value - (L[:, None] * sev + B[:, None])
+    if idx.visit_missing is not None:
+        resid[idx.visit_missing] = 0.0
+    w = resid / V[:, None]
+    rw = np.add.reduce(resid * w, axis=1)
+    parts = [-0.5 * float(np.add.reduce(idx.cells_per_feature
                                         * np.log(2.0 * np.pi * V))),
-             -0.5 * float(np.add.reduce(rw))]
+             *(-0.5 * rw).tolist()]
     return parts, sev, w, rw
 
 
@@ -309,9 +312,6 @@ class ProgressionModel:
         self.idx = DatasetIndex.build(data)
         self._build_layout()
         self._build_prior_tables()
-        # Per-feature emission cell counts for the constant log(2*pi*v) term.
-        self._cells_per_feature = np.bincount(
-            self.idx.cell_feature, minlength=data.n_features).astype(float)
         # Patients per group, for the sum of per-patient log group sds.
         self._patients_per_group = np.bincount(
             self.idx.group_of, minlength=data.n_groups).astype(float)
@@ -350,11 +350,10 @@ class ProgressionModel:
         # the density reads: each group's initial-severity sd and rate sd,
         # then per patient, row by row, the (m_i, s_i, m_r, s_r) of the
         # latent map (see _latent_scales) and the visit offset.
-        G, N = data.n_groups, self.n_patients
+        G = data.n_groups
         cols = np.where(table >= 0, table, self.n_global + np.arange(5))
         self._take = np.concatenate(
             (cols[:, 1], cols[:, 3], cols[self.idx.group_of].T.ravel()))
-        self._take_latent = slice(2 * G, 2 * G + 4 * N)
         # The group scatter of the gradient: per-patient terms binned by
         # (term, group), and the table coordinate of each learned bin.
         flat = table.T.ravel()
@@ -370,17 +369,12 @@ class ProgressionModel:
         self._i_vsev = 3 * d + 1
 
     def _build_prior_tables(self):
-        mu = np.empty(self.n_global)
-        sig = np.empty(self.n_global)
-        const = np.empty(self.n_global)
-        for i, prior in enumerate(e.prior for e in self.entries):
-            mu[i] = prior.mu
-            sig[i] = prior.sigma
-            # with the truncation normalizer -log P(X > lower)
-            const[i] = -0.5 * _LOG_2PI - math.log(prior.sigma) - prior.log_norm
-        self._prior_mu = mu
-        self._prior_sigma = sig
-        self._prior_const_sum = float(const.sum())
+        priors = [e.prior for e in self.entries]
+        self._prior_mu = np.array([p.mu for p in priors])
+        self._prior_sigma = np.array([p.sigma for p in priors])
+        # with the truncation normalizer -log P(X > lower)
+        self._prior_const_sum = float(np.add.reduce(np.array(
+            [-0.5 * _LOG_2PI - math.log(p.sigma) - p.log_norm for p in priors])))
 
     # -- transforms ----------------------------------------------------------
 
@@ -437,7 +431,8 @@ class ProgressionModel:
         (N,) arrays for a vector x, (rows, N) for a (rows, dim) matrix."""
         ext = np.concatenate((x[..., :self.n_global], np.broadcast_to(
             _GROUP_DEFAULTS, (*x.shape[:-1], 5))), axis=-1)
-        return np.split(ext[..., self._take[self._take_latent]], 4, axis=-1)
+        take = self._take[2 * self.data.n_groups:-self.n_patients]
+        return np.split(ext[..., take], 4, axis=-1)
 
     # -- densities -----------------------------------------------------------
 
@@ -514,7 +509,7 @@ class ProgressionModel:
             G, N = self.data.n_groups, self.n_patients
             v = np.concatenate((x[:base], _GROUP_DEFAULTS))[self._take]
             gs, rs = v[:G], v[G:2 * G]
-            idx = self.idx
+            idx, w = self.idx, self.data.bin_width
             m_i, s_i, m_r, s_r, goff = v[2 * G:].reshape(5, N)
             if non_centered:
                 z_i, z_r = x[base::2], x[base + 1::2]
@@ -525,9 +520,7 @@ class ProgressionModel:
                 z_i = (sev0 - m_i) / s_i
                 z_r = (rate - m_r) / s_r
 
-            parts, sev_c, w_c, rw = _emission_block(
-                L, B, V, self._cells_per_feature, sev0, rate, idx)
-            w = self.data.bin_width
+            parts, sev, w_e, rw = _emission_block(L, B, V, sev0, rate, idx)
             visits = _visit_block(x[self._i_vint], x[self._i_vsev],
                                   goff, sev0, rate, idx, w, want_grad)
             if visits is None:
@@ -554,16 +547,13 @@ class ProgressionModel:
 
             # ------- gradient in constrained space -------
             gx = np.zeros(self.dim)
-            d = self.data.n_features
-            cf = idx.cell_feature
-            gx[self._sl_load] = np.bincount(cf, weights=w_c * sev_c, minlength=d)
-            gx[self._sl_fint] = np.bincount(cf, weights=w_c, minlength=d)
-            gx[self._sl_noise] = ((np.bincount(cf, weights=rw, minlength=d)
-                                   - self._cells_per_feature) / (2.0 * V))
-            u_c = w_c * L[cf]
-            d_sev = np.bincount(idx.cell_patient, weights=u_c, minlength=N)
-            d_rate = np.bincount(idx.cell_patient, weights=u_c * idx.cell_time,
-                                 minlength=N)
+            gx[self._sl_load] = np.add.reduce(w_e * sev, axis=1)
+            gx[self._sl_fint] = np.add.reduce(w_e, axis=1)
+            gx[self._sl_noise] = (rw - idx.cells_per_feature) / (2.0 * V)
+            u = np.add.reduce(w_e * L[:, None], axis=0)
+            d_sev = np.bincount(idx.visit_patient, weights=u, minlength=N)
+            d_rate = np.bincount(idx.visit_patient,
+                                 weights=u * idx.visit_time, minlength=N)
 
             # visit terms through a = vint + vsev*sev0 + offset, c = vsev*rate*w
             vsev = x[self._i_vsev]

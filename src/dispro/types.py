@@ -192,43 +192,42 @@ class Dataset:
 class DatasetIndex:
     """Flat index arrays over a dataset for vectorized likelihood work.
 
-    Emission cells enumerate every observed (patient, bin, feature) triple.
-    Visits are modeled over bins 1..horizon per patient (bin 0 is conditioned
-    on): the model sums all bins in closed form from the horizon, so only
-    the observed visits in those bins are kept, one event row each."""
+    Emission rows are the visit bins, one per (patient, bin) with a visit:
+    ``PatientRecord`` guarantees that each observes at least one feature
+    and that no other bin observes any. Their values form a feature-major
+    (n_features, n_visits) matrix, 0 at a missing cell; ``visit_missing``
+    marks those cells and is None when no cell is missing. Visits are
+    modeled over bins 1..horizon per patient (bin 0 is conditioned on):
+    the model sums all bins in closed form from the horizon, so only the
+    observed visits in those bins are kept, one event row each."""
 
     group_of: np.ndarray        # (n_patients,) int
     horizon: np.ndarray         # (n_patients,) float, last modeled bin
-    cell_patient: np.ndarray    # (n_cells,) int
-    cell_time: np.ndarray       # (n_cells,) float, bin * bin_width
-    cell_feature: np.ndarray    # (n_cells,) int
-    cell_value: np.ndarray      # (n_cells,) float
+    visit_patient: np.ndarray   # (n_visits,) int
+    visit_time: np.ndarray      # (n_visits,) float, bin * bin_width
+    visit_value: np.ndarray     # (n_features, n_visits) float, C order
+    visit_missing: np.ndarray | None  # (n_features, n_visits) bool
+    cells_per_feature: np.ndarray  # (n_features,) float, observed cells
     event_patient: np.ndarray   # (n_events,) int
     event_bin: np.ndarray       # (n_events,) float, bin k in 1..horizon
 
     @staticmethod
     def build(data: Dataset) -> "DatasetIndex":
-        cp, ct, cj, cx = [], [], [], []
-        ep, ek = [], []
-        for i, pat in enumerate(data.patients):
-            obs = np.isfinite(pat.features)
-            rows, cols = np.nonzero(obs)
-            cp.append(np.full(rows.shape, i))
-            ct.append(rows * data.bin_width)
-            cj.append(cols)
-            cx.append(pat.features[rows, cols])
-            k = np.flatnonzero(pat.visits[1:] == 1) + 1
-            ep.append(np.full(k.shape, i))
-            ek.append(k)
-        cat = lambda parts, dt: (np.concatenate(parts).astype(dt) if parts
-                                 else np.empty(0, dtype=dt))
+        bins = [p.visit_bins() for p in data.patients]
+        values = np.ascontiguousarray(np.concatenate(
+            [np.empty((0, data.n_features))]
+            + [p.features[b] for p, b in zip(data.patients, bins)]).T)
+        missing = ~np.isfinite(values)
+        patients = np.arange(data.n_patients)
         return DatasetIndex(
             group_of=np.array([p.group.index for p in data.patients], dtype=np.intp),
             horizon=np.array([p.horizon for p in data.patients], dtype=float),
-            cell_patient=cat(cp, np.intp),
-            cell_time=cat(ct, float),
-            cell_feature=cat(cj, np.intp),
-            cell_value=cat(cx, float),
-            event_patient=cat(ep, np.intp),
-            event_bin=cat(ek, float),
+            visit_patient=np.repeat(patients, [b.size for b in bins]),
+            visit_time=np.concatenate([np.empty(0), *bins]) * data.bin_width,
+            visit_value=np.where(missing, 0.0, values),
+            visit_missing=missing if missing.any() else None,
+            cells_per_feature=(~missing).sum(axis=1).astype(float),
+            # bin 0 is always a visit, and never an event
+            event_patient=np.repeat(patients, [b.size - 1 for b in bins]),
+            event_bin=np.concatenate([np.empty(0), *(b[1:] for b in bins)]),
         )

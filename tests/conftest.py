@@ -93,9 +93,8 @@ def block_sums(data, shared, latents, groups=None):
     idx = DatasetIndex.build(data)
     sev0 = np.array([la.init_sev for la in latents])
     rate = np.array([la.rate for la in latents])
-    counts = np.bincount(idx.cell_feature, minlength=data.n_features)
     emission = _emission_block(shared.loadings, shared.feat_intercepts,
-                               shared.noise_vars, counts, sev0, rate, idx)[0]
+                               shared.noise_vars, sev0, rate, idx)[0]
     offsets = (np.zeros(data.n_groups) if groups is None
                else np.array([g.visit_offset for g in groups]))
     visits = _visit_block(shared.visit_intercept, shared.visit_severity,

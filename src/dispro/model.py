@@ -173,10 +173,10 @@ def _geometric(c, H, want_grad):
     # Below |c| H = 0.01 the distance loses digits (1e-16 / (|c| H)) and at
     # c = 0 both forms are 0 / 0; there a series, exact to (|c| H)^5 / 15000,
     # and exprel take over.
-    small = (b * H < 0.01).nonzero()[0]
-    bs = b.copy()
-    bs[small] = 1.0  # keeps the replaced entries finite
-    m1, mh = np.expm1(-bs), np.expm1(-bs * H)
+    small = b * H < 0.01
+    nb = np.where(small, -1.0, -b)  # keeps the replaced entries finite
+    small = small.nonzero()[0]
+    m1, mh = np.expm1(nb), np.expm1(nb * H)
     ratio = mh / m1
     if small.size:
         bs, h = b[small], H[small]

@@ -24,9 +24,7 @@ from .priors import (  # noqa: F401
     Normal,
     PriorSpec,
     TruncatedNormal,
-    factor_seeded_priors,
     simulation_priors,
-    weakly_informative_priors,
 )
 from .model import (  # noqa: F401
     ModelVariant,

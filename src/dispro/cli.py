@@ -38,13 +38,6 @@ from .fitting import RHAT_THRESHOLD, convergence_summary, fit_model
 from .inference import disparity_summary, recovery_report
 from .model import ModelVariant, latent_names
 from .oracles import PrecisionError, verify_theorems
-from .priors import (
-    ROLES,
-    factor_seeded_priors,
-    prior_from_dict,
-    simulation_priors,
-    weakly_informative_priors,
-)
 from .sampler import SamplerConfig
 from .simulate import SimConfig, simulate_dataset
 from .svgplot import svg_scatter
@@ -98,12 +91,9 @@ def _build_parser() -> _Parser:
     pf.add_argument("--out", required=True)
     pf.add_argument("--variant", default="full",
                     help="full | no_initial_severity | no_rate | no_visit | no_disparities")
-    pf.add_argument("--priors", default="simulation",
-                    choices=["simulation", "weak", "weak-fa"])
     pf.add_argument("--chains", type=int, default=4)
     pf.add_argument("--warmup", type=int, default=500)
     pf.add_argument("--draws", type=int, default=1000)
-    pf.add_argument("--target-accept", type=float, default=0.8)
     pf.add_argument("--max-leapfrog", type=int, default=1024)
     pf.add_argument("--seed", type=int, default=0)
     pf.add_argument("--threads", type=int, default=1,
@@ -152,20 +142,12 @@ def _sim_config_from_json(text: str, seed_override) -> SimConfig:
     unknown = set(doc) - {f.name for f in fields(SimConfig)}
     if unknown:
         raise ConfigurationError(f"unknown simulate config keys: {sorted(unknown)}")
-    priors = None
-    if "priors" in doc:
-        roles = doc.pop("priors")
-        if not (isinstance(roles, dict) and set(roles) <= set(ROLES)):
-            raise ConfigurationError(
-                f"simulate config priors must be an object keyed by {ROLES}")
-        priors = simulation_priors().replace(
-            **{role: prior_from_dict(cfg) for role, cfg in roles.items()})
     if seed_override is not None:
         doc["seed"] = seed_override
     wrong = sorted(k for k, v in doc.items() if type(v) not in _SIM_TYPES[k])
     if wrong:
         raise ConfigurationError(f"simulate config keys of the wrong type: {wrong}")
-    return SimConfig(priors=priors, **doc)
+    return SimConfig(**doc)
 
 
 def _cmd_simulate(args) -> int:
@@ -193,16 +175,10 @@ def _cmd_fit(args) -> int:
             "R-hat needs --chains >= 2 and --draws >= 4")
     data = read_dataset(args.dataset)
     variant = ModelVariant.from_name(args.variant)
-    if args.priors == "simulation":
-        priors = simulation_priors()
-    elif args.priors == "weak":
-        priors = weakly_informative_priors()
-    else:
-        priors = factor_seeded_priors(data)
     config = SamplerConfig(chains=args.chains, warmup=args.warmup,
-                           draws=args.draws, target_accept=args.target_accept,
-                           max_leapfrog=args.max_leapfrog, seed=args.seed)
-    draws = fit_model(data, priors=priors, variant=variant, config=config)
+                           draws=args.draws, max_leapfrog=args.max_leapfrog,
+                           seed=args.seed)
+    draws = fit_model(data, variant=variant, config=config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_draws(draws, out / "draws.csv")
@@ -210,10 +186,8 @@ def _cmd_fit(args) -> int:
     write_json(diag, out / "diagnostics.json")
     write_manifest(out, "fit",
                    {"dataset": args.dataset, "variant": args.variant,
-                    "priors": args.priors, "chains": args.chains,
-                    "warmup": args.warmup, "draws": args.draws,
-                    "target_accept": args.target_accept,
-                    "max_leapfrog": args.max_leapfrog,
+                    "chains": args.chains, "warmup": args.warmup,
+                    "draws": args.draws, "max_leapfrog": args.max_leapfrog,
                     "threads": args.threads},
                    args.seed, inputs={"dataset": args.dataset},
                    outputs=["draws.csv", "fit_meta.json", "diagnostics.json"])

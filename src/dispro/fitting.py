@@ -18,15 +18,13 @@ import numpy as np
 
 from .dataio import fit_meta
 from .model import ModelVariant, ProgressionModel, latent_names
-from .priors import PriorSpec
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
 from .types import GroupParams, PatientLatents, SharedParams
 
 RHAT_THRESHOLD = 1.1  # a worst global R-hat above this is not converged
 
 
-def fit_model(data, priors: PriorSpec | None = None,
-              variant: ModelVariant = ModelVariant.FULL,
+def fit_model(data, variant: ModelVariant = ModelVariant.FULL,
               config: SamplerConfig | None = None) -> PosteriorDraws:
     """Fit the progression model by NUTS.
 
@@ -39,7 +37,7 @@ def fit_model(data, priors: PriorSpec | None = None,
     dataset metadata attached for downstream estimators.
     """
     config = config or SamplerConfig()
-    model = ProgressionModel(data, priors, variant)
+    model = ProgressionModel(data, variant)
     init_root = np.random.SeedSequence((config.seed, 0x1D15))
     init_rngs = [np.random.Generator(np.random.Philox(s))
                  for s in init_root.spawn(config.chains)]

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import exprel
 
-from .priors import Prior, PriorSpec, simulation_priors
+from .priors import Prior, simulation_priors
 from .types import (
     ConfigurationError,
     Dataset,
@@ -304,10 +304,9 @@ class ProgressionModel:
     the log-Jacobian of that inverse map.
     """
 
-    def __init__(self, data: Dataset, priors: PriorSpec | None = None,
-                 variant: ModelVariant = ModelVariant.FULL):
+    def __init__(self, data: Dataset, variant: ModelVariant = ModelVariant.FULL):
         self.data = data
-        self.priors = priors if priors is not None else simulation_priors()
+        self.priors = simulation_priors()
         self.variant = variant
         self.idx = DatasetIndex.build(data)
         self._build_layout()
@@ -324,8 +323,8 @@ class ProgressionModel:
         rows, table = param_layout(d, data.n_groups, data.pinned_group,
                                    self.variant)
         entries = []
-        for name, role, feature in rows:
-            prior = self.priors.for_role(role, feature)
+        for name, role, _ in rows:
+            prior = self.priors.for_role(role)
             lower = prior.lower if prior.lower is not None else \
                 (0.0 if role in _POSITIVE_ROLES else None)
             entries.append(ParamEntry(name, prior, lower))

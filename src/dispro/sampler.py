@@ -42,6 +42,8 @@ class SamplerConfig:
             raise ConfigurationError("chains, warmup, draws, max_leapfrog must be positive")
         if not (0.0 < self.target_accept < 1.0):
             raise ConfigurationError("target_accept must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be a non-negative integer")
 
     @property
     def max_depth(self) -> int:

@@ -21,7 +21,7 @@ from .model import (
     latent_names,
     param_layout,
 )
-from .priors import PriorSpec, simulation_priors
+from .priors import simulation_priors
 from .types import (
     ConfigurationError,
     Dataset,
@@ -53,7 +53,6 @@ class SimConfig:
     seed: int = 0
     n_groups: int = 2
     group_specific_rates: bool = False
-    priors: PriorSpec | None = None
 
     def __post_init__(self):
         if not (0.0 < self.group_probability < 1.0):
@@ -64,9 +63,8 @@ class SimConfig:
             raise ConfigurationError("need a pinned and at least one other group")
         if not 0 < self.bin_width < np.inf:
             raise ConfigurationError("bin_width must be positive and finite")
-
-    def prior_spec(self) -> PriorSpec:
-        return self.priors if self.priors is not None else simulation_priors()
+        if self.seed < 0:
+            raise ConfigurationError("seed must be a non-negative integer")
 
 
 @dataclass
@@ -101,12 +99,12 @@ def draw_true_params(cfg: SimConfig, rng: np.random.Generator):
     """Draw generating parameters from the priors. The pinned group keeps
     init N(0, 1) and zero visit offset; rate parameters are drawn once and
     shared across groups unless cfg.group_specific_rates."""
-    pr = cfg.prior_spec()
+    pr = simulation_priors()
     d = cfg.n_features
     loadings = np.empty(d)
-    loadings[0] = pr.for_role("loading0", 0).draw(rng)
+    loadings[0] = pr.loading0.draw(rng)
     for j in range(1, d):
-        loadings[j] = pr.for_role("loading", j).draw(rng)
+        loadings[j] = pr.loading.draw(rng)
     shared = SharedParams(
         loadings=loadings,
         feat_intercepts=pr.feat_intercept.draw(rng, size=d),

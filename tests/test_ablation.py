@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dispro import ProgressionModel, TruthSidecar, simulation_priors
+from dispro import ProgressionModel, TruthSidecar
 from dispro.ablation import (
     ModelVariant,
     high_risk_profile,
@@ -76,9 +76,8 @@ class TestVariants:
 
     def test_no_disparities_invariant_under_label_swap(self, small_sim):
         data, truth = small_sim
-        priors = simulation_priors()
         variant = ModelVariant.NO_DISPARITIES
-        model = ProgressionModel(data, priors, variant)
+        model = ProgressionModel(data, variant)
         shared, groups, latents = truth_bundles(data, truth)
         # blind model: groups all share the pinned latent distributions
         from dispro import GroupParams
@@ -93,7 +92,7 @@ class TestVariants:
                                 p.features) for p in data.patients]
         data2 = Dataset(swapped, data.n_groups, data.n_features,
                         data.bin_width)
-        model2 = ProgressionModel(data2, priors, variant)
+        model2 = ProgressionModel(data2, variant)
         theta2 = model2.unconstrain(model2.pack(shared, blind, latents))
         lp2 = model2.log_posterior(theta2)
         assert lp2 == pytest.approx(lp, abs=1e-9)

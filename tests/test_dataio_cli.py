@@ -306,15 +306,21 @@ class TestCli:
         {"n_patients": 1e9},
         {"bin_width": math.nan},
         {"priors": {"loading": {"family": "normal", "mu": "x", "sigma": 1}}},
+        {"seed": -5},
     ], ids=["unknown-key", "priors-list", "unknown-prior-role",
             "n_patients-string", "n_features-float", "bin_width-string",
-            "n_patients-1e9", "bin_width-nan", "prior-mu-string"])
+            "n_patients-1e9", "bin_width-nan", "prior-mu-string",
+            "seed-negative"])
     def test_invalid_config_key_exit_1(self, tmp_path, capsys, doc):
+        """An unknown key (``priors`` among them: there is one prior set),
+        a value of the wrong type and a value out of range end in exit 1
+        before ``--out`` is made."""
         cfg = tmp_path / "sim.json"
         cfg.write_text(json.dumps(doc))
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "z")]) == 1
         assert "configuration error:" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
 
     def test_svg_output_deterministic(self, tmp_path):
         from dispro.svgplot import svg_scatter
@@ -533,13 +539,14 @@ MALFORMED = {
 
 @pytest.fixture(scope="module")
 def valid_fit(sim_pair, tmp_path_factory):
-    """A dataset, its truth and a short full-model fit of it, side by side,
-    to corrupt; short fits of two more variants in subdirectories named
-    after them."""
+    """A dataset, its truth, a small simulate config and a short full-model
+    fit of the dataset, side by side, to corrupt; short fits of two more
+    variants in subdirectories named after them."""
     data, truth = sim_pair
     fit_dir = tmp_path_factory.mktemp("valid_fit")
     write_dataset(data, fit_dir / "dataset.csv")
     write_truth(truth, fit_dir / "truth.json")
+    (fit_dir / "sim.json").write_text('{"n_patients": 5, "n_bins": 3}')
     for variant in (ModelVariant.FULL, ModelVariant.NO_VISIT,
                     ModelVariant.NO_DISPARITIES):
         out = fit_dir if variant is ModelVariant.FULL else fit_dir / variant.value
@@ -642,6 +649,16 @@ BAD_OPTIONS = {
     "rhat_threshold_nan": ["fit", "--dataset", "{fit}/dataset.csv",
                            "--chains", "2", "--warmup", "10", "--draws", "10",
                            "--rhat-threshold", "nan"],
+    "fit_seed_negative": ["fit", "--dataset", "{fit}/dataset.csv",
+                          "--chains", "2", "--warmup", "10", "--draws", "10",
+                          "--seed", "-1"],
+    "simulate_seed_negative": ["simulate", "--config", "{fit}/sim.json",
+                               "--seed", "-3"],
+    **{f"{name}_removed": ["fit", "--dataset", "{fit}/dataset.csv",
+                           "--chains", "2", "--warmup", "10", "--draws", "10",
+                           option, value]
+       for name, option, value in (("priors", "--priors", "weak"),
+                                   ("target_accept", "--target-accept", "0.9"))},
     **{f"informative_{name}": ["evaluate", "--mode", "baselines", "--dataset",
                                "{fit}/dataset.csv", "--informative", value]
        for name, value in (("letters", "a,b"), ("fraction", "1.5"),
@@ -660,9 +677,11 @@ BAD_OPTIONS = {
 def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
     """A tolerance or scale that is not a finite number above 0, an
     ``--informative`` that is not a list of the dataset's feature indices,
-    a ``--train-window`` that is not an integer above 0 and a
-    ``--quantile`` outside (0, 1) end in exit 1 with a message, not a
-    traceback, a silent pass or exit 2, and before ``--out`` is made."""
+    a ``--train-window`` that is not an integer above 0, a ``--quantile``
+    outside (0, 1), a negative ``--seed`` and the removed ``fit``
+    options ``--priors`` and ``--target-accept`` end in exit 1 with a
+    message, not a traceback, a silent pass or exit 2, and before ``--out``
+    is made."""
     argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

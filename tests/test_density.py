@@ -253,7 +253,7 @@ class TestPrior:
         priors = simulation_priors()
         shared = SharedParams([1.0], [0.0], [1.0], 1.5, 0.5)
         gp = pinned_group_params(rate_mean=0.4, rate_sd=0.7)
-        model = ProgressionModel(data, priors)
+        model = ProgressionModel(data)
 
         def prior_at(latent):
             theta = model.unconstrain(model.pack(shared, [gp], [latent]))
@@ -308,15 +308,15 @@ class TestLogPosterior:
         data, truth = small_sim
         priors = simulation_priors()
         shared, groups, latents = truth_bundles(data, truth)
-        model = ProgressionModel(data, priors)
+        model = ProgressionModel(data)
         x = model.pack(shared, groups, latents)
         theta = model.unconstrain(x)
         lp = model.log_posterior(theta)
         rows, _ = param_layout(data.n_features, data.n_groups,
                                data.pinned_group, ModelVariant.FULL)
         assert [name for name, _, _ in rows] == [e.name for e in model.entries]
-        global_priors = [priors.for_role(role, j).logpdf(v)
-                         for (_, role, j), v in zip(rows, x)]
+        global_priors = [priors.for_role(role).logpdf(v)
+                         for (_, role, _), v in zip(rows, x)]
         latent_priors = []
         for p, la in zip(data.patients, latents):
             g = groups[p.group.index]
@@ -329,8 +329,7 @@ class TestLogPosterior:
 
     def test_patient_permutation_invariance(self, small_sim):
         data, truth = small_sim
-        priors = simulation_priors()
-        model = ProgressionModel(data, priors)
+        model = ProgressionModel(data)
         shared, groups, latents = truth_bundles(data, truth)
         theta = model.unconstrain(model.pack(shared, groups, latents))
         lp = model.log_posterior(theta)
@@ -338,7 +337,7 @@ class TestLogPosterior:
         order = np.random.default_rng(5).permutation(len(data.patients))
         data2 = Dataset([data.patients[i] for i in order], data.n_groups,
                         data.n_features, data.bin_width)
-        model2 = ProgressionModel(data2, priors)
+        model2 = ProgressionModel(data2)
         lat2 = [latents[i] for i in order]
         theta2 = model2.unconstrain(model2.pack(shared, groups, lat2))
         lp2 = model2.log_posterior(theta2)
@@ -353,12 +352,11 @@ class TestLogPosterior:
                          [[-0.3, 0.4], [np.nan, np.nan], [0.9, np.nan]]),
         ]
         data = Dataset(pats, 2, 2, 0.5)
-        priors = simulation_priors()
         shared = SharedParams([1.2, -0.7], [0.1, -0.2], [0.8, 1.5], 0.4, 0.3)
         groups = [GroupParams(0.0, 1.0, 0.6, 0.5, 0.0),
                   GroupParams(0.8, 1.1, 0.9, 0.4, -0.3)]
         lats = [PatientLatents(0.2, 0.7), PatientLatents(-0.4, 1.2)]
-        model = ProgressionModel(data, priors)
+        model = ProgressionModel(data)
         theta = model.unconstrain(model.pack(shared, groups, lats))
         lp = model.log_posterior(theta)
 

@@ -4,11 +4,15 @@ definition in the package (``__init__.py`` aside), the demos or the
 benchmark. A top-level name is used where it appears as a word; a method or
 property where it is read as an attribute of anything but an imported
 module (``spec.global_names`` is no use of a method ``global_names``).
-Tests do not count as a use."""
+Every long option of the command line, likewise, appears in the benchmark,
+the demos or the README. Tests do not count as a use."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+from dispro.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,3 +85,25 @@ def test_every_public_name_has_a_use():
     assert [n for n in unused if n not in ALLOWED] == []
     # an allowed name that found a use leaves the list
     assert sorted(ALLOWED) == sorted(n for n in unused if n in ALLOWED)
+
+
+def cli_long_options() -> set[str]:
+    """Every ``--option`` of the top-level parser and its subcommands,
+    ``--help`` aside."""
+    parsers = [_build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers.extend(action.choices.values())
+    return {opt for parser in parsers for action in parser._actions
+            for opt in action.option_strings
+            if opt.startswith("--") and opt != "--help"}
+
+
+def test_every_cli_option_has_a_use():
+    texts = [p.read_text() for p in (*sorted((ROOT / "bench").glob("*.py")),
+                                     *sorted((ROOT / "demos").glob("*.py")),
+                                     ROOT / "README.md")]
+    unused = sorted(opt for opt in cli_long_options()
+                    if not any(re.search(rf"{re.escape(opt)}(?![\w-])", text)
+                               for text in texts))
+    assert unused == []

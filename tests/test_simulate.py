@@ -12,9 +12,7 @@ from dispro import (
     draw_true_params,
     marginal_feature_moments,
     simulate_dataset,
-    simulation_priors,
 )
-from dispro.priors import Normal, TruncatedNormal
 from dispro.types import ConfigurationError
 
 from conftest import truth_bundles
@@ -65,22 +63,20 @@ def flat_severity_params(cfg, visit_intercept):
     visit probability."""
     from dispro import GroupParams, SharedParams
 
-    priors = simulation_priors().replace(
-        visit_severity=Normal(0.0, 1.0))
     shared = SharedParams(loadings=np.ones(cfg.n_features),
                           feat_intercepts=np.zeros(cfg.n_features),
                           noise_vars=np.ones(cfg.n_features),
                           visit_intercept=visit_intercept, visit_severity=0.0)
     groups = [GroupParams(0.0, 1.0, 0.5, 0.2, 0.0),
               GroupParams(0.4, 1.0, 0.5, 0.2, 0.0)]
-    return shared, groups, priors
+    return shared, groups
 
 
 class TestSimulateDataset:
     def test_visit_frequency_when_rate_fixed(self):
         # lambda * width = 1 => per-bin visit probability 1 - 1/e
         cfg = SimConfig(n_patients=400, n_bins=25, bin_width=0.04, seed=31)
-        shared, groups, _ = flat_severity_params(cfg, math.log(1.0 / 0.04))
+        shared, groups = flat_severity_params(cfg, math.log(1.0 / 0.04))
         data, _ = simulate_dataset(cfg, params=(shared, groups))
         visits = np.concatenate([p.visits[1:] for p in data.patients])
         p_hat = visits.mean()
@@ -90,7 +86,7 @@ class TestSimulateDataset:
 
     def test_noiseless_emissions_on_the_line(self):
         cfg = SimConfig(n_patients=30, n_bins=10, bin_width=0.1, seed=8)
-        shared, groups, _ = flat_severity_params(cfg, 2.0)
+        shared, groups = flat_severity_params(cfg, 2.0)
         shared.noise_vars = np.full(cfg.n_features, 1e-24)
         data, truth = simulate_dataset(cfg, params=(shared, groups))
         for p in data.patients:

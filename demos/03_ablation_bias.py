@@ -22,6 +22,6 @@ print("\nshare of visits flagged high-risk (top quartile), by group:")
 under = reports[ModelVariant.FULL].underserved_group
 for variant, prof in profiles.items():
     shares = ", ".join(f"group {g}: {s:.1%}"
-                       for g, s in sorted(prof.flagged_share_by_group.items()))
+                       for g, s in sorted(prof.items()))
     print(f"  {variant.value:<24} {shares}")
 print(f"\n(underserved group by drawn initial severity: group {under})")

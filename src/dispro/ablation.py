@@ -15,7 +15,7 @@ from .inference import pearson
 from .model import ModelVariant, expected_visit_rate, latent_names
 from .sampler import SamplerConfig
 from .simulate import SimConfig, draw_true_params, simulate_dataset
-from .types import ConfigurationError
+from .types import ConfigurationError, DataError
 
 
 @dataclass
@@ -46,13 +46,12 @@ class BiasReport:
                     if (g == self.underserved_group) == underserved)
 
 
-def underserved_group(variant: ModelVariant, truth) -> int:
+def underserved_group(variant: ModelVariant, truth, n_groups: int) -> int:
     """The paper-style designation: the group disadvantaged with respect to
     the specific disparity the variant fails to capture; higher initial
     severity for the full (and all-ablated) model. ``truth`` is a
-    TruthSidecar."""
-    groups = sorted({int(k.split("[")[1][:-1]) for k in truth.params
-                     if k.startswith("init_sev_mean[")})
+    TruthSidecar holding that parameter for each of the ``n_groups``
+    groups."""
     if variant is ModelVariant.NO_RATE:
         key = "rate_mean[{}]"
         pick = max
@@ -62,7 +61,11 @@ def underserved_group(variant: ModelVariant, truth) -> int:
     else:
         key = "init_sev_mean[{}]"
         pick = max
-    return pick(groups, key=lambda g: truth.params[key.format(g)])
+    keys = [key.format(g) for g in range(n_groups)]
+    missing = [k for k in keys if k not in truth.params]
+    if missing:
+        raise DataError(f"truth lacks params {missing}")
+    return pick(range(n_groups), key=lambda g: truth.params[keys[g]])
 
 
 def bias_report(draws, truth, variant: ModelVariant) -> BiasReport:
@@ -94,7 +97,8 @@ def bias_report(draws, truth, variant: ModelVariant) -> BiasReport:
         variant=variant,
         group_bias=group_bias,
         group_correlation=group_corr,
-        underserved_group=underserved_group(variant, truth),
+        underserved_group=underserved_group(variant, truth,
+                                            meta["n_groups"]),
         max_global_rhat=worst,
         flagged_nonconverged=bool(worst > RHAT_THRESHOLD),
     )
@@ -148,7 +152,7 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     """One full ablation trial: draw a disparity scenario, simulate, then fit
     and score each variant in turn (by default the full model and the three
     single-disparity ablations). Returns ({variant: BiasReport},
-    {variant: HighRiskProfile})."""
+    {variant: {group: high-risk share}})."""
     sim_cfg = SimConfig(n_patients=n_patients, n_bins=n_bins,
                         bin_width=1.0 / n_bins, seed=seed,
                         group_specific_rates=True)
@@ -168,24 +172,13 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     return reports, profiles
 
 
-@dataclass
-class HighRiskProfile:
-    threshold: float | None
-    flagged_share_by_group: dict[int, float]
-    visits_by_group: dict[int, int]
-    flagged_total: int
-    n_total: int
-    quantile: float
-    degenerate: bool = False
-
-
-def high_risk_profile(values, groups, q: float = 0.25) -> HighRiskProfile:
-    """Share of visits per group whose severity estimate lands in the top q
-    fraction of all visits.
+def high_risk_profile(values, groups, q: float = 0.25) -> dict[int, float]:
+    """Share of visits per group, {group: share}, whose severity estimate
+    lands in the top q fraction of all visits.
 
     The threshold is the nearest-rank (1-q)-quantile over all values; a visit
     is flagged when strictly above it, so ties at the threshold are never
-    flagged. All-equal inputs are reported degenerate rather than flagged.
+    flagged. All-equal inputs flag nothing and give nan shares.
     """
     if not (0.0 < q < 1.0):
         raise ConfigurationError("q must lie in (0, 1)")
@@ -195,23 +188,12 @@ def high_risk_profile(values, groups, q: float = 0.25) -> HighRiskProfile:
         raise ConfigurationError("values and groups must be equal-length vectors")
     n = values.size
     uniq = np.unique(groups)
-    visits_by_group = {int(g): int(np.sum(groups == g)) for g in uniq}
     if n == 0 or np.all(values == values[0]):
-        return HighRiskProfile(threshold=None,
-                               flagged_share_by_group={int(g): math.nan for g in uniq},
-                               visits_by_group=visits_by_group,
-                               flagged_total=0, n_total=n, quantile=q,
-                               degenerate=True)
+        return {int(g): math.nan for g in uniq}
     order = np.sort(values)
     rank = max(1, math.ceil((1.0 - q) * n))  # nearest-rank quantile, 1-based
-    threshold = float(order[rank - 1])
-    flagged = values > threshold
-    share = {int(g): float(np.mean(flagged[groups == g])) for g in uniq}
-    return HighRiskProfile(threshold=threshold,
-                           flagged_share_by_group=share,
-                           visits_by_group=visits_by_group,
-                           flagged_total=int(flagged.sum()), n_total=n,
-                           quantile=q)
+    flagged = values > order[rank - 1]
+    return {int(g): float(np.mean(flagged[groups == g])) for g in uniq}
 
 
 def visit_severity_estimates(draws, data):

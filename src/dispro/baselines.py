@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,8 @@ class FaFit:
     loadings: np.ndarray       # (p, k)
     uniquenesses: np.ndarray   # (p,)
     means: np.ndarray          # (p,)
-    loglik_trace: list[float] = field(default_factory=list)
-    converged: bool = True
-    n_iter: int = 0
+    loglik_trace: list[float]
+    n_iter: int
 
 
 def _fa_loglik(S, loadings, uniq, n):
@@ -149,7 +148,7 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
         warnings.warn(f"factor analysis EM did not converge in {it} iterations",
                       RuntimeWarning, stacklevel=2)
     return FaFit(loadings=loadings, uniquenesses=uniq, means=means,
-                 loglik_trace=trace, converged=converged, n_iter=it)
+                 loglik_trace=trace, n_iter=it)
 
 
 def fa_reconstruct(X, fit: FaFit) -> np.ndarray:
@@ -197,17 +196,6 @@ def patient_matrix(data):
 TRAJECTORY_METHODS = ("linear", "quadratic", "latest")
 
 
-@dataclass
-class PredictionTable:
-    rows: list  # (patient_id, bin, feature, predicted, actual)
-
-    def arrays(self):
-        pred = np.array([r[3] for r in self.rows])
-        act = np.array([r[4] for r in self.rows])
-        feat = np.array([r[2] for r in self.rows])
-        return pred, act, feat
-
-
 def _polyfit_or_none(t, y, degree):
     if t.size < degree + 1:
         return None
@@ -215,8 +203,9 @@ def _polyfit_or_none(t, y, degree):
     return np.polynomial.polynomial.polyfit(t, y, degree)
 
 
-def trajectory_baselines(data, train_window: int, method: str) -> PredictionTable:
-    """Predict features at held-out visit bins (bin >= train_window).
+def trajectory_baselines(data, train_window: int, method: str) -> list:
+    """Predict features at held-out visit bins (bin >= train_window): one
+    row (patient_id, bin, feature, predicted, actual) per held-out cell.
 
     linear/quadratic: per-patient per-feature least squares on training
     observations, falling back to the feature's population training mean with
@@ -274,24 +263,17 @@ def trajectory_baselines(data, train_window: int, method: str) -> PredictionTabl
                     if np.isfinite(lo[j]) and np.isfinite(hi[j]):
                         pred = min(max(pred, float(lo[j])), float(hi[j]))
                 rows.append((p.patient_id, int(t), j, pred, float(col[t])))
-    return PredictionTable(rows=rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MapeResult:
-    value: float | None     # percent; None when no scorable cells
-    n_scored: int
-    n_zero_actual: int
-
-
-def mape(predicted, actual, feature_of=None, feature_subset=None) -> MapeResult:
-    """Mean absolute percentage error over scorable cells, as a percentage.
-    Cells whose actual value is exactly 0 are excluded and counted;
-    feature_subset restricts scoring to those feature indices."""
+def mape(predicted, actual, feature_of=None, feature_subset=None) -> float | None:
+    """Mean absolute percentage error over scorable cells, as a percentage;
+    None when no cell is scorable. Cells whose actual value is exactly 0 are
+    excluded; feature_subset restricts scoring to those feature indices."""
     predicted = np.asarray(predicted, dtype=float).ravel()
     actual = np.asarray(actual, dtype=float).ravel()
     if predicted.shape != actual.shape:
@@ -302,15 +284,11 @@ def mape(predicted, actual, feature_of=None, feature_subset=None) -> MapeResult:
             raise ConfigurationError("feature_subset needs feature_of labels")
         feature_of = np.asarray(feature_of).ravel()
         keep &= np.isin(feature_of, list(feature_subset))
-    zero = keep & (actual == 0.0)
     scored = keep & (actual != 0.0)
-    n_scored = int(scored.sum())
-    if n_scored == 0:
-        return MapeResult(value=None, n_scored=0, n_zero_actual=int(zero.sum()))
-    value = float(np.mean(np.abs(predicted[scored] - actual[scored])
-                          / np.abs(actual[scored])) * 100.0)
-    return MapeResult(value=value, n_scored=n_scored,
-                      n_zero_actual=int(zero.sum()))
+    if not scored.any():
+        return None
+    return float(np.mean(np.abs(predicted[scored] - actual[scored])
+                         / np.abs(actual[scored])) * 100.0)
 
 
 def reconstruction_table(data, feature_subset=None):
@@ -330,10 +308,10 @@ def reconstruction_table(data, feature_subset=None):
             ("fa_patient", Xp, feat_p, 2, fa_fit, fa_reconstruct)):
         fit = fitter(X, k)
         R = recon(X, fit)
-        row = {"mape_all": mape(R, X, feats).value}
+        row = {"mape_all": mape(R, X, feats)}
         if feature_subset is not None:
             row["mape_informative"] = mape(R, X, feats,
-                                           feature_subset=feature_subset).value
+                                           feature_subset=feature_subset)
         out[label] = row
     return out
 
@@ -342,12 +320,12 @@ def prediction_table(data, train_window: int, feature_subset=None):
     """Forecasting comparison: per-method MAPE at held-out visits."""
     out = {}
     for method in TRAJECTORY_METHODS:
-        table = trajectory_baselines(data, train_window, method)
-        pred, act, feat = table.arrays()
-        row = {"mape_all": mape(pred, act, feat).value,
-               "n_predictions": len(table.rows)}
+        rows = trajectory_baselines(data, train_window, method)
+        feat, pred, act = (np.array([r[i] for r in rows]) for i in (2, 3, 4))
+        row = {"mape_all": mape(pred, act, feat),
+               "n_predictions": len(rows)}
         if feature_subset is not None:
             row["mape_informative"] = mape(pred, act, feat,
-                                           feature_subset=feature_subset).value
+                                           feature_subset=feature_subset)
         out[method] = row
     return out

@@ -170,9 +170,9 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_fit(args) -> int:
-    if args.chains < 2 or args.draws < 4:
+    if args.chains < 2 or args.draws < 8:  # ESS splits each chain in half
         raise ConfigurationError(
-            "R-hat needs --chains >= 2 and --draws >= 4")
+            "R-hat and ESS need --chains >= 2 and --draws >= 8")
     data = read_dataset(args.dataset)
     variant = ModelVariant.from_name(args.variant)
     config = SamplerConfig(chains=args.chains, warmup=args.warmup,
@@ -315,7 +315,7 @@ def _evaluate_bias(args, out: Path) -> int:
             rows.append(row)
     for g in range(n_groups):
         rows.append([f"high_risk_share_q{args.quantile}", g,
-                     *[profiles[v].flagged_share_by_group.get(g) for v in variants]])
+                     *[profiles[v].get(g) for v in variants]])
     write_table(out / "bias_table.tsv", header, rows)
     summary = {"mode": "bias", "quantile": args.quantile,
                "variants": {v.value: {
@@ -324,7 +324,7 @@ def _evaluate_bias(args, out: Path) -> int:
                    "underserved_group": reports[v].underserved_group,
                    "max_global_rhat": reports[v].max_global_rhat,
                    "flagged_nonconverged": reports[v].flagged_nonconverged,
-                   "high_risk_share": profiles[v].flagged_share_by_group,
+                   "high_risk_share": profiles[v],
                } for v in variants}}
     write_json(summary, out / "summary.json")
     flagged = [v.value for v in variants if reports[v].flagged_nonconverged]

@@ -125,6 +125,8 @@ def read_dataset(path) -> Dataset:
         if len(group_idx) != 1:
             raise DataError(f"{pid}: inconsistent group labels")
         g = group_idx.pop()
+        if g < 0:
+            raise DataError(f"{pid}: negative group label {g}")
         visits = np.array([int(r[3]) for r in rows], dtype=np.int8)
         features = np.full((len(rows), n_features), np.nan)
         for t, r in enumerate(rows):

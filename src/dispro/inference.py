@@ -135,17 +135,17 @@ def _group_severity_points(trial, draws, latents):
 class DisparitySummary:
     """Group differences versus the pinned reference group, with the worked
     unit conversions: initial-severity gaps in care-delay time units
-    (gap / population mean progression rate), optionally in calendar years
-    (times a user-supplied years-per-unit factor), and visit-rate ratios."""
+    (gap / population mean progression rate) and in calendar years (times a
+    user-supplied years-per-unit factor), and visit-rate ratios."""
 
     reference_group: int
     mean_rate: float
     per_group: dict[int, dict]
-    years_per_unit: float | None = None
+    years_per_unit: float
 
 
 def disparity_summary(draws: PosteriorDraws,
-                      years_per_unit: float | None = None) -> DisparitySummary:
+                      years_per_unit: float) -> DisparitySummary:
     """Disparity magnitudes from a fitted model.
 
     Initial-severity gaps are posterior means of each group's init_sev_mean
@@ -180,8 +180,7 @@ def disparity_summary(draws: PosteriorDraws,
                                         float(np.percentile(col, hi_q))]
             if abs(mean_rate) > 1e-12:
                 entry["delay_time_units"] = gap / mean_rate
-                if years_per_unit is not None:
-                    entry["delay_years"] = gap / mean_rate * years_per_unit
+                entry["delay_years"] = gap / mean_rate * years_per_unit
             else:
                 entry["delay_time_units"] = None  # undefined at ~zero rate
         if draws.has(f"visit_offset[{g}]"):

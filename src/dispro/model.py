@@ -589,21 +589,3 @@ class ProgressionModel:
     def _rejected(self, want_grad):
         """The -inf sentinel of a rejected point, with a zero gradient."""
         return -math.inf, np.zeros(self.dim) if want_grad else None
-
-    # -- initialization -------------------------------------------------------
-
-    def init_from_priors(self, rng: np.random.Generator,
-                         non_centered: bool = False) -> np.ndarray:
-        """Unconstrained initial point: globals drawn from their priors,
-        latents from the drawn group distributions (standard normal residuals
-        in the non-centered parameterization)."""
-        base = self.n_global
-        x = np.empty(self.dim)
-        x[:base] = [e.prior.draw(rng) for e in self.entries]
-        if non_centered:
-            x[base:] = rng.standard_normal(2 * self.n_patients)
-        else:
-            m_i, s_i, m_r, s_r = self._latent_scales(x)
-            x[base::2] = rng.normal(m_i, s_i)
-            x[base + 1::2] = rng.normal(m_r, s_r)
-        return self.unconstrain(x)

@@ -68,14 +68,6 @@ class TruncatedNormal:
 
 Prior = Normal | TruncatedNormal
 
-# Roles a scalar parameter can play; each maps to one prior in a PriorSpec.
-ROLES = (
-    "loading0", "loading", "feat_intercept", "noise_var",
-    "visit_intercept", "visit_severity",
-    "init_sev_mean", "init_sev_sd", "rate_mean", "rate_sd", "visit_offset",
-)
-
-
 @dataclass(frozen=True)
 class PriorSpec:
     """Priors for every sampled global parameter, keyed by role."""
@@ -93,8 +85,6 @@ class PriorSpec:
     visit_offset: Prior
 
     def for_role(self, role: str) -> Prior:
-        if role not in ROLES:
-            raise ConfigurationError(f"unknown prior role {role!r}")
         return getattr(self, role)
 
 

@@ -28,6 +28,23 @@ def make_patient(pid, group_idx, visits, features):
     )
 
 
+def init_from_priors(model, rng: np.random.Generator,
+                     non_centered: bool = False) -> np.ndarray:
+    """Unconstrained initial point of ``model``: globals drawn from their
+    priors, latents from the drawn group distributions (standard normal
+    residuals in the non-centered parameterization)."""
+    base = model.n_global
+    x = np.empty(model.dim)
+    x[:base] = [e.prior.draw(rng) for e in model.entries]
+    if non_centered:
+        x[base:] = rng.standard_normal(2 * model.n_patients)
+    else:
+        m_i, s_i, m_r, s_r = model._latent_scales(x)
+        x[base::2] = rng.normal(m_i, s_i)
+        x[base + 1::2] = rng.normal(m_r, s_r)
+    return model.unconstrain(x)
+
+
 def single_cell_dataset(x_value, bin_width=1.0):
     """One patient, one visit at t=0, one observed feature."""
     pat = make_patient("p0", 0, [1, 0], [[x_value], [np.nan]])

@@ -27,7 +27,7 @@ from dispro.oracles import (
     verify_theorems,
 )
 from dispro.sampler import SamplerConfig
-from dispro.types import ConfigurationError, Dataset
+from dispro.types import ConfigurationError, DataError, Dataset
 
 from conftest import block_sums, truth_bundles
 
@@ -109,10 +109,14 @@ class TestVariants:
                     "rate_mean[0]": 0.9, "rate_mean[1]": 0.3,
                     "visit_offset[0]": 0.0, "visit_offset[1]": -0.4},
             latents={})
-        assert underserved_group(ModelVariant.FULL, truth) == 1
-        assert underserved_group(ModelVariant.NO_INITIAL_SEVERITY, truth) == 1
-        assert underserved_group(ModelVariant.NO_RATE, truth) == 0
-        assert underserved_group(ModelVariant.NO_VISIT, truth) == 1
+        assert underserved_group(ModelVariant.FULL, truth, 2) == 1
+        assert underserved_group(ModelVariant.NO_INITIAL_SEVERITY, truth, 2) == 1
+        assert underserved_group(ModelVariant.NO_RATE, truth, 2) == 0
+        assert underserved_group(ModelVariant.NO_VISIT, truth, 2) == 1
+        # every group's parameter is read, not those that happen to be there
+        del truth.params["init_sev_mean[0]"]
+        with pytest.raises(DataError, match=r"init_sev_mean\[0\]"):
+            underserved_group(ModelVariant.FULL, truth, 2)
 
 
 def test_bias_trial_scores_one_fit_at_a_time(monkeypatch):
@@ -140,11 +144,10 @@ def test_bias_trial_scores_one_fit_at_a_time(monkeypatch):
     for variant in variants:
         assert reports[variant].variant is variant
         assert set(reports[variant].group_bias) == {0, 1}
-        prof = profiles[variant]
-        assert prof.quantile == 0.25 and not prof.degenerate
-        assert sum(prof.visits_by_group.values()) == prof.n_total
-    assert profiles[variants[0]].visits_by_group == \
-        profiles[variants[1]].visits_by_group
+        shares = profiles[variant]
+        assert set(shares) == {0, 1}
+        assert all(0.0 <= s <= 1.0 for s in shares.values())  # none nan
+        assert any(s > 0.0 for s in shares.values())
 
 
 class TestHighRiskProfile:
@@ -152,21 +155,21 @@ class TestHighRiskProfile:
         rng = np.random.default_rng(0)
         values = rng.normal(size=500)
         groups = rng.integers(0, 2, size=500)
-        prof = high_risk_profile(values, groups, q=0.25)
+        shares = high_risk_profile(values, groups, q=0.25)
         order = np.sort(values)
         thr = order[math.ceil(0.75 * 500) - 1]
         flagged = values > thr
         for g in (0, 1):
             m = groups == g
-            assert prof.flagged_share_by_group[g] == pytest.approx(
+            assert shares[g] == pytest.approx(
                 flagged[m].mean(), abs=1e-15)
 
     def test_total_flagged_near_quantile(self):
         rng = np.random.default_rng(1)
         values = rng.normal(size=1000)  # continuous, ties negligible
         groups = np.zeros(1000, dtype=int)
-        prof = high_risk_profile(values, groups, q=0.25)
-        assert prof.flagged_total == math.floor(0.25 * 1000)
+        share = high_risk_profile(values, groups, q=0.25)[0]
+        assert round(share * 1000) == math.floor(0.25 * 1000)
 
     def test_shifted_group_dominates(self):
         rng = np.random.default_rng(2)
@@ -174,14 +177,13 @@ class TestHighRiskProfile:
         v1 = rng.normal(size=400) + 10.0
         values = np.concatenate([v0, v1])
         groups = np.concatenate([np.zeros(400, int), np.ones(400, int)])
-        prof = high_risk_profile(values, groups, q=0.25)
-        assert prof.flagged_share_by_group[1] > 0.45
-        assert prof.flagged_share_by_group[0] == 0.0
+        shares = high_risk_profile(values, groups, q=0.25)
+        assert shares[1] > 0.45
+        assert shares[0] == 0.0
 
     def test_degenerate_ties(self):
-        prof = high_risk_profile(np.ones(50), np.zeros(50, int), q=0.25)
-        assert prof.degenerate
-        assert prof.flagged_total == 0
+        shares = high_risk_profile(np.ones(50), np.zeros(50, int), q=0.25)
+        assert list(shares) == [0] and math.isnan(shares[0])
 
     @given(st.lists(st.floats(min_value=-100, max_value=100,
                               allow_nan=False), min_size=4, max_size=200),
@@ -190,15 +192,17 @@ class TestHighRiskProfile:
     def test_threshold_rule_property(self, values, q):
         values = np.asarray(values)
         groups = np.zeros(values.size, dtype=int)
-        prof = high_risk_profile(values, groups, q=q)
-        if prof.degenerate:
-            assert np.all(values == values[0])
+        share = high_risk_profile(values, groups, q=q)[0]
+        if np.all(values == values[0]):
+            assert math.isnan(share)
             return
+        flagged = round(share * values.size)
         order = np.sort(values)
         rank = max(1, math.ceil((1.0 - q) * values.size))
-        assert prof.threshold == order[rank - 1]
+        # strictly above the nearest-rank threshold: ties are never flagged
+        assert flagged == np.sum(values > order[rank - 1])
         # never flag more than the top-q share allows, up to tie rounding
-        assert prof.flagged_total <= values.size - rank
+        assert flagged <= values.size - rank
 
 
 class TestOracles:

@@ -250,7 +250,7 @@ class TestCli:
                      "--out", str(tmp_path / "y")]) == 2
         assert main(["report", "--in", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("chains,draws", [(1, 20), (2, 3)])
+    @pytest.mark.parametrize("chains,draws", [(1, 20), (2, 3), (2, 4), (2, 7)])
     def test_fit_without_rhat_exit_1_before_sampling(self, tmp_path, chains,
                                                      draws):
         cfg = tmp_path / "sim.json"
@@ -352,6 +352,14 @@ def _first_observed_row(lines):
                 if line.split(",")[4] != "")
 
 
+def _set_first_group(lines, value):
+    """Every row of the first patient gets group label ``value``."""
+    first = lines[1].split(",")[0]
+    for i, line in enumerate(lines):
+        if line.split(",")[0] == first:
+            _set_cell(lines, i, 1, value)
+
+
 def _drop_last_patient(lines):
     last = lines[-1].split(",")[0]
     lines[:] = [line for line in lines if line.split(",")[0] != last]
@@ -400,10 +408,13 @@ FILES = {"dataset": ("dataset.csv", "dataset.csv.meta.json", "fit"),
          "recovery_draws": ("draws.csv", "fit_meta.json", "recovery"),
          "bias_dataset": ("dataset.csv", "dataset.csv.meta.json", "bias"),
          "truth": ("dataset.csv", "truth.json", "bias"),
+         "no_visit_truth": ("no_visit/draws.csv", "truth.json", "bias"),
          "recovery_truth": ("dataset.csv", "truth.json", "recovery")}
 # name -> (kind, fault): each fault edits the table's lines or its sidecar
 MALFORMED = {
     "short_row": ("dataset", lambda lines, meta: _cut_last_cell(lines, 5)),
+    "negative_group": ("dataset", lambda lines, meta: _set_first_group(lines,
+                                                                       "-1")),
     **{f"sidecar_without_{key}": ("dataset", lambda lines, meta, k=key:
                                   meta.pop(k))
        for key in ("bin_width", "n_groups", "n_features", "pinned_group")},
@@ -445,6 +456,12 @@ MALFORMED = {
                                          _drop_last_patient(lines)),
     "truth_without_a_latent": ("truth", lambda lines, truth:
                                _drop_one_latent(truth)),
+    # the parameter that names a variant's underserved group, for one group
+    "truth_without_init_sev_mean_0": ("truth", lambda lines, truth: truth[
+        "params"].pop("init_sev_mean[0]")),
+    "no_visit_truth_without_visit_offset_1": (
+        "no_visit_truth", lambda lines, truth: truth["params"].pop(
+            "visit_offset[1]")),
     "recovery_truth_without_a_latent": ("recovery_truth", lambda lines, truth:
                                         _drop_one_latent(truth)),
     **{f"truth_without_{key}": ("truth", lambda lines, truth, k=key:

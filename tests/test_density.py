@@ -38,6 +38,7 @@ from conftest import (
     EDGE_PATIENTS_STEEP,
     block_sums,
     edge_visit_cohort,
+    init_from_priors,
     make_patient,
     pinned_group_params,
     single_cell_dataset,
@@ -438,7 +439,7 @@ class TestLogPosterior:
         model = ProgressionModel(data)
         rng = np.random.default_rng(3)
         for _ in range(10):
-            theta_nc = model.init_from_priors(rng, non_centered=True)
+            theta_nc = init_from_priors(model, rng, non_centered=True)
             x = model.constrain_noncentered(theta_nc)
             theta_c = model.unconstrain(x)
             val = dict(zip(model.names, x))
@@ -464,7 +465,7 @@ class TestLogPosterior:
         rng = np.random.default_rng(0)
         for non_centered, fn in ((False, model.logp_and_grad),
                                  (True, model.logp_and_grad_noncentered)):
-            start = model.init_from_priors(rng, non_centered=non_centered)
+            start = init_from_priors(model, rng, non_centered=non_centered)
             assert np.isfinite(fn(start)[0])
             for i in scales:
                 theta = start.copy()

@@ -9,7 +9,8 @@ import pytest
 from dispro import ProgressionModel
 from dispro.model import ModelVariant
 
-from conftest import edge_visit_cohort, missing_cell_cohort, truth_bundles
+from conftest import (edge_visit_cohort, init_from_priors, missing_cell_cohort,
+                      truth_bundles)
 
 
 FD_H = 1e-5
@@ -47,7 +48,7 @@ def test_matches_finite_differences_100_draws(ten_patient_sim):
     worst = 0.0
     n_checked = 0
     for _ in range(100):
-        theta = model.init_from_priors(rng)
+        theta = init_from_priors(model, rng)
         lp, grad = model.logp_and_grad(theta)
         if not np.isfinite(lp):
             continue
@@ -64,7 +65,7 @@ def test_noncentered_matches_finite_differences(ten_patient_sim):
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(25):
-        theta = model.init_from_priors(rng, non_centered=True)
+        theta = init_from_priors(model, rng, non_centered=True)
         lp, grad = model.logp_and_grad_noncentered(theta)
         if not np.isfinite(lp):
             continue
@@ -100,7 +101,7 @@ def _start_points(model, non_centered, n, seed):
     fn = model.logp_and_grad_noncentered if non_centered else model.logp_and_grad
     points = []
     for _ in range(50):
-        theta = model.init_from_priors(rng, non_centered=non_centered)
+        theta = init_from_priors(model, rng, non_centered=non_centered)
         if np.isfinite(fn(theta, want_grad=False)[0]):
             points.append(theta)
         if len(points) == n:

@@ -1,11 +1,12 @@
 """Every public top-level function and class of ``src/dispro``, and every
-public method and property of its public classes, has a use outside its own
-definition in the package (``__init__.py`` aside), the demos or the
-benchmark. A top-level name is used where it appears as a word; a method or
-property where it is read as an attribute of anything but an imported
-module (``spec.global_names`` is no use of a method ``global_names``).
-Every long option of the command line, likewise, appears in the benchmark,
-the demos or the README. Tests do not count as a use."""
+public method, property and annotated field of its public classes, has a
+use outside its own definition in the package (``__init__.py`` aside), the
+demos or the benchmark. A top-level name is used where it appears as a
+word; a method, property or field where it is read as an attribute of
+anything but an imported module (``spec.global_names`` is no use of a
+method ``global_names``; building a dataclass by keyword reads none of its
+fields). Every long option of the command line, likewise, appears in the
+benchmark, the demos or the README. Tests do not count as a use."""
 
 import argparse
 import ast
@@ -20,13 +21,12 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "mcse": "per-global MCSE is to be written into diagnostics.json "
             "(ROADMAP direction 1)",
-    "ProgressionModel.init_from_priors":
-        "draws the globals from the priors for simulation-based calibration "
-        "(ROADMAP direction 4)",
     "Normal.logpdf": "the prior density the density tests check the model's "
                      "prior tables against",
     "TruncatedNormal.logpdf": "the prior density the density tests check the "
                               "model's prior tables against",
+    "FaFit.loglik_trace": "the per-iteration log-likelihood the EM "
+                          "monotonicity tests read",
 }
 
 
@@ -70,13 +70,19 @@ def unused_public_names() -> list[str]:
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
-                if (not isinstance(item, ast.FunctionDef)
-                        or item.name.startswith("_")):
+                if isinstance(item, ast.FunctionDef):
+                    name, own = item.name, _own_lines(item)
+                elif (isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)):
+                    name = item.target.id
+                    own = range(item.lineno - 1, item.end_lineno)
+                else:
                     continue
-                own = _own_lines(item)
-                if not any(attr == item.name and not (p == path and i in own)
+                if name.startswith("_"):
+                    continue
+                if not any(attr == name and not (p == path and i in own)
                            for p in users for attr, i in reads[p]):
-                    unused.append(f"{node.name}.{item.name}")
+                    unused.append(f"{node.name}.{name}")
     return unused
 
 

@@ -8,7 +8,7 @@ import pytest
 from dispro import InvalidParameterError, ProgressionModel, simulation_priors
 from dispro.ablation import ModelVariant
 
-from conftest import truth_bundles
+from conftest import init_from_priors, truth_bundles
 
 
 def test_log_identity_examples(small_sim):
@@ -41,7 +41,7 @@ def test_roundtrip_100_prior_draws(small_sim):
     model = ProgressionModel(data)
     rng = np.random.default_rng(42)
     for _ in range(100):
-        theta = model.init_from_priors(rng)
+        theta = init_from_priors(model, rng)
         x = model.constrain(theta)
         theta2 = model.unconstrain(x)
         x2 = model.constrain(theta2)
@@ -53,7 +53,7 @@ def test_jacobian_is_sum_of_bounded_coords(small_sim):
     data, _ = small_sim
     model = ProgressionModel(data)
     rng = np.random.default_rng(1)
-    theta = model.init_from_priors(rng)
+    theta = init_from_priors(model, rng)
     expect = float(np.sum(theta[model._bounded]))
     assert model.log_jacobian(theta) == pytest.approx(expect, rel=1e-15)
     # d(logJ)/d(theta_i) = 1 exactly on bounded coordinates: the density with
@@ -64,7 +64,7 @@ def test_jacobian_is_sum_of_bounded_coords(small_sim):
 def test_nonfinite_input_rejected(small_sim):
     data, _ = small_sim
     model = ProgressionModel(data)
-    x = model.constrain(model.init_from_priors(np.random.default_rng(2)))
+    x = model.constrain(init_from_priors(model, np.random.default_rng(2)))
     x[0] = np.inf
     with pytest.raises(InvalidParameterError):
         model.unconstrain(x)
@@ -73,7 +73,7 @@ def test_nonfinite_input_rejected(small_sim):
 def test_bound_violation_rejected(small_sim):
     data, _ = small_sim
     model = ProgressionModel(data)
-    x = model.constrain(model.init_from_priors(np.random.default_rng(3)))
+    x = model.constrain(init_from_priors(model, np.random.default_rng(3)))
     x[model.names.index("noise_var[0]")] = -0.5
     with pytest.raises(InvalidParameterError):
         model.unconstrain(x)
@@ -121,7 +121,7 @@ def test_constrain_noncentered_matrix_matches_rows(small_sim, variant):
     data, _ = small_sim
     model = ProgressionModel(data, variant=variant)
     rng = np.random.default_rng(4)
-    thetas = np.array([model.init_from_priors(rng, non_centered=True)
+    thetas = np.array([init_from_priors(model, rng, non_centered=True)
                        for _ in range(7)])
     rows = np.array([model.constrain_noncentered(t) for t in thetas])
     assert model.constrain_noncentered(thetas).tobytes() == rows.tobytes()
@@ -133,6 +133,6 @@ def test_to_noncentered_inverts_constrain_noncentered(small_sim, variant):
     model = ProgressionModel(data, variant=variant)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        theta = model.init_from_priors(rng, non_centered=True)
+        theta = init_from_priors(model, rng, non_centered=True)
         back = model.to_noncentered(model.constrain_noncentered(theta))
         np.testing.assert_allclose(back, theta, rtol=1e-12, atol=1e-12)

@@ -8,8 +8,7 @@ from dispro.sampler import SamplerConfig
 reports, profiles = run_bias_trial(
     seed=7, n_patients=150, n_bins=40,
     config=SamplerConfig(chains=2, warmup=300, draws=300, seed=7,
-                         target_accept=0.85),
-    quantile=0.25)
+                         target_accept=0.85))
 
 print(f"{'variant':<24} {'bias under':>11} {'bias other':>11} "
       f"{'corr under':>11} {'corr other':>11}")

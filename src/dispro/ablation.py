@@ -15,7 +15,9 @@ from .inference import pearson
 from .model import ModelVariant, expected_visit_rate, latent_names
 from .sampler import SamplerConfig
 from .simulate import SimConfig, draw_true_params, simulate_dataset
-from .types import ConfigurationError, DataError
+from .types import ConfigurationError
+
+HIGH_RISK_QUANTILE = 0.25  # a visit is high-risk in the top quarter of severity
 
 
 @dataclass
@@ -29,7 +31,6 @@ class BiasReport:
     full model: the group with higher true initial severity).
     """
 
-    variant: ModelVariant
     group_bias: dict[int, float]
     group_correlation: dict[int, float | None]
     underserved_group: int
@@ -37,8 +38,7 @@ class BiasReport:
     flagged_nonconverged: bool
 
     def bias_of(self, underserved: bool) -> float:
-        items = [(g, b) for g, b in self.group_bias.items()]
-        return next(b for g, b in items
+        return next(b for g, b in self.group_bias.items()
                     if (g == self.underserved_group) == underserved)
 
     def correlation_of(self, underserved: bool):
@@ -53,19 +53,12 @@ def underserved_group(variant: ModelVariant, truth, n_groups: int) -> int:
     TruthSidecar holding that parameter for each of the ``n_groups``
     groups."""
     if variant is ModelVariant.NO_RATE:
-        key = "rate_mean[{}]"
-        pick = max
+        name, pick = "rate_mean", max
     elif variant is ModelVariant.NO_VISIT:
-        key = "visit_offset[{}]"
-        pick = min  # lower offset = visits less at the same severity
+        name, pick = "visit_offset", min  # lower = visits less at a severity
     else:
-        key = "init_sev_mean[{}]"
-        pick = max
-    keys = [key.format(g) for g in range(n_groups)]
-    missing = [k for k in keys if k not in truth.params]
-    if missing:
-        raise DataError(f"truth lacks params {missing}")
-    return pick(range(n_groups), key=lambda g: truth.params[keys[g]])
+        name, pick = "init_sev_mean", max
+    return pick(range(n_groups), key=lambda g: truth.params[f"{name}[{g}]"])
 
 
 def bias_report(draws, truth, variant: ModelVariant) -> BiasReport:
@@ -94,7 +87,6 @@ def bias_report(draws, truth, variant: ModelVariant) -> BiasReport:
         group_corr[g] = pearson(est[m], true[m])
     worst = max_global_rhat(draws)
     return BiasReport(
-        variant=variant,
         group_bias=group_bias,
         group_correlation=group_corr,
         underserved_group=underserved_group(variant, truth,
@@ -147,32 +139,29 @@ def draw_disparity_scenario(cfg):
 
 
 def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
-                   config: SamplerConfig | None = None, variants=None,
-                   quantile: float = 0.25):
+                   config: SamplerConfig | None = None):
     """One full ablation trial: draw a disparity scenario, simulate, then fit
-    and score each variant in turn (by default the full model and the three
-    single-disparity ablations). Returns ({variant: BiasReport},
-    {variant: {group: high-risk share}})."""
+    and score in turn the full model and the three single-disparity
+    ablations. Returns ({variant: BiasReport}, {variant: {group: high-risk
+    share}})."""
     sim_cfg = SimConfig(n_patients=n_patients, n_bins=n_bins,
                         bin_width=1.0 / n_bins, seed=seed,
                         group_specific_rates=True)
     data, truth = simulate_dataset(sim_cfg, draw_disparity_scenario(sim_cfg))
     config = config or SamplerConfig(chains=2, warmup=350, draws=350,
                                      seed=seed, target_accept=0.85)
-    if variants is None:
-        variants = [ModelVariant.FULL, ModelVariant.NO_INITIAL_SEVERITY,
-                    ModelVariant.NO_RATE, ModelVariant.NO_VISIT]
     reports, profiles = {}, {}
-    for variant in variants:
+    for variant in (ModelVariant.FULL, ModelVariant.NO_INITIAL_SEVERITY,
+                    ModelVariant.NO_RATE, ModelVariant.NO_VISIT):
         draws = fit_model(data, variant=variant, config=config)
         reports[variant] = bias_report(draws, truth, variant)
         values, groups = visit_severity_estimates(draws, data)
-        profiles[variant] = high_risk_profile(values, groups, q=quantile)
+        profiles[variant] = high_risk_profile(values, groups, HIGH_RISK_QUANTILE)
         del draws  # one fit's draws in memory at a time
     return reports, profiles
 
 
-def high_risk_profile(values, groups, q: float = 0.25) -> dict[int, float]:
+def high_risk_profile(values, groups, q: float) -> dict[int, float]:
     """Share of visits per group, {group: share}, whose severity estimate
     lands in the top q fraction of all visits.
 

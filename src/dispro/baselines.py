@@ -77,6 +77,9 @@ def pca_reconstruct(X, fit: PcaFit) -> np.ndarray:
 # factor analysis by EM
 # ---------------------------------------------------------------------------
 
+FA_MAX_ITER = 1000
+FA_TOL = 1e-8  # relative log-likelihood change that ends EM
+
 @dataclass
 class FaFit:
     loadings: np.ndarray       # (p, k)
@@ -96,7 +99,7 @@ def _fa_loglik(S, loadings, uniq, n):
                        + float(np.trace(np.linalg.solve(sigma, S))))
 
 
-def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
+def fa_fit(X, k: int) -> FaFit:
     """Maximum-likelihood factor analysis on mean-imputed data via EM.
 
     Deterministic initialization from the principal eigenstructure; the
@@ -104,7 +107,7 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
     property the test suite asserts). Uniquenesses are bounded below by 0.005
     x their sample variances (R ``factanal``'s default), so a Heywood case
     stops at the bound instead of creeping toward 0. Non-convergence inside
-    max_iter leaves a warning with the iteration count.
+    FA_MAX_ITER iterations leaves a warning with the iteration count.
     """
     X = np.asarray(X, dtype=float)
     n, p = X.shape
@@ -128,7 +131,7 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
     converged = False
     it = 0
     eye = np.eye(k)
-    for it in range(1, max_iter + 1):
+    for it in range(1, FA_MAX_ITER + 1):
         # E-step moments: beta = E[f | x] map, gamma = E[f f^T | x] pieces
         psi_inv_l = loadings / uniq[:, None]
         g = np.linalg.inv(eye + loadings.T @ psi_inv_l)
@@ -140,7 +143,7 @@ def fa_fit(X, k: int, max_iter: int = 1000, tol: float = 1e-8) -> FaFit:
                                                  beta @ S), floor)
         ll = _fa_loglik(S, loadings, uniq, n)
         trace.append(ll)
-        if np.isfinite(prev) and abs(ll - prev) <= tol * max(1.0, abs(prev)):
+        if np.isfinite(prev) and abs(ll - prev) <= FA_TOL * max(1.0, abs(prev)):
             converged = True
             break
         prev = ll

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracles
 from .ablation import (
+    HIGH_RISK_QUANTILE,
     bias_report,
     high_risk_profile,
     visit_severity_estimates,
@@ -70,10 +71,9 @@ def _checked(convert, holds, what: str):
     return number
 
 
-# tolerances and scales; bin counts; quantiles
+# scales; bin counts
 _positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
 _positive_int = _checked(int, lambda v: v > 0, "an integer > 0")
-_fraction = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 
 
 def _build_parser() -> _Parser:
@@ -90,7 +90,7 @@ def _build_parser() -> _Parser:
     pf.add_argument("--dataset", required=True)
     pf.add_argument("--out", required=True)
     pf.add_argument("--variant", default="full",
-                    help="full | no_initial_severity | no_rate | no_visit | no_disparities")
+                    choices=[v.value for v in ModelVariant])
     pf.add_argument("--chains", type=int, default=4)
     pf.add_argument("--warmup", type=int, default=500)
     pf.add_argument("--draws", type=int, default=1000)
@@ -99,7 +99,6 @@ def _build_parser() -> _Parser:
     pf.add_argument("--threads", type=int, default=1,
                     help="ignored: chains run one after another")
     pf.add_argument("--allow-nonconverged", action="store_true")
-    pf.add_argument("--rhat-threshold", type=_positive, default=RHAT_THRESHOLD)
 
     pe = sub.add_parser("evaluate", help="post-process fits into reports")
     pe.add_argument("--mode", required=True,
@@ -111,11 +110,9 @@ def _build_parser() -> _Parser:
                     help="truth sidecar path (repeatable, matched to --fit)")
     pe.add_argument("--dataset", default=None)
     pe.add_argument("--years-per-unit", type=_positive, default=None)
-    pe.add_argument("--quantile", type=_fraction, default=0.25)
     pe.add_argument("--train-window", type=_positive_int, default=None)
     pe.add_argument("--informative", default=None,
                     help="comma-separated informative feature indices")
-    pe.add_argument("--tol", type=_positive, default=1e-6)
 
     pr = sub.add_parser("report", help="render a text report from an output dir")
     pr.add_argument("--in", dest="in_dir", required=True)
@@ -174,7 +171,7 @@ def _cmd_fit(args) -> int:
         raise ConfigurationError(
             "R-hat and ESS need --chains >= 2 and --draws >= 8")
     data = read_dataset(args.dataset)
-    variant = ModelVariant.from_name(args.variant)
+    variant = ModelVariant(args.variant)
     config = SamplerConfig(chains=args.chains, warmup=args.warmup,
                            draws=args.draws, max_leapfrog=args.max_leapfrog,
                            seed=args.seed)
@@ -194,8 +191,8 @@ def _cmd_fit(args) -> int:
     worst = diag["max_global_rhat"]
     print(f"fit {args.variant}: max global R-hat {worst:.4f}, "
           f"{diag['divergences']['fraction']:.2%} divergent")
-    if worst > args.rhat_threshold and not args.allow_nonconverged:
-        print(f"non-converged (R-hat > {args.rhat_threshold}); "
+    if worst > RHAT_THRESHOLD and not args.allow_nonconverged:
+        print(f"non-converged (R-hat > {RHAT_THRESHOLD}); "
               "rerun with more warmup or --allow-nonconverged", file=sys.stderr)
         return EXIT_CONVERGENCE
     return EXIT_OK
@@ -209,6 +206,16 @@ def _check_latents(truth, pids, truth_path) -> None:
     if not set(latent_names(pids)) <= truth.latents.keys():
         raise DataError(f"{truth_path}: lacks latents of the evaluated "
                         "patients")
+
+
+def _check_group_params(truth, n_groups, truth_path) -> None:
+    """The truth holds, for every group, each parameter that
+    ``underserved_group`` may read."""
+    missing = [f"{name}[{g}]" for name in ("init_sev_mean", "rate_mean",
+                                           "visit_offset")
+               for g in range(n_groups) if f"{name}[{g}]" not in truth.params]
+    if missing:
+        raise DataError(f"{truth_path}: lacks params {missing}")
 
 
 def _recovery_trial(fit_dir, truth_path):
@@ -287,6 +294,7 @@ def _evaluate_bias(args, out: Path) -> int:
     data = read_dataset(args.dataset)
     truth = read_truth(args.truth[0])
     _check_latents(truth, [p.patient_id for p in data.patients], args.truth[0])
+    _check_group_params(truth, data.n_groups, args.truth[0])
     reports = {}
     profiles = {}
     for fit_dir in args.fit:
@@ -297,7 +305,7 @@ def _evaluate_bias(args, out: Path) -> int:
                                      f"{variant.value}")
         reports[variant] = bias_report(draws, truth, variant)
         values, groups = visit_severity_estimates(draws, data)
-        profiles[variant] = high_risk_profile(values, groups, q=args.quantile)
+        profiles[variant] = high_risk_profile(values, groups, HIGH_RISK_QUANTILE)
         del draws  # one fit's draws in memory at a time
     variants = list(reports)
     out.mkdir(parents=True, exist_ok=True)
@@ -314,10 +322,10 @@ def _evaluate_bias(args, out: Path) -> int:
                 row.append(val)
             rows.append(row)
     for g in range(n_groups):
-        rows.append([f"high_risk_share_q{args.quantile}", g,
+        rows.append([f"high_risk_share_q{HIGH_RISK_QUANTILE}", g,
                      *[profiles[v].get(g) for v in variants]])
     write_table(out / "bias_table.tsv", header, rows)
-    summary = {"mode": "bias", "quantile": args.quantile,
+    summary = {"mode": "bias", "quantile": HIGH_RISK_QUANTILE,
                "variants": {v.value: {
                    "group_bias": reports[v].group_bias,
                    "group_correlation": reports[v].group_correlation,
@@ -367,7 +375,7 @@ def _evaluate_baselines(args, out: Path) -> int:
 
 
 def _evaluate_oracles(args, out: Path) -> int:
-    ok, rows = verify_theorems(tol=args.tol)
+    ok, rows = verify_theorems()
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / "oracle_log.tsv",
                 ["theorem", "shift", "noise", "t_or_event", "e_population",
@@ -377,7 +385,7 @@ def _evaluate_oracles(args, out: Path) -> int:
                   r["expected_sign"], r["holds"]) for r in rows])
     n_pass = sum(1 for r in rows if r["holds"])
     write_json({"mode": "oracles", "all_passed": ok, "n_scenarios": len(rows),
-                "n_passed": n_pass, "tolerance": args.tol},
+                "n_passed": n_pass, "tolerance": oracles.TOLERANCE},
                out / "summary.json")
     print(f"oracles: {n_pass}/{len(rows)} scenarios hold")
     return EXIT_OK if ok else EXIT_ORACLE

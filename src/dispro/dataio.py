@@ -127,6 +127,8 @@ def read_dataset(path) -> Dataset:
         g = group_idx.pop()
         if g < 0:
             raise DataError(f"{pid}: negative group label {g}")
+        if any(r[3] not in ("0", "1") for r in rows):
+            raise DataError(f"{pid}: a D cell is not 0 or 1")
         visits = np.array([int(r[3]) for r in rows], dtype=np.int8)
         features = np.full((len(rows), n_features), np.nan)
         for t, r in enumerate(rows):

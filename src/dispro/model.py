@@ -30,7 +30,6 @@ from scipy.special import exprel
 
 from .priors import Prior, simulation_priors
 from .types import (
-    ConfigurationError,
     Dataset,
     DatasetIndex,
     GroupParams,
@@ -83,17 +82,6 @@ class ModelVariant(Enum):
     def from_flags(cls, flags) -> ModelVariant | None:
         """The variant with exactly these flags, or None."""
         return next((v for v in cls if v.flags == flags), None)
-
-    @staticmethod
-    def from_name(name: str) -> ModelVariant:
-        key = name.strip().lower().replace("-", "_")
-        key = {"none": "no_disparities", "no_initial": "no_initial_severity",
-               "no_visits": "no_visit"}.get(key, key)
-        try:
-            return ModelVariant(key)
-        except ValueError:
-            raise ConfigurationError(
-                f"unknown model variant {name!r}") from None
 
 
 # ---------------------------------------------------------------------------

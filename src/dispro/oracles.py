@@ -33,10 +33,11 @@ QUAD_ABS_TOL = 1e-12
 QUAD_REL_TOL = 1e-9   # keeps the ratio's error bound sharp when the
                       # conditioning event has small probability mass
 RANGE_SDS = 10.0      # integrate over [mean - 10 sd, mean + 10 sd]
+TOLERANCE = 1e-6      # the largest error bound an expectation may carry
 
 
 class PrecisionError(RuntimeError):
-    """Quadrature error estimate exceeds the requested tolerance."""
+    """Quadrature error estimate exceeds TOLERANCE."""
 
 
 class Theorem(Enum):
@@ -117,10 +118,10 @@ def _quad(fn, lo, hi):
     return val, err
 
 
-def _expectation(latent: GaussianLatent, factor, tol):
+def _expectation(latent: GaussianLatent, factor):
     """E[z] under the unnormalized density ``latent.pdf(z) * factor(z)`` on
     [latent.lo, latent.hi], with a propagated error bound; raises
-    PrecisionError when the bound is unmet."""
+    PrecisionError when the bound exceeds TOLERANCE."""
     def weight(z):
         return latent.pdf(z) * factor(z)
 
@@ -130,13 +131,13 @@ def _expectation(latent: GaussianLatent, factor, tol):
         raise PrecisionError("degenerate scenario: zero total mass")
     e = num / den
     bound = (num_err + abs(e) * den_err) / den
-    if bound > tol:
-        raise PrecisionError(
-            f"quadrature error bound {bound:.2e} exceeds tolerance {tol:.2e}")
+    if bound > TOLERANCE:
+        raise PrecisionError(f"quadrature error bound {bound:.2e} exceeds "
+                             f"tolerance {TOLERANCE:.2e}")
     return e, bound
 
 
-def mlrp_bias_oracle(theorem: Theorem, scenario, tol: float = 1e-6) -> OracleResult:
+def mlrp_bias_oracle(theorem: Theorem, scenario) -> OracleResult:
     """Compute population and group conditional expected severities for one
     scenario and check the predicted inequality.
 
@@ -172,8 +173,8 @@ def mlrp_bias_oracle(theorem: Theorem, scenario, tol: float = 1e-6) -> OracleRes
         group = (sc.severity, visit(sc.shift))
     else:
         raise ConfigurationError(f"unknown theorem {theorem!r}")
-    e_pop, err1 = _expectation(*population, tol)
-    e_grp, err2 = _expectation(*group, tol)
+    e_pop, err1 = _expectation(*population)
+    e_grp, err2 = _expectation(*group)
     expected = int(math.copysign(1.0, sc.shift)) if sc.shift != 0 else 0
 
     bound = err1 + err2
@@ -182,7 +183,7 @@ def mlrp_bias_oracle(theorem: Theorem, scenario, tol: float = 1e-6) -> OracleRes
     elif expected < 0:
         holds = e_grp < e_pop - bound
     else:
-        holds = abs(e_grp - e_pop) <= max(tol, bound)
+        holds = abs(e_grp - e_pop) <= max(TOLERANCE, bound)
     return OracleResult(e_population=e_pop, e_group=e_grp,
                         inequality_holds=holds, expected_sign=expected)
 
@@ -209,14 +210,14 @@ def scenario_grid(theorem: Theorem):
     return out
 
 
-def verify_theorems(tol: float = 1e-6):
+def verify_theorems():
     """Run the full grid for all three theorems. Returns (all_passed, rows)
     where each row records the scenario and computed expectations."""
     rows = []
     all_ok = True
     for theorem in Theorem:
         for sc in scenario_grid(theorem):
-            res = mlrp_bias_oracle(theorem, sc, tol=tol)
+            res = mlrp_bias_oracle(theorem, sc)
             ok = res.inequality_holds
             all_ok = all_ok and ok
             if theorem is Theorem.VISIT_FREQUENCY:

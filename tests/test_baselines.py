@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dispro import baselines
 from dispro.baselines import (
     fa_fit,
     fa_reconstruct,
@@ -108,20 +109,22 @@ class TestFactorAnalysis:
             trace = np.array(fit.loglik_trace)
             assert np.all(np.diff(trace) >= -1e-7 * np.abs(trace[:-1]))
 
-    def test_fixed_point_diagonal_identity(self):
+    def test_fixed_point_diagonal_identity(self, monkeypatch):
         X = self.simulate_one_factor(2000, np.array([1.2, -0.9, 0.5]),
                                      np.array([0.4, 0.3, 0.6]), seed=7)
-        fit = fa_fit(X, 1, tol=1e-12)
+        monkeypatch.setattr(baselines, "FA_TOL", 1e-12)
+        fit = fa_fit(X, 1)
         Xi = mean_impute(X)
         S = np.cov(Xi - Xi.mean(axis=0), rowvar=False, ddof=0)
         sigma = fit.loadings @ fit.loadings.T + np.diag(fit.uniquenesses)
         np.testing.assert_allclose(np.diag(sigma), np.diag(S), rtol=1e-6)
 
-    def test_nonconvergence_warns(self):
+    def test_nonconvergence_warns(self, monkeypatch):
         X = self.simulate_one_factor(200, np.array([1.0, 0.6]),
                                      np.array([0.5, 0.5]), seed=2)
+        monkeypatch.setattr(baselines, "FA_MAX_ITER", 3)
         with pytest.warns(RuntimeWarning, match="did not converge in 3"):
-            fa_fit(X, 1, max_iter=3)
+            fa_fit(X, 1)
 
     def test_heywood_case_converges_at_the_bound(self):
         """8 rows of rank 5 under 12 columns: the ML uniquenesses go to 0.
@@ -132,7 +135,7 @@ class TestFactorAnalysis:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit = fa_fit(X, 2)
-        assert fit.n_iter < 1000
+        assert fit.n_iter < baselines.FA_MAX_ITER
         bound = 0.005 * X.var(axis=0)
         assert np.all(fit.uniquenesses >= bound)
         assert np.any(fit.uniquenesses == bound)

@@ -270,29 +270,32 @@ class TestCli:
         main(["simulate", "--config", str(cfg), "--out", str(out)])
         code = main(["fit", "--dataset", str(out / "dataset.csv"),
                      "--out", str(tmp_path / "fit3"), "--chains", "2",
-                     "--warmup", "12", "--draws", "12", "--seed", "1",
-                     "--rhat-threshold", "1.0001"])
+                     "--warmup", "12", "--draws", "12", "--seed", "1"])
         assert code == 3
 
     def test_oracle_failure_exit_4(self, tmp_path, monkeypatch):
         import dispro.cli as cli_mod
 
         monkeypatch.setattr(cli_mod, "verify_theorems",
-                            lambda tol: (False, [{"theorem": "rate",
-                                                  "shift": 1.0, "noise": 1.0,
-                                                  "t": 0.5,
-                                                  "e_population": 0.0,
-                                                  "e_group": 0.0,
-                                                  "expected_sign": 1,
-                                                  "holds": False}]))
+                            lambda: (False, [{"theorem": "rate",
+                                              "shift": 1.0, "noise": 1.0,
+                                              "t": 0.5,
+                                              "e_population": 0.0,
+                                              "e_group": 0.0,
+                                              "expected_sign": 1,
+                                              "holds": False}]))
         code = main(["evaluate", "--mode", "oracles",
                      "--out", str(tmp_path / "oz")])
         assert code == 4
 
-    def test_oracle_precision_error_exit_4(self, tmp_path, capsys):
-        """A valid tolerance that the quadrature cannot meet is an oracle
-        failure with a message, not a traceback."""
-        assert main(["evaluate", "--mode", "oracles", "--tol", "1e-30",
+    def test_oracle_precision_error_exit_4(self, tmp_path, capsys,
+                                           monkeypatch):
+        """A tolerance that the quadrature cannot meet is an oracle failure
+        with a message, not a traceback."""
+        from dispro import oracles
+
+        monkeypatch.setattr(oracles, "TOLERANCE", 1e-30)
+        assert main(["evaluate", "--mode", "oracles",
                      "--out", str(tmp_path / "oz")]) == 4
         assert "oracle error: quadrature error bound" in capsys.readouterr().err
 
@@ -421,6 +424,7 @@ MALFORMED = {
     **{f"{v}_cell": ("dataset", lambda lines, meta, v=v: _set_cell(
         lines, _first_observed_row(lines), 4, v))
        for v in ("inf", "-inf", "nan")},
+    "visit_300": ("dataset", lambda lines, meta: _set_cell(lines, 2, 3, "300")),
     **{f"fit_meta_without_{key}": ("draws", lambda lines, meta, k=key:
                                    meta.pop(k))
        for key in ("n_chains", "accept_stats", "divergent", "warnings")},
@@ -574,13 +578,22 @@ def valid_fit(sim_pair, tmp_path_factory):
     return fit_dir
 
 
+def _no_draws_read(path):
+    raise AssertionError(f"read {path} after a bad truth")
+
+
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exit_2(valid_fit, tmp_path, case):
+def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, case):
     """Every malformed dataset, draws or truth file, and every dataset,
     fit and truth that disagree on the patients or a fit whose meta is not
     that of the dataset given to bias or disparity mode, ends in exit 2,
-    not a traceback or a silent read."""
+    not a traceback or a silent read. Bias mode finds a bad truth before it
+    reads any draws."""
+    import dispro.cli as cli
+
     kind, fault = MALFORMED[case]
+    if kind in ("truth", "no_visit_truth"):
+        monkeypatch.setattr(cli, "read_draws", _no_draws_read)
     table, sidecar, command = FILES[kind]
     lines = (valid_fit / table).read_text().splitlines()
     meta = json.loads((valid_fit / sidecar).read_text())
@@ -655,17 +668,12 @@ def test_disparity_dataset_accepts_its_fits(valid_fit, tmp_path, fit):
                  "--out", str(tmp_path / "out")]) == 0
 
 
-# options that name no valid tolerance, scale, feature subset, training
-# window or quantile; {fit} is the valid_fit directory
+# options that name no valid scale, feature subset, training window or
+# variant, and removed options; {fit} is the valid_fit directory
 BAD_OPTIONS = {
-    **{f"tol_{name}": ["evaluate", "--mode", "oracles", "--tol", value]
-       for name, value in (("0", "0"), ("negative", "-1"), ("nan", "nan"))},
     **{f"years_per_unit_{name}": ["evaluate", "--mode", "disparity", "--fit",
                                   "{fit}", "--years-per-unit", value]
        for name, value in (("nan", "nan"), ("negative", "-1"))},
-    "rhat_threshold_nan": ["fit", "--dataset", "{fit}/dataset.csv",
-                           "--chains", "2", "--warmup", "10", "--draws", "10",
-                           "--rhat-threshold", "nan"],
     "fit_seed_negative": ["fit", "--dataset", "{fit}/dataset.csv",
                           "--chains", "2", "--warmup", "10", "--draws", "10",
                           "--seed", "-1"],
@@ -676,6 +684,16 @@ BAD_OPTIONS = {
                            option, value]
        for name, option, value in (("priors", "--priors", "weak"),
                                    ("target_accept", "--target-accept", "0.9"))},
+    # removed options, with values they once took or rejected
+    **{f"tol_{name}": ["evaluate", "--mode", "oracles", "--tol", value]
+       for name, value in (("0", "0"), ("negative", "-1"), ("nan", "nan"))},
+    "rhat_threshold_nan": ["fit", "--dataset", "{fit}/dataset.csv",
+                           "--chains", "2", "--warmup", "10", "--draws", "10",
+                           "--rhat-threshold", "nan"],
+    **{f"quantile_{name}": ["evaluate", "--mode", "bias", "--fit", "{fit}",
+                            "--dataset", "{fit}/dataset.csv",
+                            "--truth", "{fit}/truth.json", "--quantile", value]
+       for name, value in (("0", "0"), ("1", "1"), ("nan", "nan"))},
     **{f"informative_{name}": ["evaluate", "--mode", "baselines", "--dataset",
                                "{fit}/dataset.csv", "--informative", value]
        for name, value in (("letters", "a,b"), ("fraction", "1.5"),
@@ -683,22 +701,22 @@ BAD_OPTIONS = {
     **{f"train_window_{name}": ["evaluate", "--mode", "baselines", "--dataset",
                                 "{fit}/dataset.csv", "--train-window", value]
        for name, value in (("0", "0"), ("negative", "-3"))},
-    **{f"quantile_{name}": ["evaluate", "--mode", "bias", "--fit", "{fit}",
-                            "--dataset", "{fit}/dataset.csv",
-                            "--truth", "{fit}/truth.json", "--quantile", value]
-       for name, value in (("0", "0"), ("1", "1"), ("nan", "nan"))},
+    # a variant name is checked before the dataset is read
+    **{f"variant_alias_{name}": ["fit", "--dataset", "{fit}/missing.csv",
+                                 "--variant", value]
+       for name, value in (("none", "none"), ("no_rate", "no-rate"))},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
 def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
-    """A tolerance or scale that is not a finite number above 0, an
-    ``--informative`` that is not a list of the dataset's feature indices,
-    a ``--train-window`` that is not an integer above 0, a ``--quantile``
-    outside (0, 1), a negative ``--seed`` and the removed ``fit``
-    options ``--priors`` and ``--target-accept`` end in exit 1 with a
-    message, not a traceback, a silent pass or exit 2, and before ``--out``
-    is made."""
+    """A scale that is not a finite number above 0, an ``--informative``
+    that is not a list of the dataset's feature indices, a
+    ``--train-window`` that is not an integer above 0, a ``--variant`` that
+    is not one of the five variant names, a negative ``--seed`` and the
+    removed options ``--priors``, ``--target-accept``, ``--rhat-threshold``,
+    ``--quantile`` and ``--tol`` end in exit 1 with a message, not a
+    traceback, a silent pass or exit 2, and before ``--out`` is made."""
     argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

@@ -5,8 +5,12 @@ demos or the benchmark. A top-level name is used where it appears as a
 word; a method, property or field where it is read as an attribute of
 anything but an imported module (``spec.global_names`` is no use of a
 method ``global_names``; building a dataclass by keyword reads none of its
-fields). Every long option of the command line, likewise, appears in the
-benchmark, the demos or the README. Tests do not count as a use."""
+fields). Reads are matched by attribute name alone, so a read of the same
+name on an object of another class counts as a use: ``model.variant`` in
+``fitting.py`` is a use of every class's ``variant`` field. Every long
+option of the command line, likewise, appears in the benchmark, the demos
+or the README, and every defaulted parameter of a public function is set
+by some call there. Tests do not count as a use."""
 
 import argparse
 import ast
@@ -113,3 +117,76 @@ def test_every_cli_option_has_a_use():
                     if not any(re.search(rf"{re.escape(opt)}(?![\w-])", text)
                                for text in texts))
     assert unused == []
+
+
+
+# "function(parameter)" -> why its default stays without a caller that sets it
+UNSET_DEFAULTS: dict[str, str] = {}
+
+
+def _defaulted(fn) -> list[tuple[int | None, str]]:
+    """(position or None, name) of each parameter of ``fn`` that has a
+    default; a keyword-only parameter has no position."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    first = len(positional) - len(args.defaults)
+    return ([(i, positional[i].arg) for i in range(first, len(positional))]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def _sets(call, position, name) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position`` (an
+    index among the call's own arguments, or None)."""
+    if any(k.arg in (name, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or len(call.args) > position)
+
+
+def unset_defaults() -> list[str]:
+    """``function(parameter)`` for each defaulted parameter of a public
+    function, or of a public method of a public class, in the package that
+    no call in the package, the demos or the benchmark sets, by position or
+    by keyword. A call is matched by the callee's name alone, as ``f(...)``
+    or ``x.f(...)``, and a method's first parameter is taken as bound; a
+    call that spreads ``*args`` or ``**kwargs`` sets every parameter it
+    could."""
+    package = sorted(p for p in (ROOT / "src" / "dispro").glob("*.py")
+                     if p.name != "__init__.py")
+    users = [*package, *sorted((ROOT / "demos").glob("*.py")),
+             *sorted((ROOT / "bench").glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in users:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    functions = []  # (definition, parameters bound before the call's own)
+    for path in package:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node, 0))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                functions += [(item, 1) for item in node.body
+                              if isinstance(item, ast.FunctionDef)]
+    return [f"{fn.name}({name})" for fn, bound in functions
+            if not fn.name.startswith("_")
+            for position, name in _defaulted(fn)
+            if not any(_sets(call, None if position is None
+                             else position - bound, name)
+                       for call in calls.get(fn.name, []))]
+
+
+def test_every_default_is_set():
+    """A default that no caller outside the tests overrides is a constant
+    in disguise: the code takes the constant, and a test that needs another
+    value patches it."""
+    unset = unset_defaults()
+    assert [n for n in unset if n not in UNSET_DEFAULTS] == []
+    # an allowed default that found a caller leaves the list
+    assert sorted(UNSET_DEFAULTS) == sorted(n for n in unset
+                                            if n in UNSET_DEFAULTS)

@@ -46,18 +46,24 @@ class BiasReport:
                     if (g == self.underserved_group) == underserved)
 
 
+# variant -> the group parameter that designates its underserved group, and
+# whether its largest or smallest value does
+UNDERSERVED_BY = {
+    ModelVariant.FULL: ("init_sev_mean", max),
+    ModelVariant.NO_INITIAL_SEVERITY: ("init_sev_mean", max),
+    ModelVariant.NO_RATE: ("rate_mean", max),
+    ModelVariant.NO_VISIT: ("visit_offset", min),  # lower: fewer visits
+    ModelVariant.NO_DISPARITIES: ("init_sev_mean", max),
+}
+
+
 def underserved_group(variant: ModelVariant, truth, n_groups: int) -> int:
     """The paper-style designation: the group disadvantaged with respect to
     the specific disparity the variant fails to capture; higher initial
     severity for the full (and all-ablated) model. ``truth`` is a
     TruthSidecar holding that parameter for each of the ``n_groups``
     groups."""
-    if variant is ModelVariant.NO_RATE:
-        name, pick = "rate_mean", max
-    elif variant is ModelVariant.NO_VISIT:
-        name, pick = "visit_offset", min  # lower = visits less at a severity
-    else:
-        name, pick = "init_sev_mean", max
+    name, pick = UNDERSERVED_BY[variant]
     return pick(range(n_groups), key=lambda g: truth.params[f"{name}[{g}]"])
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import __version__, oracles
 from .ablation import (
     HIGH_RISK_QUANTILE,
+    UNDERSERVED_BY,
     bias_report,
     high_risk_profile,
     visit_severity_estimates,
@@ -211,9 +212,9 @@ def _check_latents(truth, pids, truth_path) -> None:
 def _check_group_params(truth, n_groups, truth_path) -> None:
     """The truth holds, for every group, each parameter that
     ``underserved_group`` may read."""
-    missing = [f"{name}[{g}]" for name in ("init_sev_mean", "rate_mean",
-                                           "visit_offset")
-               for g in range(n_groups) if f"{name}[{g}]" not in truth.params]
+    names = dict.fromkeys(name for name, _ in UNDERSERVED_BY.values())
+    missing = [f"{name}[{g}]" for name in names for g in range(n_groups)
+               if f"{name}[{g}]" not in truth.params]
     if missing:
         raise DataError(f"{truth_path}: lacks params {missing}")
 

@@ -114,6 +114,11 @@ def read_dataset(path) -> Dataset:
                 per_patient[pid] = []
                 order.append(pid)
             per_patient[pid].append(row)
+    n_rows = sum(map(len, per_patient.values()))
+    # per-group work then scales with the file, not with a sidecar number
+    if meta["n_groups"] > n_rows:
+        raise DataError(f"{meta_path}: n_groups {meta['n_groups']} exceeds "
+                        f"the table's {n_rows} data rows")
 
     patients = []
     for pid in order:
@@ -181,12 +186,11 @@ def write_draws(draws: PosteriorDraws, path) -> None:
     per_chain = draws.values.shape[0] // draws.n_chains
     with path.open("w", newline="") as fh:
         csv.writer(fh).writerow(["chain", "draw", *draws.names])
-        for i, (c, row) in enumerate(zip(draws.chain_ids.tolist(),
-                                         draws.values)):
+        for i, row in enumerate(draws.values):
             # repr round-trips every float exactly; \r\n as csv.writer ends
             # its lines
             cells = ",".join(map(repr, row.tolist()))
-            fh.write(f"{c},{i % per_chain},{cells}\r\n")
+            fh.write(f"{i // per_chain},{i % per_chain},{cells}\r\n")
     meta_doc = {"meta": draws.meta, "warnings": draws.warnings,
                 "n_chains": draws.n_chains,
                 "accept_stats": [float(a) for a in draws.accept_stats],
@@ -283,12 +287,12 @@ def read_draws(path) -> PosteriorDraws:
                         f"the header {len(header)}")
     if table.shape[0] != n_rows:
         raise DataError(f"{path}: {table.shape[0]} rows, {n_rows} accept_stats")
-    chain_ids = np.repeat(np.arange(n_chains), n_rows // n_chains)
-    if not np.array_equal(table[:, 0], chain_ids):
+    if not np.array_equal(table[:, 0], np.repeat(np.arange(n_chains),
+                                                 n_rows // n_chains)):
         raise DataError(f"{path}: chain ids are not {n_chains} equal blocks "
                         "in chain order")
     return PosteriorDraws(
-        names=names, values=table[:, 2:], chain_ids=chain_ids,
+        names=names, values=table[:, 2:],
         accept_stats=np.asarray(doc["accept_stats"]),
         divergent=np.asarray(doc["divergent"], dtype=bool),
         n_chains=n_chains, warnings=doc["warnings"], meta=meta)

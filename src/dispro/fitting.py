@@ -128,10 +128,8 @@ def rough_init(model: ProgressionModel, data) -> np.ndarray:
     x = model.pack(shared, groups,
                    [PatientLatents(s, r) for s, r in zip(sev0, rate)])
     for i, e in enumerate(model.entries):
-        if e.lower is not None:
-            margin = (max(0.05, 0.05 * e.prior.sigma)
-                      if e.prior.lower is not None else 0.05)
-            x[i] = max(x[i], e.lower + margin)
+        if e.prior.lower is not None:
+            x[i] = max(x[i], e.prior.lower + max(0.05, 0.05 * e.prior.sigma))
     return x
 
 
@@ -160,11 +158,10 @@ def convergence_summary(draws: PosteriorDraws) -> dict:
     per_param = {name: {"rhat": rhat(draws, name), "ess": ess(draws, name),
                         "mean": draws.mean(name), "sd": draws.sd(name)}
                  for name in global_names(draws)}
-    div_by_chain = [int(draws.divergent[draws.chain_ids == c].sum())
-                    for c in range(draws.n_chains)]
+    div_by_chain = draws.divergent.reshape(draws.n_chains, -1).sum(axis=1)
     return {
         "parameters": per_param,
-        "divergences": {"per_chain": div_by_chain,
+        "divergences": {"per_chain": div_by_chain.tolist(),
                         "fraction": float(draws.divergent.mean())},
         "max_global_rhat": _worst_rhat(p["rhat"] for p in per_param.values()),
         "warnings": list(draws.warnings),

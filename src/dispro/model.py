@@ -277,11 +277,6 @@ def latent_names(patient_ids) -> list[str]:
 class ParamEntry:
     name: str
     prior: Prior
-    lower: float | None
-
-
-# roles bounded below at 0 where no truncated prior sets the bound
-_POSITIVE_ROLES = ("loading0", "noise_var", "init_sev_sd", "rate_sd")
 
 
 class ProgressionModel:
@@ -310,13 +305,8 @@ class ProgressionModel:
         d = data.n_features
         rows, table = param_layout(d, data.n_groups, data.pinned_group,
                                    self.variant)
-        entries = []
-        for name, role, _ in rows:
-            prior = self.priors.for_role(role)
-            lower = prior.lower if prior.lower is not None else \
-                (0.0 if role in _POSITIVE_ROLES else None)
-            entries.append(ParamEntry(name, prior, lower))
-
+        entries = [ParamEntry(name, self.priors.for_role(role))
+                   for name, role, _ in rows]
         self.entries = entries
         self.n_global = len(entries)
         self.n_patients = data.n_patients
@@ -325,13 +315,13 @@ class ProgressionModel:
         self.names = [e.name for e in entries] + latent_names(
             p.patient_id for p in data.patients)
 
-        lower = np.array([np.nan if e.lower is None else e.lower
+        lower = np.array([np.nan if e.prior.lower is None else e.prior.lower
                           for e in entries])
-        # the bounded coordinates, all global, and their lower bounds
+        # the bounded coordinates, all global, and their lower bounds; the
+        # variances and sds are those bounded at 0
         self._bounded = np.flatnonzero(~np.isnan(lower))
         self._lower = lower[self._bounded]
-        self._positive = np.array([k for k, (_, role, _) in enumerate(rows)
-                                   if role in _POSITIVE_ROLES[1:]])
+        self._positive = self._bounded[self._lower == 0.0]
 
         # One index into [globals, _GROUP_DEFAULTS] for every group value
         # the density reads: each group's initial-severity sd and rate sd,

@@ -56,7 +56,6 @@ class PosteriorDraws:
 
     names: list[str]
     values: np.ndarray        # (chains * draws, dim)
-    chain_ids: np.ndarray     # (chains * draws,)
     accept_stats: np.ndarray  # (chains * draws,)
     divergent: np.ndarray     # (chains * draws,) bool
     n_chains: int
@@ -128,49 +127,40 @@ def rhat(draws: PosteriorDraws, name: str) -> float:
     return max(bulk, tail)
 
 def _autocovariance(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    x = x - x.mean()
+    """Autocovariance of each row of ``x`` at lags 0..n-1, by one FFT."""
+    n = x.shape[-1]
+    x = x - x.mean(axis=-1, keepdims=True)
     size = 2 ** int(np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(x, size)
-    acov = np.fft.irfft(f * np.conj(f), size)[:n].real
-    return acov / n
+    f = np.fft.rfft(x, size, axis=-1)
+    return np.fft.irfft(f * np.conj(f), size, axis=-1)[..., :n] / n
 
 def _ess_array(arr: np.ndarray) -> float:
+    """ESS of the (m, n) split chains ``arr`` by Geyer's truncation as in
+    Vehtari et al. (2021): the autocorrelations summed in pairs up to the
+    first pair that is not positive, the pair sums made non-increasing (the
+    initial monotone sequence), and the even lag after them added once."""
     m, n = arr.shape
     if n < 4:
         raise ConfigurationError("ess needs at least 4 draws per chain")
-    acov = np.array([_autocovariance(arr[c]) for c in range(m)])
-    chain_means = arr.mean(axis=1)
+    acov = _autocovariance(arr)
     mean_var = float(np.mean(acov[:, 0])) * n / (n - 1.0)
     var_plus = mean_var * (n - 1.0) / n
     if m > 1:
-        var_plus += float(np.var(chain_means, ddof=1))
-    if var_plus == 0.0:
+        var_plus += float(np.var(arr.mean(axis=1), ddof=1))
+    if not var_plus > 0.0:  # constant draws, or a NaN among them
         return math.nan
-
-    rho = np.zeros(n)
+    rho = 1.0 - (mean_var - acov.mean(axis=0)) / var_plus
     rho[0] = 1.0
-    rho_even = 1.0
-    rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, 1]))) / var_plus
-    rho[1] = rho_odd
-    # Geyer initial positive sequence: sum consecutive pairs while positive.
-    t = 1
-    while t < n - 2 and (rho_even + rho_odd) >= 0.0:
-        rho_even = 1.0 - (mean_var - float(np.mean(acov[:, t + 1]))) / var_plus
-        rho_odd = 1.0 - (mean_var - float(np.mean(acov[:, t + 2]))) / var_plus
-        rho[t + 1] = rho_even
-        if (rho_even + rho_odd) >= 0.0:
-            rho[t + 2] = rho_odd
-        t += 2
-    max_t = t
-    # Geyer initial monotone sequence: enforce non-increasing pair sums.
-    t = 1
-    while t <= max_t - 2:
-        if rho[t + 1] + rho[t + 2] > rho[t - 1] + rho[t]:
-            rho[t + 1] = (rho[t - 1] + rho[t]) / 2.0
-            rho[t + 2] = rho[t + 1]
-        t += 2
-    tau = -1.0 + 2.0 * float(np.sum(rho[:max_t])) + float(np.sum(rho[max_t + 1:max_t + 2]))
+    # the sums of the pairs (rho[2k], rho[2k + 1]) within the reference's
+    # scan bound, lag n - 2; the sum stops at pair s
+    pairs = rho[:2 * (1 + (n - 3) // 2)].reshape(-1, 2).sum(axis=1)
+    stop = pairs <= 0.0
+    s = int(np.argmax(stop)) if stop.any() else pairs.size - 1
+    tau = -1.0 + 2.0 * float(np.sum(np.minimum.accumulate(pairs[:s])))
+    # pair s's even lag counts once: if positive, and also if the pair is
+    # not negative, which it is when the scan bound ended the sum
+    if rho[2 * s] > 0.0 or pairs[s] >= 0.0:
+        tau += float(rho[2 * s])
     # Antithetic chains can drive the sum negative; the floor (as in the
     # posterior R package) caps ESS at m * n * log10(m * n).
     tau = max(tau, 1.0 / math.log10(m * n))
@@ -180,10 +170,6 @@ def ess(draws: PosteriorDraws, name: str) -> float:
     """Effective sample size from Geyer-truncated autocorrelation sums over
     split chains."""
     return _ess_array(_split_chains(draws.by_chain(name)))
-
-def mcse(draws: PosteriorDraws, name: str) -> float:
-    """Monte Carlo standard error of the posterior mean."""
-    return draws.sd(name) / math.sqrt(max(ess(draws, name), 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +426,6 @@ def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
     values = np.concatenate([r[0] for r in results], axis=0)
     accepts = np.concatenate([r[1] for r in results])
     divergents = np.concatenate([r[2] for r in results])
-    chain_ids = np.repeat(np.arange(config.chains), config.draws)
 
     warnings = []
     frac = float(divergents.mean())
@@ -450,6 +435,6 @@ def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
             "estimates are unreliable")
 
     return PosteriorDraws(names=[f"theta[{i}]" for i in range(inits.shape[1])],
-                          values=values, chain_ids=chain_ids,
-                          accept_stats=accepts, divergent=divergents,
-                          n_chains=config.chains, warnings=warnings)
+                          values=values, accept_stats=accepts,
+                          divergent=divergents, n_chains=config.chains,
+                          warnings=warnings)

@@ -61,6 +61,9 @@ class SimConfig:
             raise ConfigurationError("counts must be positive")
         if self.n_groups < 2:
             raise ConfigurationError("need a pinned and at least one other group")
+        if self.n_groups > self.n_patients * (self.n_bins + 1):
+            raise ConfigurationError("n_groups exceeds the cohort's "
+                                     "n_patients * (n_bins + 1) data rows")
         if not 0 < self.bin_width < np.inf:
             raise ConfigurationError("bin_width must be positive and finite")
         if self.seed < 0:

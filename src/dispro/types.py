@@ -167,8 +167,9 @@ class Dataset:
     pinned_group: int = 0
 
     def __post_init__(self):
-        if self.bin_width <= 0:
-            raise DataError("bin_width must be positive")
+        if not 0 < self.bin_width < np.inf:
+            raise DataError(f"bin_width must be positive and finite, got "
+                            f"{self.bin_width}")
         if self.n_groups < 1:
             raise DataError("need at least one group")
         if not (0 <= self.pinned_group < self.n_groups):

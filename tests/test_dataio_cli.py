@@ -25,6 +25,7 @@ from dispro.dataio import (
 )
 from dispro.fitting import fit_model
 from dispro.sampler import PosteriorDraws, SamplerConfig
+from dispro.types import DataError
 
 from conftest import make_patient
 
@@ -55,6 +56,28 @@ class TestDatasetFormat:
         write_dataset(data, path)
         n_rows = sum(1 for _ in path.open()) - 1
         assert n_rows == sum(p.horizon + 1 for p in data.patients)
+
+    def test_cohort_with_a_group_per_row_reads_back(self, tmp_path):
+        """A cohort with as many groups as data rows, the most SimConfig
+        allows, passes read_dataset's bound on n_groups."""
+        data, _ = simulate_dataset(SimConfig(n_patients=2, n_bins=1,
+                                             n_groups=4, seed=1))
+        write_dataset(data, tmp_path / "dataset.csv")
+        assert read_dataset(tmp_path / "dataset.csv").n_groups == 4
+
+    @pytest.mark.parametrize("bin_width", [math.nan, math.inf])
+    def test_nonfinite_bin_width_is_a_data_error(self, sim_pair, tmp_path,
+                                                 bin_width):
+        """JSON's NaN and Infinity parse as floats; read_dataset names the
+        bad bin_width instead of handing it to the fit or the baselines."""
+        data, _ = sim_pair
+        path = tmp_path / "dataset.csv"
+        write_dataset(data, path)
+        meta_path = tmp_path / "dataset.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_path.write_text(json.dumps({**meta, "bin_width": bin_width}))
+        with pytest.raises(DataError, match="bin_width"):
+            read_dataset(path)
 
     def test_missing_cells_are_empty(self, sim_pair, tmp_path):
         data, _ = sim_pair
@@ -105,7 +128,6 @@ class TestDrawsFormat:
         back = read_draws(path)
         assert back.names == draws.names and back.meta == draws.meta
         assert np.array_equal(back.values, draws.values)
-        assert np.array_equal(back.chain_ids, draws.chain_ids)
         assert np.array_equal(back.accept_stats, draws.accept_stats)
         assert np.array_equal(back.divergent, draws.divergent)
         assert (back.n_chains, back.warnings) == (draws.n_chains,
@@ -126,7 +148,6 @@ class TestDrawsFormat:
                  "visit_intercept", "visit_severity", "rate_mean[0]",
                  "rate_sd[0]", "init_sev[p,1]", "rate[p,1]"]
         draws = PosteriorDraws(names=names, values=values,
-                               chain_ids=np.repeat([0, 1], 3),
                                accept_stats=np.ones(6),
                                divergent=np.zeros(6, dtype=bool), n_chains=2,
                                meta=fit_meta(data, ModelVariant.FULL, 0))
@@ -143,7 +164,6 @@ class TestDrawsFormat:
             rows = list(csv.reader(fh))
         back = read_draws(path)
         assert back.names == rows[0][2:] == names
-        assert np.array_equal(back.chain_ids, [int(r[0]) for r in rows[1:]])
         assert np.array_equal(
             back.values, [[float(v) for v in r[2:]] for r in rows[1:]])
 
@@ -425,6 +445,16 @@ MALFORMED = {
         lines, _first_observed_row(lines), 4, v))
        for v in ("inf", "-inf", "nan")},
     "visit_300": ("dataset", lambda lines, meta: _set_cell(lines, 2, 3, "300")),
+    # JSON's NaN and Infinity parse as floats
+    **{f"bin_width_{name}": ("dataset", lambda lines, meta, v=value:
+                             meta.update(bin_width=v))
+       for name, value in (("nan", math.nan), ("inf", math.inf))},
+    # more groups than data rows: per-group arrays would be sized by the
+    # sidecar alone
+    "sidecar_n_groups_huge": ("dataset", lambda lines, meta: meta.update(
+        n_groups=10 ** 10)),
+    "sidecar_n_groups_above_rows": ("dataset", lambda lines, meta: meta.update(
+        n_groups=len(lines))),
     **{f"fit_meta_without_{key}": ("draws", lambda lines, meta, k=key:
                                    meta.pop(k))
        for key in ("n_chains", "accept_stats", "divergent", "warnings")},

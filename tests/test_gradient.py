@@ -135,7 +135,8 @@ def reference_gradient(model, theta, non_centered):
     data, base = model.data, model.n_global
     w = data.bin_width
     pos = {name: k for k, name in enumerate(model.names[:base])}
-    x = [theta[k] if e.lower is None else e.lower + math.exp(theta[k])
+    x = [theta[k] if e.prior.lower is None
+         else e.prior.lower + math.exp(theta[k])
          for k, e in enumerate(model.entries)]
     terms = [[] for _ in range(model.dim)]  # d/dx for globals, d/dtheta else
 
@@ -208,7 +209,7 @@ def reference_gradient(model, theta, non_centered):
                 add(k_s, -1.0 / s + (z - m) ** 2 / s ** 3)
     for k, e in enumerate(model.entries):
         terms[k].append(-(x[k] - e.prior.mu) / e.prior.sigma ** 2)
-        if e.lower is not None:  # x = lower + e^theta, plus the Jacobian
+        if e.prior.lower is not None:  # x = lower + e^theta, plus the Jacobian
             terms[k] = [t * math.exp(theta[k]) for t in terms[k]] + [1.0]
     grad = np.array([math.fsum(t) for t in terms])
     scale = np.array([math.fsum(abs(v) for v in t) for t in terms])

@@ -22,8 +22,6 @@ def synthetic_draws(names, values, n_chains=2, meta=None):
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     return PosteriorDraws(names=list(names), values=values,
-                          chain_ids=np.repeat(np.arange(n_chains),
-                                              n // n_chains),
                           accept_stats=np.ones(n),
                           divergent=np.zeros(n, dtype=bool),
                           n_chains=n_chains, meta=dict(meta or {}))

@@ -23,8 +23,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # name -> why it stays without a use
 ALLOWED = {
-    "mcse": "per-global MCSE is to be written into diagnostics.json "
-            "(ROADMAP direction 1)",
     "Normal.logpdf": "the prior density the density tests check the model's "
                      "prior tables against",
     "TruncatedNormal.logpdf": "the prior density the density tests check the "

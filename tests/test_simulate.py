@@ -174,6 +174,8 @@ class TestSimulateDataset:
             SimConfig(n_patients=0)
         with pytest.raises(ConfigurationError):
             SimConfig(bin_width=-0.1)
+        with pytest.raises(ConfigurationError):  # 5 groups, 2 * 2 data rows
+            SimConfig(n_patients=2, n_bins=1, n_groups=5)
 
     def test_truth_params_round_trip(self):
         """param_bundles gives back the generating parameters, for three

@@ -97,8 +97,9 @@ def _build_parser() -> _Parser:
     pf.add_argument("--draws", type=int, default=1000)
     pf.add_argument("--max-leapfrog", type=int, default=1024)
     pf.add_argument("--seed", type=int, default=0)
-    pf.add_argument("--threads", type=int, default=1,
-                    help="ignored: chains run one after another")
+    pf.add_argument("--threads", type=_positive_int, default=1,
+                    help="run the chains in up to this many processes; "
+                         "the files do not depend on it")
     pf.add_argument("--allow-nonconverged", action="store_true")
 
     pe = sub.add_parser("evaluate", help="post-process fits into reports")
@@ -175,7 +176,7 @@ def _cmd_fit(args) -> int:
     variant = ModelVariant(args.variant)
     config = SamplerConfig(chains=args.chains, warmup=args.warmup,
                            draws=args.draws, max_leapfrog=args.max_leapfrog,
-                           seed=args.seed)
+                           seed=args.seed, processes=args.threads)
     draws = fit_model(data, variant=variant, config=config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -10,14 +10,17 @@ estimates a diagonal mass matrix from windowed draw variances, Stan-style:
 an initial step-size-only ramp, doubling variance-estimation windows, and a
 final step-size-only phase.
 
-Determinism contract: chains run one after another, each from its own
-counter-based RNG substream of the seed, so from a given start chain c's
-draws do not depend on how many chains run.
+Determinism contract: each chain runs from its own counter-based RNG
+substream of the seed, so from a given start chain c's draws depend neither
+on how many chains run nor on how many processes run them (``_run_chains``).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,10 +39,12 @@ class SamplerConfig:
     target_accept: float = 0.8
     max_leapfrog: int = 1024
     seed: int = 0
+    processes: int = 1  # at most this many processes run the chains
 
     def __post_init__(self):
-        if min(self.chains, self.warmup, self.draws, self.max_leapfrog) < 1:
-            raise ConfigurationError("chains, warmup, draws, max_leapfrog must be positive")
+        if min(self.chains, self.warmup, self.draws, self.max_leapfrog, self.processes) < 1:
+            raise ConfigurationError("chains, warmup, draws, max_leapfrog and processes "
+                                     "must be positive")
         if not (0.0 < self.target_accept < 1.0):
             raise ConfigurationError("target_accept must lie in (0, 1)")
         if self.seed < 0:
@@ -406,6 +411,57 @@ def _run_chain(fused, config, q, seed_seq):
     return out, accepts, divergents
 
 
+def _run_chains(fused, config, inits, seeds) -> list:
+    """Every chain's ``_run_chain`` result, in chain order. Chain c runs in
+    process c mod n: the caller is process 0 and 1..n-1 are children made by
+    ``fork``, so they inherit ``fused`` (a closure need not pickle) and send
+    back only their results, or their exception, over a pipe."""
+    n = min(config.processes, config.chains, len(os.sched_getaffinity(0)))
+
+    def run(k):
+        return {c: _run_chain(fused, config, inits[c], seeds[c])
+                for c in range(k, config.chains, n)}
+
+    children, blobs, done = [], [], False  # children: (pid, pipe read end)
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never returns into the caller's code
+                try:
+                    os.close(r)
+                    try:
+                        out = run(k)
+                    except Exception as exc:
+                        out = exc
+                    with os.fdopen(w, "wb") as fh:
+                        fh.write(pickle.dumps(out))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = run(0)
+        blobs = [fh.read() for _, fh in children]
+        done = True
+    finally:  # on any error, children still running are stopped; all reaped
+        statuses = []
+        for pid, fh in children:
+            fh.close()
+            if not done:
+                os.kill(pid, signal.SIGTERM)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for k, (blob, status) in enumerate(zip(blobs, statuses), 1):
+        if not blob:
+            raise RuntimeError(f"the process of chains {list(range(k, config.chains, n))} "
+                               f"ended with status {status} and sent no draws")
+        out = pickle.loads(blob)
+        if isinstance(out, Exception):
+            raise out
+        results.update(out)
+    return [results[c] for c in range(config.chains)]
+
+
 def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
     """Run NUTS chains against a log-density.
 
@@ -420,8 +476,7 @@ def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
     if not np.all(np.isfinite(inits)):
         raise InvalidParameterError("init vector must be finite")
     chain_seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    results = [_run_chain(logp_and_grad, config, inits[c], chain_seeds[c])
-               for c in range(config.chains)]
+    results = _run_chains(logp_and_grad, config, inits, chain_seeds)
 
     values = np.concatenate([r[0] for r in results], axis=0)
     accepts = np.concatenate([r[1] for r in results])

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import weakref
 from pathlib import Path
@@ -243,6 +244,25 @@ class TestCli:
                          "--allow-nonconverged"]) == 0
         assert (tmp_path / "f1" / "draws.csv").read_bytes() == \
             (tmp_path / "f2" / "draws.csv").read_bytes()
+
+    def test_fit_files_independent_of_threads(self, tmp_path, monkeypatch):
+        """``--threads 2`` runs the chains in two processes, on any number
+        of cores, and writes the same bytes as ``--threads 1``."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cfg = tmp_path / "sim.json"
+        write_sim_config(cfg, seed=21)
+        out = tmp_path / "sim"
+        main(["simulate", "--config", str(cfg), "--out", str(out)])
+        for threads in ("1", "2"):
+            assert main(["fit", "--dataset", str(out / "dataset.csv"),
+                         "--out", str(tmp_path / threads), "--chains", "2",
+                         "--warmup", "50", "--draws", "40", "--seed", "7",
+                         "--threads", threads, "--allow-nonconverged"]) == 0
+        for name in ("draws.csv", "fit_meta.json", "diagnostics.json"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / "2" / name).read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_nondisparity_variant_drops_group_columns(self, tmp_path):
         cfg = tmp_path / "sim.json"
@@ -731,7 +751,11 @@ BAD_OPTIONS = {
     **{f"train_window_{name}": ["evaluate", "--mode", "baselines", "--dataset",
                                 "{fit}/dataset.csv", "--train-window", value]
        for name, value in (("0", "0"), ("negative", "-3"))},
-    # a variant name is checked before the dataset is read
+    # a variant name and a process count are checked before the dataset is
+    # read
+    **{f"threads_{name}": ["fit", "--dataset", "{fit}/missing.csv",
+                           "--threads", value]
+       for name, value in (("zero", "0"), ("negative", "-1"))},
     **{f"variant_alias_{name}": ["fit", "--dataset", "{fit}/missing.csv",
                                  "--variant", value]
        for name, value in (("none", "none"), ("no_rate", "no-rate"))},
@@ -743,9 +767,10 @@ def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
     """A scale that is not a finite number above 0, an ``--informative``
     that is not a list of the dataset's feature indices, a
     ``--train-window`` that is not an integer above 0, a ``--variant`` that
-    is not one of the five variant names, a negative ``--seed`` and the
-    removed options ``--priors``, ``--target-accept``, ``--rhat-threshold``,
-    ``--quantile`` and ``--tol`` end in exit 1 with a message, not a
+    is not one of the five variant names, a ``--threads`` below 1, a
+    negative ``--seed`` and the removed options ``--priors``,
+    ``--target-accept``, ``--rhat-threshold``, ``--quantile`` and
+    ``--tol`` end in exit 1 with a message, not a
     traceback, a silent pass or exit 2, and before ``--out`` is made."""
     argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1

@@ -141,6 +141,81 @@ class TestGaussianTargets:
             sample(lpg, cfg, np.array([[np.nan, 0.0]]))
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestProcesses:
+    """Chains dealt over forked processes: chain c runs in process c mod n."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cores(self, monkeypatch):
+        # the process count is capped by the usable cores; lift the cap so
+        # that 3 processes are 3 on any machine
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_draws_independent_of_process_count(self, processes):
+        scale = np.array([1.0, 2.0, 0.5])
+
+        def lpg(x):  # a closure, which could not be pickled to a worker
+            z = x / scale
+            return -0.5 * float(np.add.reduce(z * z)), -z / scale
+
+        inits = np.random.default_rng(1).uniform(-2.0, 2.0, size=(4, 3))
+        runs = [sample(lpg, SamplerConfig(chains=4, warmup=80, draws=60,
+                                          seed=6, processes=p), inits)
+                for p in (1, processes)]
+        for field in ("values", "accept_stats", "divergent"):
+            one, many = (getattr(d, field) for d in runs)
+            assert one.tobytes() == many.tobytes()
+        assert_no_children()
+
+    def test_child_error_raised_in_caller(self):
+        """Chain 1 runs in a child; its init error reaches the caller with
+        its type and message, as it does when the chain runs in-process."""
+        def lpg(x):
+            lp = -math.inf if x[0] > 5.0 else -0.5 * float(np.add.reduce(x * x))
+            return lp, -x
+
+        inits = np.array([[0.0, 0.0], [9.0, 0.0]])
+        for processes in (1, 2):
+            cfg = SamplerConfig(chains=2, warmup=20, draws=20, processes=processes)
+            with pytest.raises(InvalidParameterError,
+                               match="^initial point has non-finite density$"):
+                sample(lpg, cfg, inits)
+            assert_no_children()
+
+    def test_child_dying_named(self):
+        caller = os.getpid()
+
+        def lpg(x):
+            if os.getpid() != caller:
+                os._exit(7)
+            return -0.5 * float(np.add.reduce(x * x)), -x
+
+        cfg = SamplerConfig(chains=3, warmup=20, draws=20, processes=2)
+        with pytest.raises(RuntimeError, match=r"chains \[1\] ended with status 7"):
+            sample(lpg, cfg, np.zeros((3, 2)))
+        assert_no_children()
+
+    def test_caller_interrupt_stops_children(self):
+        """An interrupt in the caller's own chain ends and reaps the children,
+        which would otherwise run their long chains on."""
+        caller = os.getpid()
+
+        def lpg(x):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return -0.5 * float(np.add.reduce(x * x)), -x
+
+        cfg = SamplerConfig(chains=3, warmup=10 ** 6, draws=10, processes=3)
+        with pytest.raises(KeyboardInterrupt):
+            sample(lpg, cfg, np.zeros((3, 2)))
+        assert_no_children()
+
+
 class TestEnergyConservation:
     def test_halving_step_reduces_error(self):
         """The energy error of the integrator NUTS runs

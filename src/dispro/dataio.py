@@ -287,6 +287,9 @@ def read_draws(path) -> PosteriorDraws:
                         f"the header {len(header)}")
     if table.shape[0] != n_rows:
         raise DataError(f"{path}: {table.shape[0]} rows, {n_rows} accept_stats")
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        raise DataError(f"{path}: non-finite draw in {header[int(np.argmin(finite))]}")
     if not np.array_equal(table[:, 0], np.repeat(np.arange(n_chains),
                                                  n_rows // n_chains)):
         raise DataError(f"{path}: chain ids are not {n_chains} equal blocks "

@@ -569,6 +569,10 @@ MALFORMED = {
         lines, 0, 3, lines[0].split(",")[2])),
     "draws_chain_ids_out_of_order": ("draws", lambda lines, meta: _set_cell(
         lines, 1, 0, "1")),
+    # a non-finite draw would reach summary.json as NaN, which is not JSON
+    **{f"draws_{v}": ("draws", lambda lines, meta, v=v: _set_cell(
+        lines, 1, lines[0].split(",").index("init_sev_mean[1]"), v))
+       for v in ("nan", "inf")},
     "draws_accept_stats_strings": ("draws", lambda lines, meta: meta.update(
         accept_stats=[str(a) for a in meta["accept_stats"]])),
     # fit metadata whose layout contradicts the global columns

@@ -270,7 +270,7 @@ class _ChainState:
 
     def _hamiltonian(self, lp: float, p: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            ke = 0.5 * float(p @ (self.inv_metric * p))
+            ke = 0.5 * float(np.add.reduce(p * (self.inv_metric * p)))
         return math.inf if not np.isfinite(ke) else -lp + ke
 
     def _energy_error(self, h0: float, lp1: float, p1: np.ndarray) -> float:
@@ -349,8 +349,8 @@ class _ChainState:
 
     def _uturn(self, minus, plus) -> bool:
         span = plus[0] - minus[0]
-        return (float(span @ (self.inv_metric * minus[1])) < 0.0
-                or float(span @ (self.inv_metric * plus[1])) < 0.0)
+        return (float(np.add.reduce(span * (self.inv_metric * minus[1]))) < 0.0
+                or float(np.add.reduce(span * (self.inv_metric * plus[1]))) < 0.0)
 
     def transition(self, q, lp, grad, eps):
         """One NUTS update. Returns (q, lp, grad, accept_stat, divergent)."""

@@ -402,6 +402,36 @@ def test_cli_import_skips_scipy_stats():
     assert proc.returncode == 0
 
 
+def test_draws_independent_of_blas_threads():
+    """Identical draws whatever the BLAS thread count, at a dimension where
+    a threaded dot product would split its sum: one short chain on a
+    10,001-dimensional standard normal, sampled in one process per thread
+    count."""
+    probe = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from dispro.sampler import SamplerConfig, sample\n"
+        "def lpg(x):\n"
+        "    return -0.5 * float(np.add.reduce(x * x)), -x\n"
+        "cfg = SamplerConfig(chains=1, warmup=4, draws=4, max_leapfrog=16,"
+        " seed=3)\n"
+        "inits = np.random.default_rng(0).uniform(-2.0, 2.0, size=(1, 10001))\n"
+        "d = sample(lpg, cfg, inits)\n"
+        "print(hashlib.sha256(d.values.tobytes()"
+        " + d.accept_stats.tobytes()).hexdigest())\n")
+    src = str(Path(dispro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        outs.append(run.stdout.strip())
+    assert len(outs[0]) == 64
+    assert outs[0] == outs[1]
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SamplerConfig(chains=0)

@@ -287,7 +287,8 @@ def read_draws(path) -> PosteriorDraws:
                         f"the header {len(header)}")
     if table.shape[0] != n_rows:
         raise DataError(f"{path}: {table.shape[0]} rows, {n_rows} accept_stats")
-    finite = np.isfinite(table).all(axis=0)
+    # NaN propagates through min and max; no table-sized mask is made
+    finite = np.isfinite(table.min(axis=0)) & np.isfinite(table.max(axis=0))
     if not finite.all():
         raise DataError(f"{path}: non-finite draw in {header[int(np.argmin(finite))]}")
     if not np.array_equal(table[:, 0], np.repeat(np.arange(n_chains),

@@ -444,12 +444,12 @@ def _run_chains(fused, config, inits, seeds) -> list:
         results = run(0)
         blobs = [fh.read() for _, fh in children]
         done = True
-    finally:  # on any error, children still running are stopped; all reaped
+    finally:  # on an error, SIGKILL (no handler can delay it); every child reaped
         statuses = []
         for pid, fh in children:
             fh.close()
             if not done:
-                os.kill(pid, signal.SIGTERM)
+                os.kill(pid, signal.SIGKILL)
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for k, (blob, status) in enumerate(zip(blobs, statuses), 1):
         if not blob:

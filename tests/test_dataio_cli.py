@@ -773,9 +773,9 @@ def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
     ``--train-window`` that is not an integer above 0, a ``--variant`` that
     is not one of the five variant names, a ``--threads`` below 1, a
     negative ``--seed`` and the removed options ``--priors``,
-    ``--target-accept``, ``--rhat-threshold``, ``--quantile`` and
-    ``--tol`` end in exit 1 with a message, not a
-    traceback, a silent pass or exit 2, and before ``--out`` is made."""
+    ``--target-accept``, ``--rhat-threshold``, ``--quantile`` and ``--tol``
+    end in exit 1 with a message, not a traceback, a silent pass or exit 2,
+    and before ``--out`` is made."""
     argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

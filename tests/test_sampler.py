@@ -1,10 +1,11 @@
-"""Sampler calibration on known targets, diagnostics behavior, and the
-integrator's energy-error scaling."""
+"""Sampler calibration on known targets, diagnostics behavior, the
+integrator's energy-error scaling, and chains run in forked processes."""
 
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -211,8 +212,10 @@ class TestProcesses:
             return -0.5 * float(np.add.reduce(x * x)), -x
 
         cfg = SamplerConfig(chains=3, warmup=10 ** 6, draws=10, processes=3)
+        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             sample(lpg, cfg, np.zeros((3, 2)))
+        assert time.monotonic() - start < 60.0  # not a wait for the chains
         assert_no_children()
 
 

@@ -43,8 +43,7 @@ class SamplerConfig:
 
     def __post_init__(self):
         if min(self.chains, self.warmup, self.draws, self.max_leapfrog, self.processes) < 1:
-            raise ConfigurationError("chains, warmup, draws, max_leapfrog and processes "
-                                     "must be positive")
+            raise ConfigurationError("chains, warmup, draws, max_leapfrog, processes must be > 0")
         if not (0.0 < self.target_accept < 1.0):
             raise ConfigurationError("target_accept must lie in (0, 1)")
         if self.seed < 0:
@@ -412,17 +411,18 @@ def _run_chain(fused, config, q, seed_seq):
 
 
 def _run_chains(fused, config, inits, seeds) -> list:
-    """Every chain's ``_run_chain`` result, in chain order. Chain c runs in
-    process c mod n: the caller is process 0 and 1..n-1 are children made by
-    ``fork``, so they inherit ``fused`` (a closure need not pickle) and send
-    back only their results, or their exception, over a pipe."""
-    n = min(config.processes, config.chains, len(os.sched_getaffinity(0)))
+    """Every chain's ``_run_chain`` result, in chain order, chain c run in
+    process c mod n: the caller is 0, and 1..n-1 are ``fork`` children that
+    inherit ``fused`` (no pickling) and pipe back their results or exception.
+    n is 1 without ``os.sched_getaffinity`` (macOS, Windows)."""
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
+    n = min(config.processes, config.chains, len(cores))
 
     def run(k):
         return {c: _run_chain(fused, config, inits[c], seeds[c])
                 for c in range(k, config.chains, n)}
 
-    children, blobs, done = [], [], False  # children: (pid, pipe read end)
+    children, done = [], False  # children: (pid, pipe read end)
     try:
         for k in range(1, n):
             r, w = os.pipe()

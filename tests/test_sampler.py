@@ -188,18 +188,29 @@ class TestProcesses:
                 sample(lpg, cfg, inits)
             assert_no_children()
 
-    def test_child_dying_named(self):
-        caller = os.getpid()
-
+    @staticmethod
+    def caller_only(caller):
+        """A standard normal handle that ends any process but ``caller``
+        with status 7."""
         def lpg(x):
             if os.getpid() != caller:
                 os._exit(7)
             return -0.5 * float(np.add.reduce(x * x)), -x
+        return lpg
 
+    def test_child_dying_named(self):
         cfg = SamplerConfig(chains=3, warmup=20, draws=20, processes=2)
         with pytest.raises(RuntimeError, match=r"chains \[1\] ended with status 7"):
-            sample(lpg, cfg, np.zeros((3, 2)))
+            sample(self.caller_only(os.getpid()), cfg, np.zeros((3, 2)))
         assert_no_children()
+
+    def test_caller_runs_every_chain_without_affinity(self, monkeypatch):
+        """Where the platform cannot report its usable cores, every chain
+        runs in the caller."""
+        monkeypatch.delattr(os, "sched_getaffinity")
+        cfg = SamplerConfig(chains=3, warmup=20, draws=20, processes=3)
+        d = sample(self.caller_only(os.getpid()), cfg, np.zeros((3, 2)))
+        assert d.values.shape == (60, 2)
 
     def test_caller_interrupt_stops_children(self):
         """An interrupt in the caller's own chain ends and reaps the children,

@@ -268,22 +268,18 @@ class _ChainState:
         self.inv_metric = np.ones(dim)  # diagonal estimate of posterior variance
 
     def _hamiltonian(self, lp: float, p: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ke = 0.5 * float(np.add.reduce(p * (self.inv_metric * p)))
-        return math.inf if not np.isfinite(ke) else -lp + ke
-
-    def _energy_error(self, h0: float, lp1: float, p1: np.ndarray) -> float:
-        """H(q1, p1) - h0, or +inf (weight exp(-inf) = 0) for a rejected step."""
-        return self._hamiltonian(lp1, p1) - h0 if np.isfinite(lp1) else math.inf
+        """H(q, p); +inf (weight exp(-inf) = 0) at a rejected point, lp = -inf."""
+        ke = 0.5 * float(np.add.reduce(p * (self.inv_metric * p)))
+        return -lp + ke if math.isfinite(ke) else math.inf
 
     def _leapfrog(self, q, p, grad, eps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            p1 = p + 0.5 * eps * grad
-            q1 = q + eps * self.inv_metric * p1
-        if not np.all(np.isfinite(q1)):
+        """One step; a non-finite position or density is rejected, lp = -inf."""
+        p1 = p + 0.5 * eps * grad
+        q1 = q + eps * self.inv_metric * p1
+        if not np.isfinite(q1).all():
             return q1, p1, grad, -math.inf
         lp1, grad1 = self.f(q1)
-        if not np.isfinite(lp1):
+        if not math.isfinite(lp1):
             return q1, p1, grad1, -math.inf
         p1 = p1 + 0.5 * eps * grad1
         return q1, p1, grad1, lp1
@@ -297,7 +293,7 @@ class _ChainState:
 
         def accept(eps):
             _, p1, _, lp1 = self._leapfrog(q, p, grad, eps)
-            return math.exp(min(0.0, -self._energy_error(h0, lp1, p1)))
+            return math.exp(min(0.0, h0 - self._hamiltonian(lp1, p1)))
 
         eps = 1.0
         # double while acceptance stays above 1/2, or halve while below
@@ -314,7 +310,7 @@ class _ChainState:
         if depth == 0:
             end = start.plus if direction > 0 else start.minus
             q1, p1, grad1, lp1 = self._leapfrog(*end, direction * eps)
-            delta = self._energy_error(h0, lp1, p1)
+            delta = self._hamiltonian(lp1, p1) - h0
             return _Tree((q1, p1, grad1), (q1, p1, grad1), (q1, lp1, grad1),
                          -delta, math.exp(min(0.0, -delta)), 1,
                          delta > DIVERGENCE_THRESHOLD, False)
@@ -371,7 +367,7 @@ def _run_chain(fused, config, q, seed_seq):
     rng = np.random.Generator(np.random.Philox(seed_seq))
     state = _ChainState(fused, dim, config, rng)
     lp, grad = fused(q)
-    if not np.isfinite(lp):
+    if not math.isfinite(lp):
         raise InvalidParameterError("initial point has non-finite density")
 
     eps = state.find_reasonable_eps(q, lp, grad)
@@ -419,8 +415,11 @@ def _run_chains(fused, config, inits, seeds) -> list:
     n = min(config.processes, config.chains, len(cores))
 
     def run(k):
-        return {c: _run_chain(fused, config, inits[c], seeds[c])
-                for c in range(k, config.chains, n)}
+        # a diverging trajectory overflows the momenta and kinetic energy;
+        # _leapfrog and _hamiltonian turn that into a rejected point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return {c: _run_chain(fused, config, inits[c], seeds[c])
+                    for c in range(k, config.chains, n)}
 
     children, done = [], False  # children: (pid, pipe read end)
     try:

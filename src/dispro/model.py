@@ -96,8 +96,7 @@ def _emission_block(L, B, V, sev0, rate, idx: DatasetIndex):
     cells) and the per-feature sums of squared standardized residuals."""
     sev = sev0[idx.visit_patient] + rate[idx.visit_patient] * idx.visit_time
     resid = idx.visit_value - (L[:, None] * sev + B[:, None])
-    if idx.visit_missing is not None:
-        resid[idx.visit_missing] = 0.0
+    resid[idx.visit_missing] = 0.0
     w = resid / V[:, None]
     rw = np.add.reduce(resid * w, axis=1)
     parts = [-0.5 * float(np.add.reduce(idx.cells_per_feature
@@ -294,9 +293,6 @@ class ProgressionModel:
         self.idx = DatasetIndex.build(data)
         self._build_layout()
         self._build_prior_tables()
-        # Patients per group, for the sum of per-patient log group sds.
-        self._patients_per_group = np.bincount(
-            self.idx.group_of, minlength=data.n_groups).astype(float)
 
     # -- layout ------------------------------------------------------------
 
@@ -324,20 +320,12 @@ class ProgressionModel:
         self._positive = self._bounded[self._lower == 0.0]
 
         # One index into [globals, _GROUP_DEFAULTS] for every group value
-        # the density reads: each group's initial-severity sd and rate sd,
-        # then per patient, row by row, the (m_i, s_i, m_r, s_r) of the
-        # latent map (see _latent_scales) and the visit offset.
-        G = data.n_groups
+        # the density reads, per patient, row by row: the (m_i, s_i, m_r,
+        # s_r) of the latent map (see _latent_scales) and the visit offset.
+        # The gradient goes back through it; pinned or ablated entries land
+        # past the globals.
         cols = np.where(table >= 0, table, self.n_global + np.arange(5))
-        self._take = np.concatenate(
-            (cols[:, 1], cols[:, 3], cols[self.idx.group_of].T.ravel()))
-        # The group scatter of the gradient: per-patient terms binned by
-        # (term, group), and the table coordinate of each learned bin.
-        flat = table.T.ravel()
-        self._scatter_bins = (np.arange(5)[:, None] * G
-                              + self.idx.group_of).ravel()
-        self._scatter_used = np.flatnonzero(flat >= 0)
-        self._scatter_to = flat[self._scatter_used]
+        self._take = cols[self.idx.group_of].T.ravel()
 
         self._sl_load = slice(0, d)
         self._sl_fint = slice(d, 2 * d)
@@ -408,8 +396,7 @@ class ProgressionModel:
         (N,) arrays for a vector x, (rows, N) for a (rows, dim) matrix."""
         ext = np.concatenate((x[..., :self.n_global], np.broadcast_to(
             _GROUP_DEFAULTS, (*x.shape[:-1], 5))), axis=-1)
-        take = self._take[2 * self.data.n_groups:-self.n_patients]
-        return np.split(ext[..., take], 4, axis=-1)
+        return np.split(ext[..., self._take[:4 * self.n_patients]], 4, axis=-1)
 
     # -- densities -----------------------------------------------------------
 
@@ -483,11 +470,10 @@ class ProgressionModel:
                     and np.minimum.reduce(x[self._positive]) > 0.0):
                 return self._rejected(want_grad)
             L, B, V = x[self._sl_load], x[self._sl_fint], x[self._sl_noise]
-            G, N = self.data.n_groups, self.n_patients
+            N = self.n_patients
             v = np.concatenate((x[:base], _GROUP_DEFAULTS))[self._take]
-            gs, rs = v[:G], v[G:2 * G]
             idx, w = self.idx, self.data.bin_width
-            m_i, s_i, m_r, s_r, goff = v[2 * G:].reshape(5, N)
+            m_i, s_i, m_r, s_r, goff = v.reshape(5, N)
             if non_centered:
                 z_i, z_r = x[base::2], x[base + 1::2]
                 sev0 = m_i + s_i * z_i
@@ -512,9 +498,8 @@ class ProgressionModel:
                       -0.5 * float(np.add.reduce(z_i * z_i)),
                       -0.5 * float(np.add.reduce(z_r * z_r))]
             if not non_centered:
-                n = self._patients_per_group
-                parts += [-float(np.add.reduce(n * np.log(gs))),
-                          -float(np.add.reduce(n * np.log(rs)))]
+                parts += [-float(np.add.reduce(np.log(s_i))),
+                          -float(np.add.reduce(np.log(s_r)))]
             parts.append(self.log_jacobian(theta))
             ll = _fsum(parts)
             if not math.isfinite(ll):
@@ -552,12 +537,10 @@ class ProgressionModel:
                 gx[base + 1::2] = d_rate - z_r / s_r
                 group_terms = (z_i / s_i, (z_i * z_i - 1.0) / s_i,
                                z_r / s_r, (z_r * z_r - 1.0) / s_r)
-            # per-patient terms summed by group into the group table's
-            # coordinates, in group order where a shared coordinate repeats
-            by_group = np.bincount(self._scatter_bins,
-                                   weights=np.concatenate((*group_terms, A)),
-                                   minlength=5 * G)
-            np.add.at(gx, self._scatter_to, by_group[self._scatter_used])
+            # per-patient terms summed into the coordinates they were read from
+            gx[:base] += np.bincount(self._take,
+                                     weights=np.concatenate((*group_terms, A)),
+                                     minlength=base + 5)[:base]
 
             # chain rule through x = lower + exp(u), plus d/du of the Jacobian
             b = self._bounded

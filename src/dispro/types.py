@@ -197,17 +197,17 @@ class DatasetIndex:
     ``PatientRecord`` guarantees that each observes at least one feature
     and that no other bin observes any. Their values form a feature-major
     (n_features, n_visits) matrix, 0 at a missing cell; ``visit_missing``
-    marks those cells and is None when no cell is missing. Visits are
-    modeled over bins 1..horizon per patient (bin 0 is conditioned on):
-    the model sums all bins in closed form from the horizon, so only the
-    observed visits in those bins are kept, one event row each."""
+    marks those cells. Visits are modeled over bins 1..horizon per patient
+    (bin 0 is conditioned on): the model sums all bins in closed form from
+    the horizon, so only the observed visits in those bins are kept, one
+    event row each."""
 
     group_of: np.ndarray        # (n_patients,) int
     horizon: np.ndarray         # (n_patients,) float, last modeled bin
     visit_patient: np.ndarray   # (n_visits,) int
     visit_time: np.ndarray      # (n_visits,) float, bin * bin_width
     visit_value: np.ndarray     # (n_features, n_visits) float, C order
-    visit_missing: np.ndarray | None  # (n_features, n_visits) bool
+    visit_missing: np.ndarray   # (n_features, n_visits) bool
     cells_per_feature: np.ndarray  # (n_features,) float, observed cells
     event_patient: np.ndarray   # (n_events,) int
     event_bin: np.ndarray       # (n_events,) float, bin k in 1..horizon
@@ -226,7 +226,7 @@ class DatasetIndex:
             visit_patient=np.repeat(patients, [b.size for b in bins]),
             visit_time=np.concatenate([np.empty(0), *bins]) * data.bin_width,
             visit_value=np.where(missing, 0.0, values),
-            visit_missing=missing if missing.any() else None,
+            visit_missing=missing,
             cells_per_feature=(~missing).sum(axis=1).astype(float),
             # bin 0 is always a visit, and never an event
             event_patient=np.repeat(patients, [b.size - 1 for b in bins]),

@@ -431,12 +431,14 @@ class TestLogPosterior:
         with pytest.raises(InvalidParameterError):
             model.log_posterior(theta)
 
-    def test_noncentered_change_of_variables(self, small_sim):
+    @pytest.mark.parametrize("variant", list(ModelVariant), ids=lambda v: v.value)
+    def test_noncentered_change_of_variables(self, small_sim, variant):
         """The non-centered density is the centered one at the same
         constrained point plus log|dz/du| of the latent map z = m + s * u,
-        i.e. the sum over patients of log s for both latents."""
+        i.e. the sum over patients of log s for both latents, in every
+        variant (pinned, per-group and shared sds)."""
         data, _ = small_sim
-        model = ProgressionModel(data)
+        model = ProgressionModel(data, variant)
         rng = np.random.default_rng(3)
         for _ in range(10):
             theta_nc = init_from_priors(model, rng, non_centered=True)

@@ -271,8 +271,9 @@ def _evaluate_recovery(args, out: Path) -> int:
                "n_trials": len(args.fit),
                "per_param": report.per_param}
     write_json(summary, out / "summary.json")
-    print(f"recovery: mean r {report.mean_r():.4f}, "
-          f"mean slope {report.mean_slope():.4f}")
+    print("recovery: mean r {}, mean slope {}".format(*(
+        "undefined" if v is None else f"{v:.4f}"
+        for v in (report.mean_r(), report.mean_slope()))))
     return EXIT_OK
 
 
@@ -478,15 +479,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        raise _UsageError(f"unknown command {args.command}")
+        handler = {"simulate": _cmd_simulate, "fit": _cmd_fit,
+                   "evaluate": _cmd_evaluate, "report": _cmd_report}[args.command]
+        return handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -46,13 +46,18 @@ def sha256_file(path) -> str:
     return sha256_bytes(Path(path).read_bytes())
 
 
-def _is_int(v) -> bool:
-    """A JSON integer; a bool or a float does not count."""
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
-    return _is_int(v) or isinstance(v, float)
+    """A JSON number that converts to a finite float: not a bool, NaN, an
+    infinity or an integer past the float range."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_int(v) -> bool:
+    """A JSON integer that converts to a finite float."""
+    return isinstance(v, int) and _is_number(v)
 
 
 def dataset_meta_path(path) -> Path:
@@ -93,7 +98,7 @@ def read_dataset(path) -> Dataset:
                                            "pinned_group"))
             and _is_number(meta["bin_width"])):
         raise DataError(f"{meta_path}: n_groups, n_features and pinned_group "
-                        "must be integers and bin_width a number")
+                        "must be integers and bin_width a finite number")
     pinned, n_features = meta["pinned_group"], meta["n_features"]
 
     per_patient: dict[str, list] = {}
@@ -163,7 +168,7 @@ def read_truth(path) -> TruthSidecar:
             and all(isinstance(doc.get(k), dict)
                     and all(map(_is_number, doc[k].values()))
                     for k in ("params", "latents"))):
-        raise DataError(f"{path}: needs objects params and latents of numbers")
+        raise DataError(f"{path}: needs params and latents of finite numbers")
     return TruthSidecar(params=doc["params"], latents=doc["latents"],
                         meta=doc.get("meta", {}))
 

@@ -39,15 +39,17 @@ class RecoveryReport:
     scatter: list[tuple]                # (trial, name, true, estimated)
     severity_scatter: list[tuple]       # (trial, group, mean_true, mean_est)
 
-    def mean_r(self) -> float:
-        vals = [v["pearson_r"] for v in self.per_param.values()
-                if v["pearson_r"] is not None]
-        return float(np.mean(vals)) if vals else math.nan
+    def mean_r(self) -> float | None:
+        return self._mean_of("pearson_r")
 
-    def mean_slope(self) -> float:
-        vals = [v["slope"] for v in self.per_param.values()
-                if v["slope"] is not None]
-        return float(np.mean(vals)) if vals else math.nan
+    def mean_slope(self) -> float | None:
+        return self._mean_of("slope")
+
+    def _mean_of(self, stat):
+        """The mean of ``stat`` over the parameters where it is defined;
+        None, as ``pearson`` gives, where it is defined for none."""
+        vals = [v[stat] for v in self.per_param.values() if v[stat] is not None]
+        return float(np.mean(vals)) if vals else None
 
 
 def pearson(x: np.ndarray, y: np.ndarray):

@@ -475,6 +475,17 @@ MALFORMED = {
         n_groups=10 ** 10)),
     "sidecar_n_groups_above_rows": ("dataset", lambda lines, meta: meta.update(
         n_groups=len(lines))),
+    # an integer past the float range is no number either
+    "bin_width_huge_int": ("dataset", lambda lines, meta: meta.update(
+        bin_width=10 ** 400)),
+    "recovery_draws_meta_bin_width_huge_int": (
+        "recovery_draws", lambda lines, meta: meta["meta"].update(
+            bin_width=10 ** 400)),
+    **{f"{kind}_{name}": (kind, lambda lines, truth, k=key, v=value: truth[
+        k].update({min(truth[k]): v}))
+       for kind in ("truth", "recovery_truth")
+       for name, key, value in (("latent_nan", "latents", math.nan),
+                                ("param_huge_int", "params", 10 ** 400))},
     **{f"fit_meta_without_{key}": ("draws", lambda lines, meta, k=key:
                                    meta.pop(k))
        for key in ("n_chains", "accept_stats", "divergent", "warnings")},
@@ -699,6 +710,23 @@ def test_evaluate_holds_one_fit_at_a_time(valid_fit, tmp_path, monkeypatch,
     assert main(["evaluate", "--mode", mode, *argv[mode],
                  "--out", str(tmp_path / "out")]) == 0
     assert len(seen) == 3
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} in strict JSON")
+
+
+def test_recovery_of_one_truth_writes_strict_json(valid_fit, tmp_path, capsys):
+    """Two trials of one truth leave every Pearson r undefined: the summary
+    holds null for their mean, not NaN, which is not JSON."""
+    trial = ["--fit", str(valid_fit), "--truth", str(valid_fit / "truth.json")]
+    assert main(["evaluate", "--mode", "recovery", *trial, *trial,
+                 "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=_no_constant)
+    assert summary["mean_pearson_r"] is None
+    assert summary["mean_slope"] is not None
+    assert "mean r undefined" in capsys.readouterr().out
 
 
 def test_bias_repeated_variant_exit_1(valid_fit, tmp_path):

@@ -271,9 +271,9 @@ def _evaluate_recovery(args, out: Path) -> int:
                "n_trials": len(args.fit),
                "per_param": report.per_param}
     write_json(summary, out / "summary.json")
-    print("recovery: mean r {}, mean slope {}".format(*(
-        "undefined" if v is None else f"{v:.4f}"
-        for v in (report.mean_r(), report.mean_slope()))))
+    r, slope = ("undefined" if v is None else f"{v:.4f}"
+                for v in (report.mean_r(), report.mean_slope()))
+    print(f"recovery: mean r {r}, mean slope {slope}")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or configuration problem, 2 data problem,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import sys
@@ -475,7 +476,20 @@ def _render(obj, depth):
     return lines
 
 
+def _steady_heap() -> None:
+    """Give each block of 4 MiB and more (a draws table) its own mapping,
+    returned on free. glibc otherwise raises that threshold to the largest
+    block freed, later tables land in the heap, and whether a freed one is
+    reused there depends on the small blocks placed around it: peak memory
+    then varies by a table's size from run to run. Needs glibc's mallopt."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _steady_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import weakref
 from pathlib import Path
 
@@ -711,6 +712,25 @@ def test_evaluate_holds_one_fit_at_a_time(valid_fit, tmp_path, monkeypatch,
                  "--out", str(tmp_path / "out")]) == 0
     assert len(seen) == 3
 
+
+
+def _resident_mib():
+    pages = int(Path("/proc/self/statm").read_text().split()[1])
+    return pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc and /proc")
+def test_a_freed_table_leaves_resident_memory(tmp_path):
+    """After main, a freed 20 MiB block (the size of a 4000-draw table) is
+    returned at once, also after a larger freed block has raised glibc's own
+    threshold past it, so peak memory does not hang on heap layout."""
+    main(["report", "--in", str(tmp_path)])
+    np.ones(3 << 20)  # 24 MiB, freed at once
+    before = _resident_mib()
+    table = np.ones(20 << 17)
+    assert _resident_mib() - before > 19
+    del table
+    assert _resident_mib() - before < 1
 
 def _no_constant(name):
     raise AssertionError(f"{name} in strict JSON")

@@ -9,6 +9,9 @@ Truth sidecar: JSON with generating parameters and per-patient latents under
 canonical names. Draws: CSV with chain and draw indices followed by canonical
 parameter columns, plus ``fit_meta.json`` and ``diagnostics.json`` sidecars.
 
+Every JSON file is written by ``write_json`` (strict JSON, sorted keys) and
+read back by ``_read_json``, which checks it against a table of key types.
+
 Nothing in these files is time-stamped, so identical inputs and seeds produce
 byte-identical outputs.
 """
@@ -34,16 +37,8 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_bytes(data: bytes) -> str:
+def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path) -> str:
-    return sha256_bytes(Path(path).read_bytes())
 
 
 def _is_number(v) -> bool:
@@ -79,26 +74,13 @@ def write_dataset(data: Dataset, path) -> None:
                             int(p.visits[t]), *cells])
     meta = {"bin_width": data.bin_width, "n_groups": data.n_groups,
             "n_features": data.n_features, "pinned_group": data.pinned_group}
-    dataset_meta_path(path).write_text(canonical_json(meta) + "\n")
+    write_json(meta, dataset_meta_path(path), indent=None)
 
 
 def read_dataset(path) -> Dataset:
     path = Path(path)
     meta_path = dataset_meta_path(path)
-    if not meta_path.exists():
-        raise DataError(f"missing dataset sidecar {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    if not isinstance(meta, dict):
-        raise DataError(f"{meta_path}: not a JSON object")
-    missing = [k for k in ("bin_width", "n_groups", "n_features",
-                           "pinned_group") if k not in meta]
-    if missing:
-        raise DataError(f"{meta_path}: missing keys {missing}")
-    if not (all(_is_int(meta[k]) for k in ("n_groups", "n_features",
-                                           "pinned_group"))
-            and _is_number(meta["bin_width"])):
-        raise DataError(f"{meta_path}: n_groups, n_features and pinned_group "
-                        "must be integers and bin_width a finite number")
+    meta = _read_json(meta_path, _SIDECAR_TYPES)
     pinned, n_features = meta["pinned_group"], meta["n_features"]
 
     per_patient: dict[str, list] = {}
@@ -158,17 +140,12 @@ def read_dataset(path) -> Dataset:
 
 
 def write_truth(truth, path) -> None:
-    doc = {"params": truth.params, "latents": truth.latents, "meta": truth.meta}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json({"params": truth.params, "latents": truth.latents,
+                "meta": truth.meta}, path)
 
 
 def read_truth(path) -> TruthSidecar:
-    doc = json.loads(Path(path).read_text())
-    if not (isinstance(doc, dict)
-            and all(isinstance(doc.get(k), dict)
-                    and all(map(_is_number, doc[k].values()))
-                    for k in ("params", "latents"))):
-        raise DataError(f"{path}: needs params and latents of finite numbers")
+    doc = _read_json(path, _TRUTH_TYPES)
     return TruthSidecar(params=doc["params"], latents=doc["latents"],
                         meta=doc.get("meta", {}))
 
@@ -196,40 +173,60 @@ def write_draws(draws: PosteriorDraws, path) -> None:
             # its lines
             cells = ",".join(map(repr, row.tolist()))
             fh.write(f"{i // per_chain},{i % per_chain},{cells}\r\n")
-    meta_doc = {"meta": draws.meta, "warnings": draws.warnings,
+    write_json({"meta": draws.meta, "warnings": draws.warnings,
                 "n_chains": draws.n_chains,
                 "accept_stats": [float(a) for a in draws.accept_stats],
-                "divergent": [bool(b) for b in draws.divergent]}
-    path.with_name("fit_meta.json").write_text(
-        json.dumps(meta_doc, sort_keys=True) + "\n")
+                "divergent": [bool(b) for b in draws.divergent]},
+               path.with_name("fit_meta.json"), indent=None)
 
 
 def _list_of(is_valid):
     return lambda v: isinstance(v, list) and all(map(is_valid, v))
 
 
-# fit_meta.json: the type test of each top-level value and of each value of
-# its ``meta`` object
-_FIT_DOC_TYPES = {"n_chains": _is_int, "accept_stats": _list_of(_is_number),
-                  "divergent": _list_of(lambda v: isinstance(v, bool)),
-                  "warnings": lambda v: isinstance(v, list),
-                  "meta": lambda v: isinstance(v, dict)}
-_FIT_META_TYPES = {
-    "bin_width": _is_number,
-    **dict.fromkeys(("n_groups", "n_features", "pinned_group", "n_global"),
-                    _is_int),
-    "patient_ids": _list_of(lambda v: isinstance(v, str)),
-    **dict.fromkeys(("patient_groups", "horizon_by_patient"),
-                    _list_of(_is_int)),
-    "variant": lambda v: (
-        isinstance(v, dict) and all(isinstance(b, bool) for b in v.values())),
+def _object_of(is_valid):
+    return lambda v: isinstance(v, dict) and all(map(is_valid, v.values()))
+
+
+# the type test of each key of a JSON file; a nested table checks the object
+# under its key, and fit_meta.json's meta holds the dataset sidecar's keys
+_SIDECAR_TYPES = {"bin_width": _is_number,
+                  **dict.fromkeys(("n_groups", "n_features", "pinned_group"),
+                                  _is_int)}
+_TRUTH_TYPES = dict.fromkeys(("params", "latents"), _object_of(_is_number))
+_FIT_DOC_TYPES = {
+    "n_chains": _is_int, "accept_stats": _list_of(_is_number),
+    "divergent": _list_of(lambda v: isinstance(v, bool)),
+    "warnings": lambda v: isinstance(v, list),
+    "meta": {
+        **_SIDECAR_TYPES, "n_global": _is_int,
+        "patient_ids": _list_of(lambda v: isinstance(v, str)),
+        **dict.fromkeys(("patient_groups", "horizon_by_patient"),
+                        _list_of(_is_int)),
+        "variant": _object_of(lambda v: isinstance(v, bool)),
+    },
 }
 
 
 def _mistyped(doc, types: dict, prefix: str = "") -> list[str]:
+    """The keys of ``types`` that ``doc`` lacks or mistypes."""
     doc = doc if isinstance(doc, dict) else {}
-    return [prefix + k for k, is_valid in types.items()
-            if k not in doc or not is_valid(doc[k])]
+    wrong = []
+    for k, is_valid in types.items():
+        if isinstance(is_valid, dict):
+            wrong += _mistyped(doc.get(k), is_valid, f"{prefix}{k}.")
+        elif k not in doc or not is_valid(doc[k]):
+            wrong.append(prefix + k)
+    return wrong
+
+
+def _read_json(path, types: dict):
+    """The JSON object in ``path``, after checking it against ``types``."""
+    doc = json.loads(Path(path).read_text())
+    wrong = _mistyped(doc, types)
+    if wrong:
+        raise DataError(f"{path}: lacks or mistypes {wrong}")
+    return doc
 
 
 def read_draws(path) -> PosteriorDraws:
@@ -237,12 +234,7 @@ def read_draws(path) -> PosteriorDraws:
     cross-field rule of the pair is checked here; a break is a DataError."""
     path = Path(path)
     meta_path = path.with_name("fit_meta.json")
-    doc = json.loads(meta_path.read_text())
-    wrong = _mistyped(doc, _FIT_DOC_TYPES)
-    if "meta" not in wrong:
-        wrong += _mistyped(doc["meta"], _FIT_META_TYPES, "meta.")
-    if wrong:
-        raise DataError(f"{meta_path}: lacks or mistypes {wrong}")
+    doc = _read_json(meta_path, _FIT_DOC_TYPES)
     with path.open(newline="") as fh:
         header = next(csv.reader(fh), [])
     if header[:2] != ["chain", "draw"]:
@@ -307,17 +299,10 @@ def read_draws(path) -> PosteriorDraws:
         n_chains=n_chains, warnings=doc["warnings"], meta=meta)
 
 
-def write_json(obj, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1,
-                                     default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+def write_json(obj, path, indent=1) -> None:
+    """Strict JSON with sorted keys: a NaN or infinity is a ValueError."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=indent,
+                                     allow_nan=False) + "\n")
 
 
 def write_table(path, header, rows) -> None:
@@ -347,9 +332,10 @@ def write_manifest(out_dir, command: str, args: dict, seed,
         "command": command,
         "seed": seed,
         "args": args,
-        "config_sha256": (sha256_bytes(config_text.encode())
+        "config_sha256": (_sha256(config_text.encode())
                           if config_text is not None else None),
-        "inputs": {str(k): sha256_file(v) for k, v in (inputs or {}).items()},
+        "inputs": {str(k): _sha256(Path(v).read_bytes())
+                   for k, v in (inputs or {}).items()},
         "outputs": sorted(str(o) for o in (outputs or [])),
     }
     write_json(doc, Path(out_dir) / "manifest.json")

@@ -167,13 +167,13 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
     return reports, profiles
 
 
-def high_risk_profile(values, groups, q: float) -> dict[int, float]:
+def high_risk_profile(values, groups, q: float) -> dict[int, float | None]:
     """Share of visits per group, {group: share}, whose severity estimate
     lands in the top q fraction of all visits.
 
     The threshold is the nearest-rank (1-q)-quantile over all values; a visit
     is flagged when strictly above it, so ties at the threshold are never
-    flagged. All-equal inputs flag nothing and give nan shares.
+    flagged. All-equal inputs flag nothing and give None shares.
     """
     if not (0.0 < q < 1.0):
         raise ConfigurationError("q must lie in (0, 1)")
@@ -184,7 +184,7 @@ def high_risk_profile(values, groups, q: float) -> dict[int, float]:
     n = values.size
     uniq = np.unique(groups)
     if n == 0 or np.all(values == values[0]):
-        return {int(g): math.nan for g in uniq}
+        return dict.fromkeys(map(int, uniq))
     order = np.sort(values)
     rank = max(1, math.ceil((1.0 - q) * n))  # nearest-rank quantile, 1-based
     flagged = values > order[rank - 1]

@@ -154,8 +154,9 @@ def global_names(draws: PosteriorDraws) -> list[str]:
 
 
 def convergence_summary(draws: PosteriorDraws) -> dict:
-    """Per-global-parameter R-hat and ESS plus divergence counts."""
-    per_param = {name: {"rhat": rhat(draws, name), "ess": ess(draws, name),
+    """Per-global R-hat and ESS (None on constant draws), divergence counts."""
+    per_param = {name: {"rhat": _finite(rhat(draws, name)),
+                        "ess": _finite(ess(draws, name)),
                         "mean": draws.mean(name), "sd": draws.sd(name)}
                  for name in global_names(draws)}
     div_by_chain = draws.divergent.reshape(draws.n_chains, -1).sum(axis=1)
@@ -172,9 +173,14 @@ def max_global_rhat(draws: PosteriorDraws) -> float:
     return _worst_rhat(rhat(draws, name) for name in global_names(draws))
 
 
+def _finite(x: float) -> float | None:
+    return x if np.isfinite(x) else None
+
+
 def _worst_rhat(values) -> float:
-    """Largest finite R-hat; 0.0 when none is finite."""
-    return max((r for r in values if np.isfinite(r)), default=0.0)
+    """Largest finite R-hat, None skipped; 0.0 when none is finite."""
+    return max((r for r in values if r is not None and np.isfinite(r)),
+               default=0.0)
 
 
 def severity_means_by_patient(

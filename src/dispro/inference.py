@@ -154,7 +154,7 @@ def disparity_summary(draws: PosteriorDraws,
     (the pinned group's is 0 by construction). The care-delay conversion
     divides the gap by the posterior-mean progression rate averaged over
     groups; it is undefined when that rate is ~0. Visit-rate ratios are
-    exp(visit_offset). Intervals are equal-tailed 95% posterior intervals.
+    exp(visit_offset), None past the float range; intervals equal-tailed 95%.
     """
     meta = draws.meta
     n_groups = int(meta["n_groups"])
@@ -189,12 +189,19 @@ def disparity_summary(draws: PosteriorDraws,
             col = draws.column(f"visit_offset[{g}]")
             off = float(col.mean())
             entry["visit_offset"] = off
-            entry["visit_rate_ratio"] = math.exp(off)
-            entry["visit_rate_ratio_ci"] = [float(np.exp(np.percentile(col, lo_q))),
-                                            float(np.exp(np.percentile(col, hi_q)))]
+            entry["visit_rate_ratio"] = _exp(off)
+            entry["visit_rate_ratio_ci"] = [_exp(float(np.percentile(col, q)))
+                                            for q in (lo_q, hi_q)]
         else:
             entry["visit_offset"] = 0.0
             entry["visit_rate_ratio"] = 1.0
         per_group[g] = entry
     return DisparitySummary(reference_group=pinned, mean_rate=mean_rate,
                             per_group=per_group, years_per_unit=years_per_unit)
+
+
+def _exp(x: float) -> float | None:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return None

@@ -1,7 +1,10 @@
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dispro import (
     Dataset,
@@ -15,6 +18,20 @@ from dispro import (
 )
 from dispro.model import _emission_block, _visit_block
 from dispro.types import DatasetIndex
+
+# the @given tests draw the same examples every run and keep no example
+# database
+settings.register_profile("dispro", derandomize=True, database=None)
+settings.load_profile("dispro")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it reads from the source (at
+    collection, whatever the profile) in a temporary directory, not in
+    ``.hypothesis/`` of the working directory."""
+    home = tempfile.TemporaryDirectory()
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def make_patient(pid, group_idx, visits, features):

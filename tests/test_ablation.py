@@ -183,7 +183,7 @@ class TestHighRiskProfile:
 
     def test_degenerate_ties(self):
         shares = high_risk_profile(np.ones(50), np.zeros(50, int), q=0.25)
-        assert list(shares) == [0] and math.isnan(shares[0])
+        assert shares == {0: None}
 
     @given(st.lists(st.floats(min_value=-100, max_value=100,
                               allow_nan=False), min_size=4, max_size=200),
@@ -194,7 +194,7 @@ class TestHighRiskProfile:
         groups = np.zeros(values.size, dtype=int)
         share = high_risk_profile(values, groups, q=q)[0]
         if np.all(values == values[0]):
-            assert math.isnan(share)
+            assert share is None
             return
         flagged = round(share * values.size)
         order = np.sort(values)

@@ -23,6 +23,7 @@ from dispro.dataio import (
     read_truth,
     write_dataset,
     write_draws,
+    write_json,
     write_truth,
 )
 from dispro.fitting import fit_model
@@ -94,6 +95,13 @@ class TestDatasetFormat:
                 break
         else:
             pytest.fail("no non-visit bin found")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_write_json_refuses_nonfinite_numbers(self, tmp_path, value):
+        """NaN and the infinities are not JSON: the one writer raises
+        rather than write them."""
+        with pytest.raises(ValueError):
+            write_json({"x": [1.0, {"y": value}]}, tmp_path / "out.json")
 
     def test_truth_roundtrip(self, sim_pair, tmp_path):
         _, truth = sim_pair
@@ -459,6 +467,11 @@ MALFORMED = {
     "short_row": ("dataset", lambda lines, meta: _cut_last_cell(lines, 5)),
     "negative_group": ("dataset", lambda lines, meta: _set_first_group(lines,
                                                                        "-1")),
+    # a cell int() cannot read reaches cli.main's ValueError handler
+    "group_not_int": ("dataset", lambda lines, meta: _set_first_group(lines,
+                                                                      "1.5")),
+    "bin_not_int": ("dataset", lambda lines, meta: _set_cell(lines, 2, 2,
+                                                             "1.5")),
     **{f"sidecar_without_{key}": ("dataset", lambda lines, meta, k=key:
                                   meta.pop(k))
        for key in ("bin_width", "n_groups", "n_features", "pinned_group")},
@@ -757,6 +770,27 @@ def test_bias_repeated_variant_exit_1(valid_fit, tmp_path):
                  str(valid_fit / "dataset.csv"), "--truth",
                  str(valid_fit / "truth.json"),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+def test_disparity_ratio_past_float_range_is_null(valid_fit, tmp_path):
+    """A visit offset of 800 has a visit-rate ratio past the float range:
+    disparity mode writes it and its interval bounds as null, not a
+    traceback or Infinity."""
+    bad = tmp_path / "bad"
+    shutil.copytree(valid_fit, bad)
+    lines = (bad / "draws.csv").read_text().splitlines()
+    col = lines[0].split(",").index("visit_offset[1]")
+    for row in range(1, len(lines)):
+        _set_cell(lines, row, col, "800.0")
+    (bad / "draws.csv").write_text("\n".join(lines) + "\n")
+    assert main(["evaluate", "--mode", "disparity", "--fit", str(bad),
+                 "--years-per-unit", "1", "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
+                         parse_constant=_no_constant)
+    entry = summary["per_group"]["1"]
+    assert entry["visit_offset"] == 800.0
+    assert entry["visit_rate_ratio"] is None
+    assert entry["visit_rate_ratio_ci"] == [None, None]
 
 
 @pytest.mark.parametrize("fit", ["", "no_disparities"],

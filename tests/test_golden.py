@@ -78,6 +78,10 @@ def run_pipeline(root: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} in strict JSON")
+
+
 def test_pipeline_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     env = environment()
@@ -85,6 +89,9 @@ def test_pipeline_outputs_match_golden(tmp_path):
              if golden["environment"].get(k) != v}
     assert not moved, f"golden.json was made under other versions: {moved}"
     files = run_pipeline(tmp_path)
+    # every JSON file the pipeline writes is strict JSON
+    for path in tmp_path.rglob("*.json"):
+        json.loads(path.read_text(), parse_constant=_no_constant)
     want = golden["files"]
     differ = sorted(k for k in want.keys() | files.keys()
                     if want.get(k) != files.get(k))

@@ -16,6 +16,8 @@ from scipy.stats import kstest, rankdata
 
 import dispro
 from dispro import ConfigurationError, InvalidParameterError
+from dispro.dataio import write_json
+from dispro.fitting import convergence_summary, max_global_rhat
 from dispro.sampler import (
     PosteriorDraws,
     SamplerConfig,
@@ -334,6 +336,23 @@ class TestDiagnostics:
         arr[1, 3] = np.nan  # rankdata propagates a NaN to every rank
         assert np.isnan(rankdata(arr, method="average")).all()
         assert np.isnan(_rank_normalize(arr)).all()
+
+    def test_constant_column_gives_null_diagnostics(self, tmp_path):
+        """A global whose draws never move has no R-hat or ESS: both are
+        None (null in diagnostics.json), and the worst R-hat is that of
+        the other globals."""
+        rng = np.random.default_rng(4)
+        values = np.column_stack([rng.normal(size=400), np.full(400, 2.5)])
+        d = PosteriorDraws(names=["x", "c"], values=values,
+                           accept_stats=np.ones(400),
+                           divergent=np.zeros(400, dtype=bool), n_chains=4,
+                           meta={"n_global": 2})
+        diag = convergence_summary(d)
+        assert diag["parameters"]["c"]["rhat"] is None
+        assert diag["parameters"]["c"]["ess"] is None
+        assert diag["parameters"]["x"]["ess"] > 0
+        assert diag["max_global_rhat"] == rhat(d, "x") == max_global_rhat(d)
+        write_json(diag, tmp_path / "diagnostics.json")
 
     def test_rhat_needs_two_chains(self):
         d = self.make_draws(np.random.default_rng(2).normal(size=(1, 100)))

@@ -34,6 +34,12 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home.name)
 
 
+def no_constant(name):
+    """A ``json.loads`` parse_constant for strict JSON: NaN and the
+    infinities fail."""
+    raise AssertionError(f"{name} in strict JSON")
+
+
 def make_patient(pid, group_idx, visits, features):
     visits = np.asarray(visits)
     return PatientRecord(

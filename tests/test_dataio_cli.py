@@ -30,7 +30,7 @@ from dispro.fitting import fit_model
 from dispro.sampler import PosteriorDraws, SamplerConfig
 from dispro.types import DataError
 
-from conftest import make_patient
+from conftest import make_patient, no_constant
 
 
 @pytest.fixture(scope="module")
@@ -745,10 +745,6 @@ def test_a_freed_table_leaves_resident_memory(tmp_path):
     del table
     assert _resident_mib() - before < 1
 
-def _no_constant(name):
-    raise AssertionError(f"{name} in strict JSON")
-
-
 def test_recovery_of_one_truth_writes_strict_json(valid_fit, tmp_path, capsys):
     """Two trials of one truth leave every Pearson r undefined: the summary
     holds null for their mean, not NaN, which is not JSON."""
@@ -756,7 +752,7 @@ def test_recovery_of_one_truth_writes_strict_json(valid_fit, tmp_path, capsys):
     assert main(["evaluate", "--mode", "recovery", *trial, *trial,
                  "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
-                         parse_constant=_no_constant)
+                         parse_constant=no_constant)
     assert summary["mean_pearson_r"] is None
     assert summary["mean_slope"] is not None
     assert "mean r undefined" in capsys.readouterr().out
@@ -786,7 +782,7 @@ def test_disparity_ratio_past_float_range_is_null(valid_fit, tmp_path):
     assert main(["evaluate", "--mode", "disparity", "--fit", str(bad),
                  "--years-per-unit", "1", "--out", str(tmp_path / "out")]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text(),
-                         parse_constant=_no_constant)
+                         parse_constant=no_constant)
     entry = summary["per_group"]["1"]
     assert entry["visit_offset"] == 800.0
     assert entry["visit_rate_ratio"] is None

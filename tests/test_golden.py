@@ -29,6 +29,8 @@ import scipy
 from dispro.cli import main
 from dispro.model import ModelVariant
 
+from conftest import no_constant
+
 GOLDEN = Path(__file__).with_name("golden.json")
 SIM = {"n_patients": 30, "n_bins": 12, "bin_width": 1 / 12, "seed": 5}
 FIT = ["--chains", "2", "--warmup", "20", "--draws", "10",
@@ -78,10 +80,6 @@ def run_pipeline(root: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
-def _no_constant(name):
-    raise AssertionError(f"{name} in strict JSON")
-
-
 def test_pipeline_outputs_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     env = environment()
@@ -91,7 +89,7 @@ def test_pipeline_outputs_match_golden(tmp_path):
     files = run_pipeline(tmp_path)
     # every JSON file the pipeline writes is strict JSON
     for path in tmp_path.rglob("*.json"):
-        json.loads(path.read_text(), parse_constant=_no_constant)
+        json.loads(path.read_text(), parse_constant=no_constant)
     want = golden["files"]
     differ = sorted(k for k in want.keys() | files.keys()
                     if want.get(k) != files.get(k))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitting import global_names, severity_means_by_patient
+from .fitting import _finite, global_names, severity_means_by_patient
 from .model import latent_names
 from .sampler import PosteriorDraws
 from .types import ConfigurationError
@@ -153,8 +153,9 @@ def disparity_summary(draws: PosteriorDraws,
     Initial-severity gaps are posterior means of each group's init_sev_mean
     (the pinned group's is 0 by construction). The care-delay conversion
     divides the gap by the posterior-mean progression rate averaged over
-    groups; it is undefined when that rate is ~0. Visit-rate ratios are
-    exp(visit_offset), None past the float range; intervals equal-tailed 95%.
+    groups; it is undefined when that rate is ~0, and None past the float
+    range. Visit-rate ratios are exp(visit_offset), None past the float
+    range; intervals equal-tailed 95%.
     """
     meta = draws.meta
     n_groups = int(meta["n_groups"])
@@ -180,9 +181,10 @@ def disparity_summary(draws: PosteriorDraws,
             entry["init_sev_gap"] = gap
             entry["init_sev_gap_ci"] = [float(np.percentile(col, lo_q)),
                                         float(np.percentile(col, hi_q))]
-            if abs(mean_rate) > 1e-12:
-                entry["delay_time_units"] = gap / mean_rate
-                entry["delay_years"] = gap / mean_rate * years_per_unit
+            if abs(mean_rate) > 1e-12:  # None past the float range
+                delay = gap / mean_rate
+                entry["delay_time_units"] = _finite(delay)
+                entry["delay_years"] = _finite(delay * years_per_unit)
             else:
                 entry["delay_time_units"] = None  # undefined at ~zero rate
         if draws.has(f"visit_offset[{g}]"):

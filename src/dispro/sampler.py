@@ -12,7 +12,7 @@ final step-size-only phase.
 
 Determinism contract: each chain runs from its own counter-based RNG
 substream of the seed, so from a given start chain c's draws depend neither
-on how many chains run nor on how many processes run them (``_run_chains``).
+on how many chains run nor on how many processes run them (``forked_map``).
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ class PosteriorDraws:
 
     def __post_init__(self):
         self._col = {n: i for i, n in enumerate(self.names)}
+        self._means = {}  # name -> mean, each column's taken once
 
     def has(self, name: str) -> bool:
         return name in self._col
@@ -83,7 +84,9 @@ class PosteriorDraws:
         return self.column(name).reshape(self.n_chains, -1)
 
     def mean(self, name: str) -> float:
-        return float(self.column(name).mean())
+        if name not in self._means:
+            self._means[name] = float(self.column(name).mean())
+        return self._means[name]
 
     def sd(self, name: str) -> float:
         return float(self.column(name).std(ddof=1))
@@ -406,20 +409,25 @@ def _run_chain(fused, config, q, seed_seq):
     return out, accepts, divergents
 
 
-def _run_chains(fused, config, inits, seeds) -> list:
-    """Every chain's ``_run_chain`` result, in chain order, chain c run in
-    process c mod n: the caller is 0, and 1..n-1 are ``fork`` children that
-    inherit ``fused`` (no pickling) and pipe back their results or exception.
-    n is 1 without ``os.sched_getaffinity`` (macOS, Windows)."""
-    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else [0]
-    n = min(config.processes, config.chains, len(cores))
+def usable_cores() -> int:
+    """The cores this process may run on; 1 without ``os.sched_getaffinity``
+    (macOS, Windows)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def forked_map(fn, jobs, processes, lost="the process of jobs {jobs} ended "
+               "with status {status} and sent no results") -> list:
+    """``[fn(job) for job in jobs]``, job j run in process j mod n, where n is
+    ``processes`` capped by the jobs and the usable cores. The caller is
+    process 0, and 1..n-1 are ``fork`` children that inherit ``fn`` (no
+    pickling) and pipe back their results or exception, which is raised
+    again in the caller. A child that sends nothing is a RuntimeError from
+    ``lost``, formatted with its jobs' indices and its exit status."""
+    jobs = list(jobs)
+    n = max(1, min(processes, len(jobs), usable_cores()))
 
     def run(k):
-        # a diverging trajectory overflows the momenta and kinetic energy;
-        # _leapfrog and _hamiltonian turn that into a rejected point
-        with np.errstate(over="ignore", invalid="ignore"):
-            return {c: _run_chain(fused, config, inits[c], seeds[c])
-                    for c in range(k, config.chains, n)}
+        return [fn(job) for job in jobs[k::n]]
 
     children, done = [], False  # children: (pid, pipe read end)
     try:
@@ -440,7 +448,7 @@ def _run_chains(fused, config, inits, seeds) -> list:
                     os._exit(1)
             os.close(w)
             children.append((pid, os.fdopen(r, "rb")))
-        results = run(0)
+        per_process = [run(0)]
         blobs = [fh.read() for _, fh in children]
         done = True
     finally:  # on an error, SIGKILL (no handler can delay it); every child reaped
@@ -452,13 +460,16 @@ def _run_chains(fused, config, inits, seeds) -> list:
             statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for k, (blob, status) in enumerate(zip(blobs, statuses), 1):
         if not blob:
-            raise RuntimeError(f"the process of chains {list(range(k, config.chains, n))} "
-                               f"ended with status {status} and sent no draws")
+            raise RuntimeError(lost.format(jobs=list(range(k, len(jobs), n)),
+                                           status=status))
         out = pickle.loads(blob)
         if isinstance(out, Exception):
             raise out
-        results.update(out)
-    return [results[c] for c in range(config.chains)]
+        per_process.append(out)
+    results = [None] * len(jobs)
+    for k, out in enumerate(per_process):
+        results[k::n] = out
+    return results
 
 
 def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
@@ -475,7 +486,17 @@ def sample(logp_and_grad, config: SamplerConfig, inits) -> PosteriorDraws:
     if not np.all(np.isfinite(inits)):
         raise InvalidParameterError("init vector must be finite")
     chain_seeds = np.random.SeedSequence(config.seed).spawn(config.chains)
-    results = _run_chains(logp_and_grad, config, inits, chain_seeds)
+
+    def run(c):
+        # a diverging trajectory overflows the momenta and kinetic energy;
+        # _leapfrog and _hamiltonian turn that into a rejected point
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _run_chain(logp_and_grad, config, inits[c], chain_seeds[c])
+
+    # chain c runs in process c mod n, so the handle need not pickle
+    results = forked_map(run, range(config.chains), config.processes,
+                         lost="the process of chains {jobs} ended with "
+                              "status {status} and sent no draws")
 
     values = np.concatenate([r[0] for r in results], axis=0)
     accepts = np.concatenate([r[1] for r in results])

@@ -64,6 +64,10 @@ class SimConfig:
         if self.n_groups > self.n_patients * (self.n_bins + 1):
             raise ConfigurationError("n_groups exceeds the cohort's "
                                      "n_patients * (n_bins + 1) data rows")
+        cells = self.n_patients * (self.n_bins + 1) * self.n_features
+        if cells > np.iinfo(np.intp).max:
+            raise ConfigurationError(f"{cells} feature cells exceed numpy's "
+                                     "largest array")
         if not 0 < self.bin_width < np.inf:
             raise ConfigurationError("bin_width must be positive and finite")
         if self.seed < 0:

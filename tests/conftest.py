@@ -1,4 +1,5 @@
 import math
+import os
 import tempfile
 
 import numpy as np
@@ -38,6 +39,12 @@ def no_constant(name):
     """A ``json.loads`` parse_constant for strict JSON: NaN and the
     infinities fail."""
     raise AssertionError(f"{name} in strict JSON")
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def make_patient(pid, group_idx, visits, features):

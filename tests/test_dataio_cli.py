@@ -27,10 +27,10 @@ from dispro.dataio import (
     write_truth,
 )
 from dispro.fitting import fit_model
-from dispro.sampler import PosteriorDraws, SamplerConfig
+from dispro.sampler import PosteriorDraws, SamplerConfig, forked_map
 from dispro.types import DataError
 
-from conftest import make_patient, no_constant
+from conftest import assert_no_children, make_patient, no_constant
 
 
 @pytest.fixture(scope="module")
@@ -359,10 +359,11 @@ class TestCli:
         {"bin_width": math.nan},
         {"priors": {"loading": {"family": "normal", "mu": "x", "sigma": 1}}},
         {"seed": -5},
+        {"n_features": 10 ** 20},
     ], ids=["unknown-key", "priors-list", "unknown-prior-role",
             "n_patients-string", "n_features-float", "bin_width-string",
             "n_patients-1e9", "bin_width-nan", "prior-mu-string",
-            "seed-negative"])
+            "seed-negative", "n_features-1e20"])
     def test_invalid_config_key_exit_1(self, tmp_path, capsys, doc):
         """An unknown key (``priors`` among them: there is one prior set),
         a value of the wrong type and a value out of range end in exit 1
@@ -768,6 +769,28 @@ def test_bias_repeated_variant_exit_1(valid_fit, tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+def test_disparity_delay_past_float_range_is_null(valid_fit, tmp_path):
+    """A gap of 1e6 rate units is past the float range at 1e308 years per
+    unit: disparity mode writes ``delay_years`` as null, not Infinity, and
+    writes its summary and manifest."""
+    bad = tmp_path / "bad"
+    shutil.copytree(valid_fit, bad)
+    lines = (bad / "draws.csv").read_text().splitlines()
+    col = lines[0].split(",").index("init_sev_mean[1]")
+    for row in range(1, len(lines)):
+        _set_cell(lines, row, col, "1e6")
+    (bad / "draws.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--mode", "disparity", "--fit", str(bad),
+                 "--years-per-unit", "1e308", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=no_constant)
+    entry = summary["per_group"]["1"]
+    assert entry["delay_years"] is None
+    assert math.isfinite(entry["delay_time_units"])
+    assert (out / "manifest.json").exists()
+
+
 def test_disparity_ratio_past_float_range_is_null(valid_fit, tmp_path):
     """A visit offset of 800 has a visit-rate ratio past the float range:
     disparity mode writes it and its interval bounds as null, not a
@@ -859,3 +882,126 @@ def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith(("usage error:", "configuration error:"))
     assert not (tmp_path / "out").exists()
+
+
+def test_bias_averages_each_latent_column_once(valid_fit, tmp_path,
+                                               monkeypatch):
+    """Bias mode's score and high-risk profile share each fit's latent
+    means: no latent column is read twice."""
+    reads = []
+    column = PosteriorDraws.column
+    monkeypatch.setattr(PosteriorDraws, "column",
+                        lambda self, name: reads.append(name) or column(
+                            self, name))
+    assert main(["evaluate", "--mode", "bias", "--fit", str(valid_fit),
+                 "--dataset", str(valid_fit / "dataset.csv"),
+                 "--truth", str(valid_fit / "truth.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    latents = [name for name in reads if name.startswith(("init_sev[", "rate["))]
+    assert latents and len(latents) == len(set(latents))
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """``read_draws`` splits a table of any size into row blocks; the
+    fixture holds the block count of each split."""
+    import dispro.dataio as dataio
+
+    counts = []
+
+    def counted(fn, jobs, processes):
+        counts.append(processes)
+        return forked_map(fn, jobs, processes)
+
+    monkeypatch.setattr(dataio, "_MIN_BLOCK_BYTES", 1)
+    monkeypatch.setattr(dataio, "forked_map", counted)
+    return counts
+
+
+def _use_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _read_outcome(path):
+    """The bytes of what ``read_draws`` reads, or its DataError text."""
+    try:
+        d = read_draws(path)
+    except DataError as exc:
+        return str(exc)
+    return (d.names, d.values.tobytes(), d.accept_stats.tobytes(),
+            d.divergent.tobytes())
+
+
+@pytest.mark.parametrize("cores", [2, 3, 8])
+def test_block_read_equals_one_process_read(valid_fit, monkeypatch, blocks,
+                                            cores):
+    _use_cores(monkeypatch, 1)
+    one = _read_outcome(valid_fit / "draws.csv")
+    _use_cores(monkeypatch, cores)
+    assert _read_outcome(valid_fit / "draws.csv") == one
+    assert blocks == [cores]
+    assert_no_children()
+
+
+# a fault at lines[row] of a draws table (0 is the header); whether the
+# one-process read takes the faulty file
+BLOCK_FAULTS = {
+    "ragged_row": (lambda lines, row: _cut_last_cell(lines, row), False),
+    "unparsable_cell": (lambda lines, row: _set_cell(lines, row, 4, "x"),
+                        False),
+    "row_missing": (lambda lines, row: lines.pop(row), False),
+    "row_extra": (lambda lines, row: lines.insert(row + 1, lines[row]), False),
+    # a line that holds no row, so that the lines and rows of a block differ
+    "blank_line": (lambda lines, row: lines.insert(row, ""), True),
+    "comment_line": (lambda lines, row: lines.insert(row, "# note"), True),
+    "comment_line_for_a_row": (
+        lambda lines, row: (lines.pop(), lines.insert(row, "# note")), False),
+}
+
+
+@pytest.mark.filterwarnings("ignore:Input line .* contained no data")
+@pytest.mark.parametrize("row", [1, 3, 7, 10, 14, 20])
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+def test_block_read_fault_as_one_process_read(valid_fit, tmp_path, monkeypatch,
+                                              blocks, fault, row):
+    """A faulty line in any of three blocks of 20 rows (rows 0-5, 6-12 and
+    13-19 are lines 1-6, 7-13 and 14-20), at a block's first row or inside
+    it, gives the one-process read's draws or its error text, row numbers
+    and all, and leaves no child."""
+    edit, taken = BLOCK_FAULTS[fault]
+    bad = tmp_path / "bad"
+    shutil.copytree(valid_fit, bad)
+    lines = (bad / "draws.csv").read_text().splitlines()
+    assert len(lines) == 21
+    edit(lines, row)
+    (bad / "draws.csv").write_text("\n".join(lines) + "\n")
+    _use_cores(monkeypatch, 1)
+    one = _read_outcome(bad / "draws.csv")
+    assert isinstance(one, str) != taken
+    _use_cores(monkeypatch, 3)
+    assert _read_outcome(bad / "draws.csv") == one
+    assert blocks == [3]
+    assert_no_children()
+
+
+@pytest.mark.parametrize("mode", ["recovery", "bias", "disparity"])
+def test_evaluate_outputs_independent_of_cores(valid_fit, tmp_path,
+                                               monkeypatch, blocks, mode):
+    """Every evaluate output is byte-identical whether each table is read
+    in one process or in row blocks."""
+    fits = [str(valid_fit / d) for d in ("", "no_visit")]
+    truth = ["--truth", str(valid_fit / "truth.json")]
+    argv = {"recovery": [a for f in fits for a in ("--fit", f, *truth)],
+            "bias": [*(a for f in fits for a in ("--fit", f)), *truth,
+                     "--dataset", str(valid_fit / "dataset.csv")],
+            "disparity": ["--fit", fits[0], "--years-per-unit", "2.5"]}[mode]
+    out, outputs = tmp_path / "out", []
+    for cores in (1, 3):
+        _use_cores(monkeypatch, cores)
+        assert main(["evaluate", "--mode", mode, *argv,
+                     "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        shutil.rmtree(out)
+    assert outputs[0] == outputs[1]
+    assert blocks == [3] * (1 if mode == "disparity" else 2)
+    assert_no_children()

@@ -25,9 +25,12 @@ from dispro.sampler import (
     _ess_array,
     _rank_normalize,
     ess,
+    forked_map,
     rhat,
     sample,
 )
+
+from conftest import assert_no_children
 
 
 def std_normal_handles(dim):
@@ -144,11 +147,6 @@ class TestGaussianTargets:
             sample(lpg, cfg, np.array([[np.nan, 0.0]]))
 
 
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestProcesses:
     """Chains dealt over forked processes: chain c runs in process c mod n."""
 
@@ -229,6 +227,57 @@ class TestProcesses:
         with pytest.raises(KeyboardInterrupt):
             sample(lpg, cfg, np.zeros((3, 2)))
         assert time.monotonic() - start < 60.0  # not a wait for the chains
+        assert_no_children()
+
+
+class TestForkedMap:
+    """``forked_map`` on its own: job j in process j mod n, results in job
+    order, and no child left behind."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cores(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+
+    def test_results_in_job_order(self):
+        caller = os.getpid()
+        out = forked_map(lambda j: (j * j, os.getpid()), range(7), 3)
+        assert [sq for sq, _ in out] == [j * j for j in range(7)]
+        pids = [pid for _, pid in out]
+        assert all(pids[j] == pids[j % 3] for j in range(7))
+        assert pids[0] == caller and len(set(pids)) == 3
+        assert_no_children()
+
+    def test_processes_capped_by_jobs_and_cores(self, monkeypatch):
+        """Two jobs take two processes of five; with one usable core, the
+        caller runs every job."""
+        assert len(set(forked_map(lambda j: os.getpid(), range(2), 5))) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        caller = os.getpid()
+        assert forked_map(lambda j: os.getpid(), range(3), 3) == [caller] * 3
+        assert forked_map(lambda j: j, [], 3) == []
+        assert_no_children()
+
+    def test_child_dying_named(self):
+        caller = os.getpid()
+
+        def fn(j):
+            if os.getpid() != caller:
+                os._exit(7)
+            return j
+
+        with pytest.raises(RuntimeError, match=r"^the process of jobs \[1, 3\] "
+                           r"ended with status 7 and sent no results$"):
+            forked_map(fn, range(4), 2)
+        assert_no_children()
+
+    def test_child_exception_raised_in_caller(self):
+        def fn(j):
+            if j == 2:
+                raise ValueError(f"job {j}")
+            return j
+
+        with pytest.raises(ValueError, match="^job 2$"):
+            forked_map(fn, range(4), 3)
         assert_no_children()
 
 

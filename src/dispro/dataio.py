@@ -69,12 +69,12 @@ def write_dataset(data: Dataset, path) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["patient_id", "group", "t", "D", *feature_cols])
-        for p in data.patients:
-            for t in range(p.horizon + 1):
-                cells = ["" if not np.isfinite(v) else _fmt(v)
-                         for v in p.features[t]]
-                w.writerow([p.patient_id, p.group.index, t,
-                            int(p.visits[t]), *cells])
+        for p in data.patients:  # plain floats: repr(v) is _fmt(v)
+            for t, (d, row) in enumerate(zip(p.visits.tolist(),
+                                             p.features.tolist())):
+                w.writerow([p.patient_id, p.group.index, t, d,
+                            *[repr(v) if math.isfinite(v) else ""
+                              for v in row]])
     meta = {"bin_width": data.bin_width, "n_groups": data.n_groups,
             "n_features": data.n_features, "pinned_group": data.pinned_group}
     write_json(meta, dataset_meta_path(path), indent=None)

@@ -19,7 +19,7 @@ import numpy as np
 from .dataio import fit_meta
 from .model import ModelVariant, ProgressionModel, latent_names
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
-from .types import GroupParams, PatientLatents, SharedParams
+from .types import DataError, GroupParams, PatientLatents, SharedParams
 
 RHAT_THRESHOLD = 1.1  # a worst global R-hat above this is not converged
 
@@ -36,6 +36,9 @@ def fit_model(data, variant: ModelVariant = ModelVariant.FULL,
     constrained, centered space under canonical parameter names, with
     dataset metadata attached for downstream estimators.
     """
+    if data.n_patients < 2:  # rough_init's covariance needs two rows
+        raise DataError(f"a fit needs at least 2 patients, the dataset has "
+                        f"{data.n_patients}")
     config = config or SamplerConfig()
     model = ProgressionModel(data, variant)
     init_root = np.random.SeedSequence((config.seed, 0x1D15))

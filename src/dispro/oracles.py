@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import quad
 
 from .types import ConfigurationError
 
@@ -113,6 +112,8 @@ class OracleResult:
 
 
 def _quad(fn, lo, hi):
+    # imported on first use: no other command needs its ~0.2 s and 26 MB
+    from scipy.integrate import quad
     val, err = quad(fn, lo, hi, epsabs=QUAD_ABS_TOL, epsrel=QUAD_REL_TOL,
                     limit=400)
     return val, err

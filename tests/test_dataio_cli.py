@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -95,6 +96,47 @@ class TestDatasetFormat:
                 break
         else:
             pytest.fail("no non-visit bin found")
+
+    def test_edge_cells_match_the_per_cell_formatter(self, tmp_path):
+        """Partly observed visit rows, signed zero, the smallest subnormal,
+        the largest float, integer-valued floats and three groups: the
+        file is what formatting each numpy cell on its own wrote, and it
+        reads back to equal arrays."""
+        nan = math.nan
+        patients = [
+            make_patient("a", 0, [1, 0, 1, 1],
+                         [[-0.0, 5e-324, 1.7976931348623157e308],
+                          [nan, nan, nan], [2.0, nan, 1e-7],
+                          [nan, nan, -3.0]]),
+            make_patient("b", 1, [1, 1], [[2.0, -1.5, 0.1],
+                                          [nan, 100.0, nan]]),
+            make_patient("c", 2, [1, 0, 1], [[1 / 3, -2.0, 1e22],
+                                             [nan, nan, nan],
+                                             [-5e-324, nan, 0.0]]),
+        ]
+        data = Dataset(patients, 3, 3, 0.25, 0)
+        path = tmp_path / "dataset.csv"
+        write_dataset(data, path)
+
+        want = io.StringIO(newline="")
+        w = csv.writer(want)
+        w.writerow(["patient_id", "group", "t", "D", "x0", "x1", "x2"])
+        for p in patients:
+            for t in range(p.horizon + 1):
+                w.writerow([p.patient_id, p.group.index, t, int(p.visits[t]),
+                            *["" if not np.isfinite(v)
+                              else repr(float(np.float64(v)))
+                              for v in p.features[t]]])
+        assert path.read_bytes() == want.getvalue().encode()
+
+        back = read_dataset(path)
+        assert back.n_groups == 3
+        for a, b in zip(patients, back.patients):
+            assert (a.patient_id, a.group) == (b.patient_id, b.group)
+            np.testing.assert_array_equal(a.visits, b.visits)
+            np.testing.assert_array_equal(a.features, b.features)
+            np.testing.assert_array_equal(np.signbit(a.features),
+                                          np.signbit(b.features))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_write_json_refuses_nonfinite_numbers(self, tmp_path, value):
@@ -298,6 +340,31 @@ class TestCli:
         assert main(["fit", "--dataset", str(tmp_path / "missing.csv"),
                      "--out", str(tmp_path / "y")]) == 2
         assert main(["report", "--in", str(tmp_path)]) == 2
+
+    def test_fit_of_one_patient_exit_2(self, tmp_path, capsys):
+        """One patient is refused by name before any numpy work, with no
+        warning and no output directory; two patients fit."""
+        for n in (1, 2):
+            cfg = tmp_path / f"sim{n}.json"
+            write_sim_config(cfg, n_patients=n, n_bins=5, bin_width=0.2,
+                             seed=1)
+            main(["simulate", "--config", str(cfg),
+                  "--out", str(tmp_path / f"sim{n}")])
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--dataset", str(tmp_path / "sim1/dataset.csv"),
+                         "--out", str(tmp_path / "fit1"), "--chains", "2",
+                         "--warmup", "10", "--draws", "8"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at least 2 patients" in err
+        assert "Warning" not in err and caught == []
+        assert not (tmp_path / "fit1").exists()
+        assert main(["fit", "--dataset", str(tmp_path / "sim2/dataset.csv"),
+                     "--out", str(tmp_path / "fit2"), "--chains", "2",
+                     "--warmup", "10", "--draws", "8",
+                     "--allow-nonconverged"]) == 0
 
     @pytest.mark.parametrize("chains,draws", [(1, 20), (2, 3), (2, 4), (2, 7)])
     def test_fit_without_rhat_exit_1_before_sampling(self, tmp_path, chains,

@@ -20,12 +20,14 @@ import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import scipy
 
+import dispro
 from dispro.cli import main
 from dispro.model import ModelVariant
 
@@ -80,20 +82,61 @@ def run_pipeline(root: Path) -> dict[str, str]:
         os.chdir(cwd)
 
 
-def test_pipeline_outputs_match_golden(tmp_path):
+def golden_files() -> dict[str, str]:
+    """golden.json's hashes, after checking it was made under this
+    environment."""
     golden = json.loads(GOLDEN.read_text())
     env = environment()
     moved = {k: (golden["environment"].get(k), v) for k, v in env.items()
              if golden["environment"].get(k) != v}
     assert not moved, f"golden.json was made under other versions: {moved}"
+    return golden["files"]
+
+
+def test_pipeline_outputs_match_golden(tmp_path):
+    want = golden_files()
     files = run_pipeline(tmp_path)
     # every JSON file the pipeline writes is strict JSON
     for path in tmp_path.rglob("*.json"):
         json.loads(path.read_text(), parse_constant=no_constant)
-    want = golden["files"]
     differ = sorted(k for k in want.keys() | files.keys()
                     if want.get(k) != files.get(k))
     assert differ == [], f"outputs that differ from golden.json: {differ}"
+
+
+QUADRATURE_PROBE = f"""
+import json, sys
+import dispro.cli as cli
+loaded = {{"import": "scipy.integrate" in sys.modules}}
+assert cli.main(["simulate", "--config", "sim.json", "--out", "sim_a"]) == 0
+loaded["simulate"] = "scipy.integrate" in sys.modules
+assert cli.main(["fit", "--dataset", "sim_a/dataset.csv", "--out", "fit_full",
+                 *{FIT!r}]) == 0
+loaded["fit"] = "scipy.integrate" in sys.modules
+assert cli.main(["evaluate", "--mode", "oracles", "--out", "ev_oracles"]) == 0
+loaded["oracles"] = "scipy.integrate" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_quadrature_is_imported_by_the_oracles_alone(tmp_path):
+    """A fresh ``dispro`` process loads scipy.integrate on its first oracle
+    call, not on import, simulate or fit, and the oracles' outputs are
+    golden.json's."""
+    want = golden_files()
+    (tmp_path / "sim.json").write_text(json.dumps(SIM))
+    src = str(Path(dispro.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", QUADRATURE_PROBE],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded == {"import": False, "simulate": False, "fit": False,
+                      "oracles": True}
+    for name in ("manifest.json", "oracle_log.tsv", "summary.json"):
+        got = hashlib.sha256((tmp_path / "ev_oracles" / name).read_bytes())
+        assert got.hexdigest() == want[f"ev_oracles/{name}"], name
 
 
 if __name__ == "__main__":

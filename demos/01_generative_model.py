@@ -24,8 +24,8 @@ pat = data.patients[0]
 print(f"\npatient {pat.patient_id} (group {pat.group.index}):")
 print("  visit bins:", pat.visit_bins().tolist())
 print("  features at first visit:", np.round(pat.features[0], 2).tolist())
-lat = truth.latent(pat.patient_id)
-print(f"  true initial severity {lat.init_sev:.2f}, rate {lat.rate:.2f}")
+init_sev, rate = truth.latent(pat.patient_id)
+print(f"  true initial severity {init_sev:.2f}, rate {rate:.2f}")
 
 shared, groups = truth.param_bundles()
 rng = np.random.Generator(np.random.Philox(99))

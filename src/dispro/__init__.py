@@ -16,16 +16,10 @@ from .types import (  # noqa: F401
     GroupId,
     GroupParams,
     InvalidParameterError,
-    PatientLatents,
     PatientRecord,
     SharedParams,
 )
-from .priors import (  # noqa: F401
-    Normal,
-    PriorSpec,
-    TruncatedNormal,
-    simulation_priors,
-)
+from .priors import PRIORS, Normal, TruncatedNormal  # noqa: F401
 from .model import (  # noqa: F401
     ModelVariant,
     ProgressionModel,

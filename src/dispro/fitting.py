@@ -19,7 +19,8 @@ import numpy as np
 from .dataio import fit_meta
 from .model import ModelVariant, ProgressionModel, latent_names
 from .sampler import PosteriorDraws, SamplerConfig, ess, rhat, sample
-from .types import DataError, GroupParams, PatientLatents, SharedParams
+from .priors import PRIORS
+from .types import DataError, GroupParams, SharedParams
 
 RHAT_THRESHOLD = 1.1  # a worst global R-hat above this is not converged
 
@@ -127,12 +128,11 @@ def rough_init(model: ProgressionModel, data) -> np.ndarray:
         groups.append(GroupParams(*init, *(pooled_rate or rates),
                                   float(np.log(event_rate[g] / base_rate))))
     shared = SharedParams(lam, intercepts, uniq, float(np.log(base_rate)),
-                          model.priors.visit_severity.mu)
-    x = model.pack(shared, groups,
-                   [PatientLatents(s, r) for s, r in zip(sev0, rate)])
-    for i, e in enumerate(model.entries):
-        if e.prior.lower is not None:
-            x[i] = max(x[i], e.prior.lower + max(0.05, 0.05 * e.prior.sigma))
+                          PRIORS["visit_severity"].mu)
+    x = model.pack(shared, groups, np.column_stack((sev0, rate)))
+    for i, prior in enumerate(model.priors):
+        if prior.lower is not None:
+            x[i] = max(x[i], prior.lower + max(0.05, 0.05 * prior.sigma))
     return x
 
 

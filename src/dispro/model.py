@@ -22,19 +22,18 @@ latents centered or non-centered.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple
 from enum import Enum
 
 import numpy as np
 from scipy.special import exprel
 
-from .priors import Prior, simulation_priors
+from .priors import PRIORS
 from .types import (
     Dataset,
     DatasetIndex,
     GroupParams,
     InvalidParameterError,
-    PatientLatents,
     SharedParams,
 )
 
@@ -266,16 +265,38 @@ def param_layout(n_features: int, n_groups: int, pinned_group: int | None,
     return rows, table
 
 
+def pack_globals(shared: SharedParams, groups: list[GroupParams],
+                 table: np.ndarray) -> np.ndarray:
+    """The global vector of parameter bundles under a ``param_layout``
+    group table: the shared block, then each group entry at its row.
+    Pinned or ablated entries are dropped; a row that several groups share
+    takes the last group's value."""
+    # the group rows come last, and no rate entry is pinned
+    x = np.empty(table.max() + 1)
+    x[:3 * shared.n_features + 2] = np.concatenate((
+        shared.loadings, shared.feat_intercepts, shared.noise_vars,
+        [shared.visit_intercept, shared.visit_severity]))
+    free = table >= 0
+    x[table[free]] = np.array([astuple(gp) for gp in groups])[free]
+    return x
+
+
+def unpack_globals(x, n_features: int, table: np.ndarray):
+    """Inverse of ``pack_globals``: ``(SharedParams, [GroupParams])``, with
+    the pinned values where an entry is pinned or ablated."""
+    d = n_features
+    x = np.asarray(x, dtype=float)
+    shared = SharedParams(x[:d], x[d:2 * d], x[2 * d:3 * d], float(x[3 * d]),
+                          float(x[3 * d + 1]))
+    cols = np.where(table >= 0, table, x.size + np.arange(5))
+    rows = np.concatenate((x, _GROUP_DEFAULTS))[cols].tolist()
+    return shared, [GroupParams(*row) for row in rows]
+
+
 def latent_names(patient_ids) -> list[str]:
     """The latent columns: ``init_sev[<id>]`` then ``rate[<id>]`` for each
     patient, in order."""
     return [f"{v}[{pid}]" for pid in patient_ids for v in ("init_sev", "rate")]
-
-
-@dataclass(frozen=True)
-class ParamEntry:
-    name: str
-    prior: Prior
 
 
 class ProgressionModel:
@@ -288,11 +309,9 @@ class ProgressionModel:
 
     def __init__(self, data: Dataset, variant: ModelVariant = ModelVariant.FULL):
         self.data = data
-        self.priors = simulation_priors()
         self.variant = variant
         self.idx = DatasetIndex.build(data)
         self._build_layout()
-        self._build_prior_tables()
 
     # -- layout ------------------------------------------------------------
 
@@ -301,18 +320,17 @@ class ProgressionModel:
         d = data.n_features
         rows, table = param_layout(d, data.n_groups, data.pinned_group,
                                    self.variant)
-        entries = [ParamEntry(name, self.priors.for_role(role))
-                   for name, role, _ in rows]
-        self.entries = entries
-        self.n_global = len(entries)
+        # each global's prior, in layout order
+        self.priors = priors = [PRIORS[role] for _, role, _ in rows]
+        self.n_global = len(rows)
         self.n_patients = data.n_patients
         self.dim = self.n_global + 2 * self.n_patients
         self._group_table = table
-        self.names = [e.name for e in entries] + latent_names(
+        self.names = [name for name, _, _ in rows] + latent_names(
             p.patient_id for p in data.patients)
 
-        lower = np.array([np.nan if e.prior.lower is None else e.prior.lower
-                          for e in entries])
+        lower = np.array([np.nan if p.lower is None else p.lower
+                          for p in priors])
         # the bounded coordinates, all global, and their lower bounds; the
         # variances and sds are those bounded at 0
         self._bounded = np.flatnonzero(~np.isnan(lower))
@@ -333,8 +351,6 @@ class ProgressionModel:
         self._i_vint = 3 * d
         self._i_vsev = 3 * d + 1
 
-    def _build_prior_tables(self):
-        priors = [e.prior for e in self.entries]
         self._prior_mu = np.array([p.mu for p in priors])
         self._prior_sigma = np.array([p.sigma for p in priors])
         # with the truncation normalizer -log P(X > lower)
@@ -373,21 +389,12 @@ class ProgressionModel:
     # -- packing -------------------------------------------------------------
 
     def pack(self, shared: SharedParams, groups: list[GroupParams],
-             latents: list[PatientLatents]) -> np.ndarray:
-        """Flatten parameter bundles into the canonical constrained vector.
-        Pinned or shared coordinates must be consistent across the bundles."""
-        x = np.empty(self.dim)
-        x[self._sl_load] = shared.loadings
-        x[self._sl_fint] = shared.feat_intercepts
-        x[self._sl_noise] = shared.noise_vars
-        x[self._i_vint] = shared.visit_intercept
-        x[self._i_vsev] = shared.visit_severity
-        free = self._group_table >= 0
-        x[self._group_table[free]] = np.array([astuple(gp) for gp in groups])[free]
-        base = self.n_global
-        x[base::2] = [la.init_sev for la in latents]
-        x[base + 1::2] = [la.rate for la in latents]
-        return x
+             latents) -> np.ndarray:
+        """Flatten parameter bundles and each patient's ``(init_sev, rate)``
+        pair into the canonical constrained vector. Pinned or shared
+        coordinates must be consistent across the bundles."""
+        return np.concatenate((pack_globals(shared, groups, self._group_table),
+                               np.ravel(latents)))
 
     def _latent_scales(self, x):
         """Per-patient (m_i, s_i, m_r, s_r): the mean and sd of the patient's

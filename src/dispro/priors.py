@@ -1,5 +1,5 @@
-"""Prior families and the one prior set, ``simulation_priors``: the
-generating priors of synthetic cohorts, which fits use too."""
+"""Prior families and the one prior set, ``PRIORS``: the generating priors
+of synthetic cohorts, which fits use too."""
 
 from __future__ import annotations
 
@@ -68,38 +68,17 @@ class TruncatedNormal:
 
 Prior = Normal | TruncatedNormal
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Priors for every sampled global parameter, keyed by role."""
-
-    loading0: Prior
-    loading: Prior
-    feat_intercept: Prior
-    noise_var: Prior
-    visit_intercept: Prior
-    visit_severity: Prior
-    init_sev_mean: Prior
-    init_sev_sd: Prior
-    rate_mean: Prior
-    rate_sd: Prior
-    visit_offset: Prior
-
-    def for_role(self, role: str) -> Prior:
-        return getattr(self, role)
-
-
-def simulation_priors() -> PriorSpec:
-    """Generating priors for synthetic cohorts; also used when fitting them."""
-    return PriorSpec(
-        loading0=TruncatedNormal(1.0, 1.0, 0.5),
-        loading=Normal(0.0, 2.0),
-        feat_intercept=Normal(0.0, 1.0),
-        noise_var=TruncatedNormal(5.0, 1.0, 0.0),
-        visit_intercept=Normal(1.5, 0.1),
-        visit_severity=TruncatedNormal(0.5, 0.1, 0.1),
-        init_sev_mean=Normal(0.0, 4.0),
-        init_sev_sd=TruncatedNormal(1.0, 0.1, 0.0),
-        rate_mean=Normal(1.0, 4.0),
-        rate_sd=TruncatedNormal(0.1, 0.4, 0.0),
-        visit_offset=Normal(0.0, 2.0),
-    )
+# The prior of every sampled global parameter, by role.
+PRIORS: dict[str, Prior] = {
+    "loading0": TruncatedNormal(1.0, 1.0, 0.5),
+    "loading": Normal(0.0, 2.0),
+    "feat_intercept": Normal(0.0, 1.0),
+    "noise_var": TruncatedNormal(5.0, 1.0, 0.0),
+    "visit_intercept": Normal(1.5, 0.1),
+    "visit_severity": TruncatedNormal(0.5, 0.1, 0.1),
+    "init_sev_mean": Normal(0.0, 4.0),
+    "init_sev_sd": TruncatedNormal(1.0, 0.1, 0.0),
+    "rate_mean": Normal(1.0, 4.0),
+    "rate_sd": TruncatedNormal(0.1, 0.4, 0.0),
+    "visit_offset": Normal(0.0, 2.0),
+}

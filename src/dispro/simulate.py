@@ -10,7 +10,7 @@ the same canonical names the sampler output uses.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,15 +19,16 @@ from .model import (
     LOG_RATE_CAP,
     ModelVariant,
     latent_names,
+    pack_globals,
     param_layout,
+    unpack_globals,
 )
-from .priors import simulation_priors
+from .priors import PRIORS
 from .types import (
     ConfigurationError,
     Dataset,
     GroupId,
     GroupParams,
-    PatientLatents,
     PatientRecord,
     SharedParams,
 )
@@ -83,12 +84,14 @@ class TruthSidecar:
     latents: dict[str, float]
     meta: dict = field(default_factory=dict)
 
-    def latent(self, patient_id: str) -> PatientLatents:
-        return PatientLatents(*(self.latents[name]
-                                for name in latent_names([patient_id])))
+    def latent(self, patient_id: str) -> tuple[float, float]:
+        """The patient's ``(init_sev, rate)``."""
+        init_sev, rate = latent_names([patient_id])
+        return self.latents[init_sev], self.latents[rate]
 
     def true_severity(self, patient_id: str, time: float) -> float:
-        return self.latent(patient_id).severity(time)
+        init_sev, rate = self.latent(patient_id)
+        return init_sev + rate * time
 
     def param_bundles(self):
         """Rebuild (SharedParams, [GroupParams]) from the names
@@ -96,46 +99,43 @@ class TruthSidecar:
         d = self.meta["n_features"]
         rows, table = param_layout(d, self.meta["n_groups"], None,
                                    ModelVariant.FULL)
-        x = [self.params[name] for name, _, _ in rows]
-        shared = SharedParams(x[:d], x[d:2 * d], x[2 * d:3 * d], x[3 * d],
-                              x[3 * d + 1])
-        return shared, [GroupParams(*(x[i] for i in row)) for row in table]
+        return unpack_globals([self.params[name] for name, _, _ in rows], d,
+                              table)
 
 
 def draw_true_params(cfg: SimConfig, rng: np.random.Generator):
     """Draw generating parameters from the priors. The pinned group keeps
     init N(0, 1) and zero visit offset; rate parameters are drawn once and
     shared across groups unless cfg.group_specific_rates."""
-    pr = simulation_priors()
     d = cfg.n_features
     loadings = np.empty(d)
-    loadings[0] = pr.loading0.draw(rng)
+    loadings[0] = PRIORS["loading0"].draw(rng)
     for j in range(1, d):
-        loadings[j] = pr.loading.draw(rng)
+        loadings[j] = PRIORS["loading"].draw(rng)
     shared = SharedParams(
         loadings=loadings,
-        feat_intercepts=pr.feat_intercept.draw(rng, size=d),
-        noise_vars=pr.noise_var.draw(rng, size=d),
-        visit_intercept=float(pr.visit_intercept.draw(rng)),
-        visit_severity=float(pr.visit_severity.draw(rng)),
+        feat_intercepts=PRIORS["feat_intercept"].draw(rng, size=d),
+        noise_vars=PRIORS["noise_var"].draw(rng, size=d),
+        visit_intercept=float(PRIORS["visit_intercept"].draw(rng)),
+        visit_severity=float(PRIORS["visit_severity"].draw(rng)),
     )
     if not cfg.group_specific_rates:
-        rate_mean = float(pr.rate_mean.draw(rng))
-        rate_sd = float(pr.rate_sd.draw(rng))
+        rate_mean = float(PRIORS["rate_mean"].draw(rng))
+        rate_sd = float(PRIORS["rate_sd"].draw(rng))
     groups = []
     for g in range(cfg.n_groups):
         if cfg.group_specific_rates:
-            rate_mean = float(pr.rate_mean.draw(rng))
-            rate_sd = float(pr.rate_sd.draw(rng))
+            rate_mean = float(PRIORS["rate_mean"].draw(rng))
+            rate_sd = float(PRIORS["rate_sd"].draw(rng))
         if g == 0:
             groups.append(GroupParams(0.0, 1.0, rate_mean, rate_sd, 0.0))
         else:
             groups.append(GroupParams(
-                init_sev_mean=float(pr.init_sev_mean.draw(rng)),
-                init_sev_sd=float(pr.init_sev_sd.draw(rng)),
+                init_sev_mean=float(PRIORS["init_sev_mean"].draw(rng)),
+                init_sev_sd=float(PRIORS["init_sev_sd"].draw(rng)),
                 rate_mean=rate_mean,
                 rate_sd=rate_sd,
-                visit_offset=float(pr.visit_offset.draw(rng)),
+                visit_offset=float(PRIORS["visit_offset"].draw(rng)),
             ))
     return shared, groups
 
@@ -158,7 +158,7 @@ def _simulate_patient(pid, group, shared, gp, cfg, rng):
                        + shared.feat_intercepts + noise)
     record = PatientRecord(patient_id=pid, group=group, horizon=cfg.n_bins,
                            visits=visits, features=features)
-    return record, PatientLatents(float(sev0), float(rate))
+    return record, (float(sev0), float(rate))
 
 
 def simulate_dataset(cfg: SimConfig, params=None):
@@ -194,7 +194,7 @@ def simulate_dataset(cfg: SimConfig, params=None):
             pid, group_ids[g], shared, groups[g], cfg,
             np.random.Generator(np.random.Philox(streams[2 + i])))
         patients.append(rec)
-        latents.update(zip(latent_names([pid]), (lat.init_sev, lat.rate)))
+        latents.update(zip(latent_names([pid]), lat))
 
     data = Dataset(patients=patients, n_groups=cfg.n_groups,
                    n_features=cfg.n_features, bin_width=cfg.bin_width)
@@ -217,11 +217,7 @@ def truth_param_names(shared: SharedParams, groups: list[GroupParams]) -> dict[s
     as the means over groups."""
     d = shared.n_features
     rows, table = param_layout(d, len(groups), None, ModelVariant.FULL)
-    x = np.empty(len(rows))
-    x[:3 * d + 2] = np.concatenate([
-        shared.loadings, shared.feat_intercepts, shared.noise_vars,
-        [shared.visit_intercept, shared.visit_severity]])
-    x[table] = [astuple(gp) for gp in groups]
+    x = pack_globals(shared, groups, table)
     out = dict(zip((name for name, _, _ in rows), x.tolist()))
     for col in (2, 3):
         out[GROUP_ROLES[col]] = float(np.mean(x[table[:, col]]))

@@ -101,18 +101,6 @@ class GroupParams:
 
 
 @dataclass
-class PatientLatents:
-    """Per-patient latent state: severity at the first visit and the linear
-    progression rate (severity per unit of normalized time)."""
-
-    init_sev: float
-    rate: float
-
-    def severity(self, time: float) -> float:
-        return self.init_sev + self.rate * time
-
-
-@dataclass
 class PatientRecord:
     """One patient's observed record.
 

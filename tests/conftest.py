@@ -11,7 +11,6 @@ from dispro import (
     Dataset,
     GroupId,
     GroupParams,
-    PatientLatents,
     PatientRecord,
     SharedParams,
     SimConfig,
@@ -65,7 +64,7 @@ def init_from_priors(model, rng: np.random.Generator,
     residuals in the non-centered parameterization)."""
     base = model.n_global
     x = np.empty(model.dim)
-    x[:base] = [e.prior.draw(rng) for e in model.entries]
+    x[:base] = [p.draw(rng) for p in model.priors]
     if non_centered:
         x[base:] = rng.standard_normal(2 * model.n_patients)
     else:
@@ -138,8 +137,8 @@ def block_sums(data, shared, latents, groups=None):
     ``_visit_block`` rejects the point. Without ``groups`` every visit
     offset is 0."""
     idx = DatasetIndex.build(data)
-    sev0 = np.array([la.init_sev for la in latents])
-    rate = np.array([la.rate for la in latents])
+    sev0 = np.array([la[0] for la in latents])
+    rate = np.array([la[1] for la in latents])
     emission = _emission_block(shared.loadings, shared.feat_intercepts,
                                shared.noise_vars, sev0, rate, idx)[0]
     offsets = (np.zeros(data.n_groups) if groups is None
@@ -185,7 +184,7 @@ def edge_visit_cohort(patients=EDGE_PATIENTS):
         on = np.flatnonzero(visits)
         feats[on, 0] = sev0 + rate * on + 0.1 * (-1.0) ** on
         records.append(make_patient(pid, g, visits, feats))
-        latents.append(PatientLatents(sev0, rate))
+        latents.append((sev0, rate))
     data = Dataset(records, 2, 1, 1.0)
     shared = SharedParams([1.0], [0.0], [1.0], 1.5, 1.0)
     groups = [GroupParams(0.0, 1.0, 0.0, 0.5, 0.0),

@@ -22,15 +22,13 @@ from dispro import (
     Dataset,
     GroupParams,
     InvalidParameterError,
-    PatientLatents,
     ProgressionModel,
     SharedParams,
     SimConfig,
     simulate_dataset,
-    simulation_priors,
 )
 from dispro.model import LOG_RATE_CAP, ModelVariant, _visit_block, param_layout
-from dispro.priors import Normal, TruncatedNormal
+from dispro.priors import PRIORS, Normal, TruncatedNormal
 from dispro.types import DatasetIndex
 
 from conftest import (
@@ -52,12 +50,12 @@ LOG_2PI = math.log(2.0 * math.pi)
 class TestEmission:
     def test_standard_normal_at_mode(self):
         data = single_cell_dataset(0.0)
-        ll, _ = block_sums(data, unit_shared(), [PatientLatents(0.0, 0.0)])
+        ll, _ = block_sums(data, unit_shared(), [(0.0, 0.0)])
         assert ll == pytest.approx(-0.5 * LOG_2PI, abs=1e-14)
 
     def test_two_sd_residual(self):
         data = single_cell_dataset(2.0)
-        ll, _ = block_sums(data, unit_shared(), [PatientLatents(0.0, 0.0)])
+        ll, _ = block_sums(data, unit_shared(), [(0.0, 0.0)])
         assert ll == pytest.approx(-0.5 * LOG_2PI - 2.0, abs=1e-14)
 
     def test_brute_force_cell_sum(self, small_sim):
@@ -72,7 +70,7 @@ class TestEmission:
                     x = p.features[t, j]
                     if not np.isfinite(x):
                         continue
-                    sev = lat.init_sev + lat.rate * t * data.bin_width
+                    sev = lat[0] + lat[1] * t * data.bin_width
                     mean = shared.loadings[j] * sev + shared.feat_intercepts[j]
                     v = shared.noise_vars[j]
                     total += (-0.5 * math.log(2 * math.pi * v)
@@ -85,7 +83,7 @@ class TestEmission:
                                 [[1.0, np.nan], [0.5, np.nan]])
         d_full = Dataset([pat_full], 1, 2, 1.0)
         d_miss = Dataset([pat_miss], 1, 2, 1.0)
-        lat = [PatientLatents(0.3, -0.2)]
+        lat = [(0.3, -0.2)]
         sh = unit_shared(2)
         ll_full, _ = block_sums(d_full, sh, lat)
         ll_miss, _ = block_sums(d_miss, sh, lat)
@@ -111,13 +109,13 @@ class TestVisits:
 
     def test_no_event_bin(self):
         data = self.make_one_bin(0)
-        _, ll = block_sums(data, unit_shared(), [PatientLatents(0.0, 0.0)],
+        _, ll = block_sums(data, unit_shared(), [(0.0, 0.0)],
                            [pinned_group_params()])
         assert ll == pytest.approx(-1.0, abs=1e-14)
 
     def test_event_bin(self):
         data = self.make_one_bin(1)
-        _, ll = block_sums(data, unit_shared(), [PatientLatents(0.0, 0.0)],
+        _, ll = block_sums(data, unit_shared(), [(0.0, 0.0)],
                            [pinned_group_params()])
         assert ll == pytest.approx(math.log(1.0 - math.exp(-1.0)), abs=1e-12)
         assert ll == pytest.approx(-0.4587, abs=5e-5)
@@ -127,7 +125,7 @@ class TestVisits:
         pat = make_patient("p0", 0, [1, 0, 1],
                            [[0.0], [np.nan], [0.1]])
         data = Dataset([pat], 1, 1, 1.0)
-        _, ll = block_sums(data, unit_shared(), [PatientLatents(0.0, 0.0)],
+        _, ll = block_sums(data, unit_shared(), [(0.0, 0.0)],
                            [pinned_group_params()])
         assert ll == pytest.approx(-1.0 + math.log(1 - math.exp(-1.0)), abs=1e-12)
 
@@ -139,7 +137,7 @@ class TestVisits:
         for p, lat in zip(data.patients, latents):
             gp = groups[p.group.index]
             for t in range(1, p.horizon + 1):
-                sev = lat.init_sev + lat.rate * t * data.bin_width
+                sev = lat[0] + lat[1] * t * data.bin_width
                 lam = math.exp(shared.visit_intercept
                                + shared.visit_severity * sev + gp.visit_offset)
                 q = lam * data.bin_width
@@ -162,7 +160,7 @@ class TestVisits:
             off = groups[p.group.index].visit_offset
             dA, dK = [], []
             for t in range(1, p.horizon + 1):
-                sev = lat.init_sev + lat.rate * t * w
+                sev = lat[0] + lat[1] * t * w
                 q = w * math.exp(shared.visit_intercept
                                  + shared.visit_severity * sev + off)
                 if p.visits[t]:
@@ -182,8 +180,8 @@ class TestVisits:
         offsets = np.array([g.visit_offset for g in groups])[model.idx.group_of]
         _, got_a, got_k = _visit_block(
             shared.visit_intercept, shared.visit_severity, offsets,
-            np.array([la.init_sev for la in latents]),
-            np.array([la.rate for la in latents]), model.idx, w,
+            np.array([la[0] for la in latents]),
+            np.array([la[1] for la in latents]), model.idx, w,
             want_grad=True)
         assert got_a == pytest.approx(A, rel=1e-10)
         assert got_k == pytest.approx(K, rel=1e-10)
@@ -233,8 +231,7 @@ class TestVisits:
         for shift, finite in ((LOG_RATE_CAP - 0.5, True),
                               (LOG_RATE_CAP + 0.5, False)):
             bumped = list(latents)
-            bumped[i] = PatientLatents(latents[i].init_sev + shift,
-                                       latents[i].rate)
+            bumped[i] = (latents[i][0] + shift, latents[i][1])
             _, ll = block_sums(data, shared, bumped, groups)
             theta = model.unconstrain(model.pack(shared, groups, bumped))
             lp, grad = model.logp_and_grad(theta)
@@ -251,7 +248,6 @@ class TestPrior:
         the seven sampled-global prior terms plus the two latent terms; the
         z0 = 0 term is exactly -log sqrt(2 pi)."""
         data = single_cell_dataset(0.0)
-        priors = simulation_priors()
         shared = SharedParams([1.0], [0.0], [1.0], 1.5, 0.5)
         gp = pinned_group_params(rate_mean=0.4, rate_sd=0.7)
         model = ProgressionModel(data)
@@ -261,18 +257,18 @@ class TestPrior:
             return (model.log_posterior(theta) - model.log_jacobian(theta)
                     - math.fsum(block_sums(data, shared, [latent], [gp])))
 
-        lp = prior_at(PatientLatents(0.0, 0.9))
-        globals_part = (priors.loading0.logpdf(1.0)
-                        + priors.feat_intercept.logpdf(0.0)
-                        + priors.noise_var.logpdf(1.0)
-                        + priors.visit_intercept.logpdf(1.5)
-                        + priors.visit_severity.logpdf(0.5)
-                        + priors.rate_mean.logpdf(0.4)
-                        + priors.rate_sd.logpdf(0.7))
+        lp = prior_at((0.0, 0.9))
+        globals_part = (PRIORS["loading0"].logpdf(1.0)
+                        + PRIORS["feat_intercept"].logpdf(0.0)
+                        + PRIORS["noise_var"].logpdf(1.0)
+                        + PRIORS["visit_intercept"].logpdf(1.5)
+                        + PRIORS["visit_severity"].logpdf(0.5)
+                        + PRIORS["rate_mean"].logpdf(0.4)
+                        + PRIORS["rate_sd"].logpdf(0.7))
         z0_term = lp - globals_part - Normal(0.4, 0.7).logpdf(0.9)
         assert z0_term == pytest.approx(-0.5 * LOG_2PI, abs=1e-10)
         # shifting z0 moves the prior by the unit-normal density difference
-        lp1 = prior_at(PatientLatents(1.0, 0.9))
+        lp1 = prior_at((1.0, 0.9))
         assert lp - lp1 == pytest.approx(0.5, abs=1e-12)
 
     def test_normal_prior_closed_form(self):
@@ -307,7 +303,6 @@ class TestPrior:
 class TestLogPosterior:
     def test_composition_identity(self, small_sim):
         data, truth = small_sim
-        priors = simulation_priors()
         shared, groups, latents = truth_bundles(data, truth)
         model = ProgressionModel(data)
         x = model.pack(shared, groups, latents)
@@ -315,14 +310,14 @@ class TestLogPosterior:
         lp = model.log_posterior(theta)
         rows, _ = param_layout(data.n_features, data.n_groups,
                                data.pinned_group, ModelVariant.FULL)
-        assert [name for name, _, _ in rows] == [e.name for e in model.entries]
-        global_priors = [priors.for_role(role).logpdf(v)
+        assert [name for name, _, _ in rows] == model.names[:model.n_global]
+        global_priors = [PRIORS[role].logpdf(v)
                          for (_, role, _), v in zip(rows, x)]
         latent_priors = []
         for p, la in zip(data.patients, latents):
             g = groups[p.group.index]
             latent_priors += [Normal(g.init_sev_mean, g.init_sev_sd).logpdf(
-                la.init_sev), Normal(g.rate_mean, g.rate_sd).logpdf(la.rate)]
+                la[0]), Normal(g.rate_mean, g.rate_sd).logpdf(la[1])]
         parts = (math.fsum(block_sums(data, shared, latents, groups))
                  + math.fsum(global_priors) + math.fsum(latent_priors)
                  + model.log_jacobian(theta))
@@ -356,7 +351,7 @@ class TestLogPosterior:
         shared = SharedParams([1.2, -0.7], [0.1, -0.2], [0.8, 1.5], 0.4, 0.3)
         groups = [GroupParams(0.0, 1.0, 0.6, 0.5, 0.0),
                   GroupParams(0.8, 1.1, 0.9, 0.4, -0.3)]
-        lats = [PatientLatents(0.2, 0.7), PatientLatents(-0.4, 1.2)]
+        lats = [(0.2, 0.7), (-0.4, 1.2)]
         model = ProgressionModel(data)
         theta = model.unconstrain(model.pack(shared, groups, lats))
         lp = model.log_posterior(theta)
@@ -377,7 +372,7 @@ class TestLogPosterior:
                     xv = pat.features[t, j]
                     if not np.isfinite(xv):
                         continue
-                    sev = lat.init_sev + lat.rate * t * 0.5
+                    sev = lat[0] + lat[1] * t * 0.5
                     ref += norm_lpdf(xv, shared.loadings[j] * sev
                                      + shared.feat_intercepts[j],
                                      math.sqrt(shared.noise_vars[j]))
@@ -385,7 +380,7 @@ class TestLogPosterior:
         for pat, lat in zip(pats, lats):
             gp = groups[pat.group.index]
             for t in (1, 2):
-                sev = lat.init_sev + lat.rate * t * 0.5
+                sev = lat[0] + lat[1] * t * 0.5
                 lam = math.exp(0.4 + 0.3 * sev + gp.visit_offset)
                 q = lam * 0.5
                 ref += math.log(1 - math.exp(-q)) if pat.visits[t] else -q
@@ -517,6 +512,6 @@ class TestLogPosterior:
         for _ in range(5):
             i = int(rng.integers(len(latents)))
             bumped = list(latents)
-            bumped[i] = PatientLatents(latents[i].init_sev + rng.normal(),
-                                       latents[i].rate + rng.normal())
+            bumped[i] = (latents[i][0] + rng.normal(),
+                         latents[i][1] + rng.normal())
             assert block_sums(data, shared, bumped, groups)[1] == base

@@ -135,9 +135,8 @@ def reference_gradient(model, theta, non_centered):
     data, base = model.data, model.n_global
     w = data.bin_width
     pos = {name: k for k, name in enumerate(model.names[:base])}
-    x = [theta[k] if e.prior.lower is None
-         else e.prior.lower + math.exp(theta[k])
-         for k, e in enumerate(model.entries)]
+    x = [theta[k] if p.lower is None else p.lower + math.exp(theta[k])
+         for k, p in enumerate(model.priors)]
     terms = [[] for _ in range(model.dim)]  # d/dx for globals, d/dtheta else
 
     def coord(name, default):
@@ -207,9 +206,9 @@ def reference_gradient(model, theta, non_centered):
                 terms[k_lat] += dl + [-(z - m) / s ** 2]
                 add(k_m, (z - m) / s ** 2)
                 add(k_s, -1.0 / s + (z - m) ** 2 / s ** 3)
-    for k, e in enumerate(model.entries):
-        terms[k].append(-(x[k] - e.prior.mu) / e.prior.sigma ** 2)
-        if e.prior.lower is not None:  # x = lower + e^theta, plus the Jacobian
+    for k, p in enumerate(model.priors):
+        terms[k].append(-(x[k] - p.mu) / p.sigma ** 2)
+        if p.lower is not None:  # x = lower + e^theta, plus the Jacobian
             terms[k] = [t * math.exp(theta[k]) for t in terms[k]] + [1.0]
     grad = np.array([math.fsum(t) for t in terms])
     scale = np.array([math.fsum(abs(v) for v in t) for t in terms])
@@ -257,7 +256,7 @@ def test_feature_intercept_gradient_closed_form(ten_patient_sim):
             xv = p.features[t, j]
             if not np.isfinite(xv):
                 continue
-            sev = lat.init_sev + lat.rate * t * data.bin_width
+            sev = lat[0] + lat[1] * t * data.bin_width
             resid_sum += (xv - (shared.loadings[j] * sev
                                 + shared.feat_intercepts[j]))
     expect = resid_sum / shared.noise_vars[j]

@@ -90,9 +90,8 @@ class TestSimulateDataset:
         shared.noise_vars = np.full(cfg.n_features, 1e-24)
         data, truth = simulate_dataset(cfg, params=(shared, groups))
         for p in data.patients:
-            lat = truth.latent(p.patient_id)
             for t in p.visit_bins():
-                sev = lat.severity(t * cfg.bin_width)
+                sev = truth.true_severity(p.patient_id, t * cfg.bin_width)
                 expect = shared.loadings * sev + shared.feat_intercepts
                 np.testing.assert_allclose(p.features[t], expect, atol=1e-9)
 
@@ -131,9 +130,9 @@ class TestSimulateDataset:
         shared, groups, _ = truth_bundles(data, truth)
         sev_all, d_all, off_all = [], [], []
         for p in data.patients:
-            lat = truth.latent(p.patient_id)
             for t in range(1, p.horizon + 1):
-                sev_all.append(lat.severity(t * cfg.bin_width))
+                sev_all.append(truth.true_severity(p.patient_id,
+                                                   t * cfg.bin_width))
                 d_all.append(p.visits[t])
                 off_all.append(groups[p.group.index].visit_offset)
         sev_all = np.array(sev_all)

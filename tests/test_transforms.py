@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dispro import InvalidParameterError, ProgressionModel, simulation_priors
+from dispro import PRIORS, InvalidParameterError, ProgressionModel
 from dispro.ablation import ModelVariant
 
 from conftest import init_from_priors, truth_bundles
@@ -106,11 +106,10 @@ def test_canonical_ordering(small_sim):
 
 
 def test_prior_spec_draws_respect_bounds():
-    priors = simulation_priors()
     rng = np.random.default_rng(9)
-    draws = priors.loading0.draw(rng, size=5000)
+    draws = PRIORS["loading0"].draw(rng, size=5000)
     assert np.all(draws > 0.5)
-    draws = priors.visit_severity.draw(rng, size=5000)
+    draws = PRIORS["visit_severity"].draw(rng, size=5000)
     assert np.all(draws > 0.1)
 
 

@@ -181,8 +181,9 @@ def visit_matrix(data):
             continue
         for t in vbins[:3]:
             rows.append(p.features[t])
-    if not rows:
-        raise DataError("no eligible patients with 3 visits")
+    if len(rows) < 6:  # the patient-level fits need 2 rows
+        raise DataError(f"baselines need at least 2 patients with 3 visits, "
+                        f"the dataset has {len(rows) // 3}")
     return np.asarray(rows, dtype=float)
 
 

@@ -136,7 +136,10 @@ _SIM_TYPES = {
 
 
 def _sim_config_from_json(text: str, seed_override) -> SimConfig:
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"simulate config is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError("simulate config must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(SimConfig)}
@@ -303,6 +306,11 @@ def _evaluate_bias(args, out: Path) -> int:
     profiles = {}
     for fit_dir in args.fit:
         draws = read_draws(Path(fit_dir) / "draws.csv")
+        per_chain = draws.values.shape[0] // draws.n_chains
+        if draws.n_chains < 2 or per_chain < 4:  # its R-hat is undefined
+            raise DataError(f"{fit_dir}: bias mode needs a fit of at least 2 "
+                            f"chains of 4 draws, it has {draws.n_chains} of "
+                            f"{per_chain}")
         variant = _check_fit_of(draws, data, fit_dir, args.dataset)
         if variant in reports:
             raise ConfigurationError(f"{fit_dir}: a second fit of variant "

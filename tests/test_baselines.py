@@ -327,3 +327,31 @@ class TestComparisonTables:
         data, _ = small_sim
         Xp = patient_matrix(data)
         assert Xp.shape[1] == 3 * data.n_features
+
+    @pytest.mark.parametrize("eligible, code", [(1, 2), (2, 0)])
+    def test_baselines_need_two_patients_with_three_visits(
+            self, tmp_path, capsys, eligible, code):
+        """The patient-level fits need 2 rows, one per patient with 3
+        visits: with 1 such patient (and 3 with fewer visits) baselines mode
+        ends in a data error, with 2 it runs."""
+        from dispro.cli import main
+        from dispro.dataio import write_dataset
+
+        rng = np.random.default_rng(6)
+        pats = []
+        for i in range(eligible + 3):
+            visits = np.array([1, 1, 1, 0, 1] if i < eligible
+                              else [1, 0, 0, 1, 0])
+            feats = np.where(visits[:, None] == 1, rng.normal(size=(5, 2)),
+                             np.nan)
+            pats.append(make_patient(f"p{i}", i % 2, visits, feats))
+        write_dataset(Dataset(pats, 2, 2, 0.25), tmp_path / "dataset.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # EM on 2 rows may not converge
+            assert main(["evaluate", "--mode", "baselines", "--dataset",
+                         str(tmp_path / "dataset.csv"), "--train-window", "2",
+                         "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert ("data error: baselines need at least 2 patients with 3 "
+                    "visits, the dataset has 1") in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()

@@ -23,6 +23,7 @@ from dispro.model import (
     latent_names,
     param_layout,
 )
+from dispro.priors import PRIORS
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACING = BENCH / "tracing.py"
@@ -139,3 +140,12 @@ def test_layout_matches_bench_reference(bench_on_path, variant):
                 assert not set(bench_spec.pinned_names(pinned)) & set(names)
     pids = ["p0", "p,1"]
     assert latent_names(pids) == bench_spec.latent_names(pids)
+
+
+def test_priors_match_bench_reference(bench_on_path):
+    """The benchmark keeps its own copy of the prior table, role -> (mu,
+    sigma, lower), for its log-density check: the two hold the same roles
+    and, role by role, the same numbers."""
+    bench_spec = importlib.import_module("spec")
+    assert {role: (p.mu, p.sigma, p.lower) for role, p in PRIORS.items()} \
+        == bench_spec.PRIORS

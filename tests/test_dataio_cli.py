@@ -442,6 +442,18 @@ class TestCli:
         assert "configuration error:" in capsys.readouterr().err
         assert not (tmp_path / "z").exists()
 
+    def test_config_not_json_exit_1(self, tmp_path, capsys):
+        """A config that does not parse as JSON is a configuration error,
+        as one that parses to the wrong thing is, before ``--out`` is
+        made."""
+        cfg = tmp_path / "sim.json"
+        cfg.write_text('{"n_patients": 10,}')
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "z")]) == 1
+        assert ("configuration error: simulate config is not JSON"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "z").exists()
+
     def test_svg_output_deterministic(self, tmp_path):
         from dispro.svgplot import svg_scatter
 
@@ -834,6 +846,44 @@ def test_bias_repeated_variant_exit_1(valid_fit, tmp_path):
                  str(valid_fit / "dataset.csv"), "--truth",
                  str(valid_fit / "truth.json"),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+def _cut_fit(valid_fit, out, n_chains, per_chain):
+    """A copy of the full-model fit with its first ``per_chain`` draws of
+    its first ``n_chains`` chains, beside the dataset and truth."""
+    shutil.copytree(valid_fit, out)
+    draws = read_draws(valid_fit / "draws.csv")
+    rows = (np.arange(n_chains)[:, None] * (draws.values.shape[0]
+                                            // draws.n_chains)
+            + np.arange(per_chain)).ravel()
+    write_draws(PosteriorDraws(draws.names, draws.values[rows],
+                               draws.accept_stats[rows],
+                               draws.divergent[rows], n_chains,
+                               meta=draws.meta), out / "draws.csv")
+    return out
+
+
+@pytest.mark.parametrize("n_chains, per_chain", [(1, 10), (2, 3)],
+                         ids=["one_chain", "three_draws"])
+def test_bias_of_a_fit_without_rhat_exit_2(valid_fit, tmp_path, capsys,
+                                           n_chains, per_chain):
+    """Bias mode reports each fit's worst R-hat, which needs 2 chains of 4
+    draws: a fit with fewer is a data error that names the fit, and no
+    ``--out`` is made. Disparity and recovery mode still read it."""
+    fit = _cut_fit(valid_fit, tmp_path / "cut", n_chains, per_chain)
+    assert main(["evaluate", "--mode", "bias", "--fit", str(fit),
+                 "--dataset", str(fit / "dataset.csv"),
+                 "--truth", str(fit / "truth.json"),
+                 "--out", str(tmp_path / "bias")]) == 2
+    err = capsys.readouterr().err
+    assert f"data error: {fit}: bias mode needs a fit of at least 2" in err
+    assert not (tmp_path / "bias").exists()
+    trial = ["--fit", str(fit), "--truth", str(fit / "truth.json")]
+    assert main(["evaluate", "--mode", "recovery", *trial, *trial,
+                 "--out", str(tmp_path / "recovery")]) == 0
+    assert main(["evaluate", "--mode", "disparity", "--fit", str(fit),
+                 "--years-per-unit", "1",
+                 "--out", str(tmp_path / "disparity")]) == 0
 
 
 def test_disparity_delay_past_float_range_is_null(valid_fit, tmp_path):

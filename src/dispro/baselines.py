@@ -232,16 +232,10 @@ def patient_matrix(data):
 TRAJECTORY_METHODS = ("linear", "quadratic", "latest")
 
 
-def _polyfit_or_none(t, y, degree):
-    if t.size < degree + 1:
-        return None
-    # least squares on a Vandermonde basis; well-posed given enough points
-    return np.polynomial.polynomial.polyfit(t, y, degree)
-
-
-def trajectory_baselines(data, train_window: int, method: str) -> list:
-    """Predict features at held-out visit bins (bin >= train_window): one
-    row (patient_id, bin, feature, predicted, actual) per held-out cell.
+def trajectory_baselines(data, train_window: int) -> dict:
+    """Predict features at held-out visit bins (bin >= train_window) by each
+    of TRAJECTORY_METHODS: {method: rows}, one row (patient_id, bin, feature,
+    predicted, actual) per held-out cell.
 
     linear/quadratic: per-patient per-feature least squares on training
     observations, falling back to the feature's population training mean with
@@ -249,8 +243,6 @@ def trajectory_baselines(data, train_window: int, method: str) -> list:
     to the feature's observed training range. latest: last observed training
     value, else the population mean.
     """
-    if method not in TRAJECTORY_METHODS:
-        raise ConfigurationError(f"unknown method {method!r}")
     if train_window < 1:
         raise ConfigurationError("train_window must be a positive bin count")
     d = data.n_features
@@ -260,45 +252,40 @@ def trajectory_baselines(data, train_window: int, method: str) -> list:
     lo = np.full(d, np.inf)
     hi = np.full(d, -np.inf)
     for p in data.patients:
-        upto = min(train_window, p.horizon + 1)
-        seg = p.features[:upto]
+        seg = p.features[:train_window]
         obs = np.isfinite(seg)
         pop_sum += np.where(obs, seg, 0.0).sum(axis=0)
         pop_n += obs.sum(axis=0)
-        for j in range(d):
-            col = seg[obs[:, j], j]
-            if col.size:
-                lo[j] = min(lo[j], float(col.min()))
-                hi[j] = max(hi[j], float(col.max()))
+        lo = np.minimum(lo, np.where(obs, seg, np.inf).min(axis=0))
+        hi = np.maximum(hi, np.where(obs, seg, -np.inf).max(axis=0))
     if not pop_n.any():
         raise ConfigurationError("empty training window")
     pop_mean = np.where(pop_n > 0, pop_sum / np.maximum(pop_n, 1), 0.0)
 
-    rows = []
+    rows = {method: [] for method in TRAJECTORY_METHODS}
+    poly = np.polynomial.polynomial
     for p in data.patients:
-        upto = min(train_window, p.horizon + 1)
         for j in range(d):
             col = p.features[:, j]
-            train_bins = np.flatnonzero(np.isfinite(col[:upto]))
-            test_bins = [t for t in np.flatnonzero(np.isfinite(col))
-                         if t >= train_window]
-            if len(test_bins) == 0:
+            test_bins = train_window + np.flatnonzero(
+                np.isfinite(col[train_window:]))
+            if test_bins.size == 0:
                 continue
-            tt = train_bins.astype(float)
-            yy = col[train_bins]
-            # one curve per (patient, feature); the fallback where there is none
-            coef, pred = None, float(pop_mean[j])
-            if method == "latest":
-                if tt.size:
-                    pred = float(yy[-1])
-            else:
-                coef = _polyfit_or_none(tt, yy, 1 if method == "linear" else 2)
-            for t in test_bins:
-                if coef is not None:
-                    pred = float(np.polynomial.polynomial.polyval(float(t), coef))
-                    if np.isfinite(lo[j]) and np.isfinite(hi[j]):
-                        pred = min(max(pred, float(lo[j])), float(hi[j]))
-                rows.append((p.patient_id, int(t), j, pred, float(col[t])))
+            train_bins = np.flatnonzero(np.isfinite(col[:train_window]))
+            tt, yy = train_bins.astype(float), col[train_bins]
+            fallback = np.full(test_bins.size, pop_mean[j])
+            preds = {"latest": np.full(test_bins.size, yy[-1]) if yy.size
+                     else fallback}
+            # one curve per (patient, feature), evaluated at every held-out bin
+            for method, degree in (("linear", 1), ("quadratic", 2)):
+                preds[method] = fallback if yy.size <= degree else np.clip(
+                    poly.polyval(test_bins.astype(float),
+                                 poly.polyfit(tt, yy, degree)), lo[j], hi[j])
+            for method, pred in preds.items():
+                rows[method].extend(
+                    (p.patient_id, t, j, y, a) for t, y, a in zip(
+                        test_bins.tolist(), pred.tolist(),
+                        col[test_bins].tolist()))
     return rows
 
 
@@ -306,25 +293,29 @@ def trajectory_baselines(data, train_window: int, method: str) -> list:
 # scoring
 # ---------------------------------------------------------------------------
 
-def mape(predicted, actual, feature_of=None, feature_subset=None) -> float | None:
+def mape(predicted, actual) -> float | None:
     """Mean absolute percentage error over scorable cells, as a percentage;
-    None when no cell is scorable. Cells whose actual value is exactly 0 are
-    excluded; feature_subset restricts scoring to those feature indices."""
+    None when no cell is scorable. A cell is scorable when both values are
+    finite and the actual one is not exactly 0."""
     predicted = np.asarray(predicted, dtype=float).ravel()
     actual = np.asarray(actual, dtype=float).ravel()
     if predicted.shape != actual.shape:
         raise ConfigurationError("predicted and actual must align")
-    keep = np.isfinite(actual) & np.isfinite(predicted)
-    if feature_subset is not None:
-        if feature_of is None:
-            raise ConfigurationError("feature_subset needs feature_of labels")
-        feature_of = np.asarray(feature_of).ravel()
-        keep &= np.isin(feature_of, list(feature_subset))
-    scored = keep & (actual != 0.0)
+    scored = np.isfinite(actual) & np.isfinite(predicted) & (actual != 0.0)
     if not scored.any():
         return None
     return float(np.mean(np.abs(predicted[scored] - actual[scored])
                          / np.abs(actual[scored])) * 100.0)
+
+
+def _scores(predicted, actual, feature_of, feature_subset) -> dict:
+    """MAPE over all cells and, given feature_subset, over the cells whose
+    feature is in it; feature_of labels the last axis with feature indices."""
+    row = {"mape_all": mape(predicted, actual)}
+    if feature_subset is not None:
+        keep = np.isin(feature_of, list(feature_subset))
+        row["mape_informative"] = mape(predicted[..., keep], actual[..., keep])
+    return row
 
 
 def reconstruction_table(data, feature_subset=None):
@@ -333,35 +324,23 @@ def reconstruction_table(data, feature_subset=None):
     on the given informative subset."""
     d = data.n_features
     Xv = visit_matrix(data)
-    Xp = patient_matrix(data)
-    feat_v = np.tile(np.arange(d), (Xv.shape[0], 1))
-    feat_p = np.tile(np.tile(np.arange(d), 3), (Xp.shape[0], 1))
+    Xp = Xv.reshape(-1, 3 * d)  # patient_matrix(data) without a second scan
     out = {}
-    for label, X, feats, k, fitter, recon in (
-            ("pca_visit", Xv, feat_v, 1, pca_fit, pca_reconstruct),
-            ("fa_visit", Xv, feat_v, 1, fa_fit, fa_reconstruct),
-            ("pca_patient", Xp, feat_p, 2, pca_fit, pca_reconstruct),
-            ("fa_patient", Xp, feat_p, 2, fa_fit, fa_reconstruct)):
-        fit = fitter(X, k)
-        R = recon(X, fit)
-        row = {"mape_all": mape(R, X, feats)}
-        if feature_subset is not None:
-            row["mape_informative"] = mape(R, X, feats,
-                                           feature_subset=feature_subset)
-        out[label] = row
+    for label, X, k, fitter, recon in (
+            ("pca_visit", Xv, 1, pca_fit, pca_reconstruct),
+            ("fa_visit", Xv, 1, fa_fit, fa_reconstruct),
+            ("pca_patient", Xp, 2, pca_fit, pca_reconstruct),
+            ("fa_patient", Xp, 2, fa_fit, fa_reconstruct)):
+        R = recon(X, fitter(X, k))
+        out[label] = _scores(R, X, np.arange(X.shape[1]) % d, feature_subset)
     return out
 
 
 def prediction_table(data, train_window: int, feature_subset=None):
     """Forecasting comparison: per-method MAPE at held-out visits."""
     out = {}
-    for method in TRAJECTORY_METHODS:
-        rows = trajectory_baselines(data, train_window, method)
+    for method, rows in trajectory_baselines(data, train_window).items():
         feat, pred, act = (np.array([r[i] for r in rows]) for i in (2, 3, 4))
-        row = {"mape_all": mape(pred, act, feat),
-               "n_predictions": len(rows)}
-        if feature_subset is not None:
-            row["mape_informative"] = mape(pred, act, feat,
-                                           feature_subset=feature_subset)
-        out[method] = row
+        out[method] = {**_scores(pred, act, feat, feature_subset),
+                       "n_predictions": len(rows)}
     return out

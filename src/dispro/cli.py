@@ -413,6 +413,9 @@ def _evaluate_disparity(args, out: Path) -> int:
     if args.dataset is not None:
         _check_fit_of(draws, read_dataset(args.dataset), args.fit[0],
                       args.dataset)
+    if draws.meta["n_groups"] < 2:  # no group to compare with the reference
+        raise DataError(f"{args.fit[0]}: disparity mode needs a fit of at "
+                        f"least 2 groups, it has {draws.meta['n_groups']}")
     summ = disparity_summary(draws, years_per_unit=args.years_per_unit)
     out.mkdir(parents=True, exist_ok=True)
     rows = []

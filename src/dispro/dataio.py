@@ -88,22 +88,25 @@ def read_dataset(path) -> Dataset:
 
     per_patient: dict[str, list] = {}
     order: list[str] = []
-    with path.open(newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or header[:4] != ["patient_id", "group", "t", "D"]:
-            raise DataError(f"{path}: not a dataset table")
-        if len(header) != 4 + n_features:
-            raise DataError(f"{path}: expected {n_features} feature columns")
-        for row in r:
-            if len(row) != len(header):
-                raise DataError(f"{path}: line {r.line_num} has {len(row)} "
-                                f"cells, the header {len(header)}")
-            pid = row[0]
-            if pid not in per_patient:
-                per_patient[pid] = []
-                order.append(pid)
-            per_patient[pid].append(row)
+    try:
+        with path.open(newline="") as fh:
+            r = csv.reader(fh)
+            header = next(r, None)
+            if header is None or header[:4] != ["patient_id", "group", "t", "D"]:
+                raise DataError(f"{path}: not a dataset table")
+            if len(header) != 4 + n_features:
+                raise DataError(f"{path}: expected {n_features} feature columns")
+            for row in r:
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {r.line_num} has {len(row)} "
+                                    f"cells, the header {len(header)}")
+                pid = row[0]
+                if pid not in per_patient:
+                    per_patient[pid] = []
+                    order.append(pid)
+                per_patient[pid].append(row)
+    except csv.Error as exc:  # a cell past the csv module's field limit
+        raise DataError(f"{path}: line {r.line_num}: {exc}") from None
     n_rows = sum(map(len, per_patient.values()))
     # per-group work then scales with the file, not with a sidecar number
     if meta["n_groups"] > n_rows:
@@ -289,7 +292,10 @@ def read_draws(path) -> PosteriorDraws:
     meta_path = path.with_name("fit_meta.json")
     doc = _read_json(meta_path, _FIT_DOC_TYPES)
     with path.open(newline="") as fh:
-        header = next(csv.reader(fh), [])
+        try:
+            header = next(csv.reader(fh), [])
+        except csv.Error as exc:  # a name past the csv module's field limit
+            raise DataError(f"{path}: {exc}") from None
     if header[:2] != ["chain", "draw"]:
         raise DataError(f"{path}: not a draws table")
     names, meta, n_rows = header[2:], doc["meta"], len(doc["accept_stats"])

@@ -17,7 +17,7 @@ from dispro import (
     simulate_dataset,
 )
 from dispro.model import _emission_block, _visit_block
-from dispro.types import DatasetIndex
+from dispro.types import ConfigurationError, DatasetIndex
 
 # the @given tests draw the same examples every run and keep no example
 # database
@@ -190,3 +190,97 @@ def edge_visit_cohort(patients=EDGE_PATIENTS):
     groups = [GroupParams(0.0, 1.0, 0.0, 0.5, 0.0),
               GroupParams(-20.0, 1.1, 0.0, 1.0, -0.5)]
     return data, shared, groups, latents
+
+
+# The one-method forecast and the labelled MAPE that
+# ``dispro.baselines.trajectory_baselines`` and ``mape`` replaced, kept
+# verbatim as references for the one-pass versions.
+def _reference_polyfit_or_none(t, y, degree):
+    if t.size < degree + 1:
+        return None
+    # least squares on a Vandermonde basis; well-posed given enough points
+    return np.polynomial.polynomial.polyfit(t, y, degree)
+
+
+def reference_trajectory_baselines(data, train_window: int, method: str) -> list:
+    """Predict features at held-out visit bins (bin >= train_window): one
+    row (patient_id, bin, feature, predicted, actual) per held-out cell.
+
+    linear/quadratic: per-patient per-feature least squares on training
+    observations, falling back to the feature's population training mean with
+    fewer than 2 (linear) or 3 (quadratic) points, and clipping predictions
+    to the feature's observed training range. latest: last observed training
+    value, else the population mean.
+    """
+    if method not in ("linear", "quadratic", "latest"):
+        raise ConfigurationError(f"unknown method {method!r}")
+    if train_window < 1:
+        raise ConfigurationError("train_window must be a positive bin count")
+    d = data.n_features
+
+    pop_sum = np.zeros(d)
+    pop_n = np.zeros(d)
+    lo = np.full(d, np.inf)
+    hi = np.full(d, -np.inf)
+    for p in data.patients:
+        upto = min(train_window, p.horizon + 1)
+        seg = p.features[:upto]
+        obs = np.isfinite(seg)
+        pop_sum += np.where(obs, seg, 0.0).sum(axis=0)
+        pop_n += obs.sum(axis=0)
+        for j in range(d):
+            col = seg[obs[:, j], j]
+            if col.size:
+                lo[j] = min(lo[j], float(col.min()))
+                hi[j] = max(hi[j], float(col.max()))
+    if not pop_n.any():
+        raise ConfigurationError("empty training window")
+    pop_mean = np.where(pop_n > 0, pop_sum / np.maximum(pop_n, 1), 0.0)
+
+    rows = []
+    for p in data.patients:
+        upto = min(train_window, p.horizon + 1)
+        for j in range(d):
+            col = p.features[:, j]
+            train_bins = np.flatnonzero(np.isfinite(col[:upto]))
+            test_bins = [t for t in np.flatnonzero(np.isfinite(col))
+                         if t >= train_window]
+            if len(test_bins) == 0:
+                continue
+            tt = train_bins.astype(float)
+            yy = col[train_bins]
+            # one curve per (patient, feature); the fallback where there is none
+            coef, pred = None, float(pop_mean[j])
+            if method == "latest":
+                if tt.size:
+                    pred = float(yy[-1])
+            else:
+                coef = _reference_polyfit_or_none(tt, yy, 1 if method == "linear" else 2)
+            for t in test_bins:
+                if coef is not None:
+                    pred = float(np.polynomial.polynomial.polyval(float(t), coef))
+                    if np.isfinite(lo[j]) and np.isfinite(hi[j]):
+                        pred = min(max(pred, float(lo[j])), float(hi[j]))
+                rows.append((p.patient_id, int(t), j, pred, float(col[t])))
+    return rows
+
+
+def reference_mape(predicted, actual, feature_of=None, feature_subset=None) -> float | None:
+    """Mean absolute percentage error over scorable cells, as a percentage;
+    None when no cell is scorable. Cells whose actual value is exactly 0 are
+    excluded; feature_subset restricts scoring to those feature indices."""
+    predicted = np.asarray(predicted, dtype=float).ravel()
+    actual = np.asarray(actual, dtype=float).ravel()
+    if predicted.shape != actual.shape:
+        raise ConfigurationError("predicted and actual must align")
+    keep = np.isfinite(actual) & np.isfinite(predicted)
+    if feature_subset is not None:
+        if feature_of is None:
+            raise ConfigurationError("feature_subset needs feature_of labels")
+        feature_of = np.asarray(feature_of).ravel()
+        keep &= np.isin(feature_of, list(feature_subset))
+    scored = keep & (actual != 0.0)
+    if not scored.any():
+        return None
+    return float(np.mean(np.abs(predicted[scored] - actual[scored])
+                         / np.abs(actual[scored])) * 100.0)

@@ -24,7 +24,11 @@ from dispro.baselines import (
 )
 from dispro.types import ConfigurationError, Dataset
 
-from conftest import make_patient
+from conftest import (
+    make_patient,
+    reference_mape,
+    reference_trajectory_baselines,
+)
 
 
 class TestPca:
@@ -189,7 +193,7 @@ class TestTrajectoryBaselines:
     def test_linear_method_exact_on_linear_data(self):
         data = trajectory_dataset(lambda t, j: 2.0 + 0.5 * t,
                                   cover=(0.0, 10.0))
-        rows = trajectory_baselines(data, train_window=5, method="linear")
+        rows = trajectory_baselines(data, train_window=5)["linear"]
         rows = [r for r in rows if r[0] == "p0"]
         pred = np.array([r[3] for r in rows])
         act = np.array([r[4] for r in rows])
@@ -198,7 +202,7 @@ class TestTrajectoryBaselines:
 
     def test_latest_method_exact_on_constant_data(self):
         data = trajectory_dataset(lambda t, j: 4.2)
-        rows = trajectory_baselines(data, train_window=4, method="latest")
+        rows = trajectory_baselines(data, train_window=4)["latest"]
         assert rows
         np.testing.assert_allclose([r[3] for r in rows], [r[4] for r in rows],
                                    atol=1e-12)
@@ -207,31 +211,33 @@ class TestTrajectoryBaselines:
         # exactly 3 training points on a line: the quadratic term vanishes
         data = trajectory_dataset(lambda t, j: 1.0 - 0.3 * t, n_bins=6,
                                   cover=(-5.0, 5.0))
-        lin = trajectory_baselines(data, train_window=3, method="linear")
-        quad = trajectory_baselines(data, train_window=3, method="quadratic")
+        lin = trajectory_baselines(data, train_window=3)["linear"]
+        quad = trajectory_baselines(data, train_window=3)["quadratic"]
         np.testing.assert_allclose([r[3] for r in quad], [r[3] for r in lin],
                                    atol=1e-10)
 
     @pytest.mark.parametrize("method", ["linear", "quadratic"])
     def test_one_fit_per_patient_feature(self, small_sim, monkeypatch, method):
         """The curve does not depend on the held-out bin, so it is fit once
-        per (patient, feature) that has held-out cells."""
-        import dispro.baselines as baselines
-
+        per (patient, feature) that has held-out cells and more training
+        points than its degree."""
         data, _ = small_sim
-        window = 8
+        window, degree = 8, {"linear": 1, "quadratic": 2}[method]
         calls = []
-        fit = baselines._polyfit_or_none
+        fit = np.polynomial.polynomial.polyfit
 
-        def counted(t, y, degree):
-            calls.append(degree)
-            return fit(t, y, degree)
+        def counted(t, y, deg):
+            calls.append(deg)
+            return fit(t, y, deg)
 
-        monkeypatch.setattr(baselines, "_polyfit_or_none", counted)
-        rows = trajectory_baselines(data, train_window=window, method=method)
+        monkeypatch.setattr(np.polynomial.polynomial, "polyfit", counted)
+        rows = trajectory_baselines(data, train_window=window)[method]
         held_out = {(r[0], r[2]) for r in rows}
         assert len(rows) > len(held_out)  # some pair has several bins
-        assert len(calls) == len(held_out)
+        features = {p.patient_id: p.features for p in data.patients}
+        fitted = [pair for pair in held_out if np.isfinite(
+            features[pair[0]][:window, pair[1]]).sum() > degree]
+        assert calls.count(degree) == len(fitted) > 0
 
     def test_population_mean_fallback(self):
         # patient with a single training observation falls back for linear
@@ -242,7 +248,7 @@ class TestTrajectoryBaselines:
         feats2 = np.array([[1.0], [1.5], [2.0], [2.5]])
         pat2 = make_patient("b", 0, visits2, feats2)
         data = Dataset([pat1, pat2], 1, 1, 1.0)
-        rows = trajectory_baselines(data, train_window=2, method="linear")
+        rows = trajectory_baselines(data, train_window=2)["linear"]
         rows_a = [r for r in rows if r[0] == "a"]
         pop_mean = np.mean([2.0, 1.0, 1.5])
         for _, t, j, pred, act in rows_a:
@@ -251,7 +257,7 @@ class TestTrajectoryBaselines:
     def test_clipping_to_training_range(self):
         # steep line overshoots its training range at far horizons
         data = trajectory_dataset(lambda t, j: float(t), n_bins=9)
-        rows = trajectory_baselines(data, train_window=4, method="linear")
+        rows = trajectory_baselines(data, train_window=4)["linear"]
         for _, t, j, pred, act in rows:
             assert 0.0 <= pred <= 3.0
 
@@ -260,7 +266,7 @@ class TestTrajectoryBaselines:
         data = trajectory_dataset(lambda t, j: 5.0 + 0.01 * t
                                   + 0.001 * rng.normal(), n_bins=9,
                                   cover=(4.0, 6.0))
-        rows = trajectory_baselines(data, train_window=6, method="linear")
+        rows = trajectory_baselines(data, train_window=6)["linear"]
         # predictions stay interior, so clipping must not modify them:
         # re-derive the unclipped least-squares prediction and compare
         tt = np.arange(6, dtype=float)
@@ -275,7 +281,102 @@ class TestTrajectoryBaselines:
     def test_empty_training_window_rejected(self):
         data = trajectory_dataset(lambda t, j: 1.0)
         with pytest.raises(ConfigurationError):
-            trajectory_baselines(data, train_window=0, method="latest")
+            trajectory_baselines(data, train_window=0)
+
+
+def edge_forecast_cohort():
+    """Three features, train window 3 (bins 0-2 train, 3+ held out): a
+    missing cell inside the window, a patient without a training value of
+    x1, a feature (x2) no patient observes in the window, a horizon that
+    ends before the window, patients with exactly 1 and exactly 2 training
+    values of x0 (the linear and quadratic fallbacks), steep lines the
+    training range clips, and a held-out actual of 0, which MAPE skips."""
+    nan = np.nan
+    cohort = {
+        "gap": [[1.0, 2.0, nan], [nan, 2.5, nan], [3.0, 3.5, nan],
+                [4.0, 4.0, 1.0], [5.5, nan, 2.0], [7.0, 5.0, 0.0]],
+        "no_x1_train": [[2.0, nan, nan], [2.5, nan, nan], [2.0, nan, nan],
+                        [1.5, 6.0, 3.0], [1.0, 0.0, nan]],
+        "short": [[0.5, 1.0, nan], [0.7, 1.2, nan]],
+        "one_point": [[3.0, 1.0, nan], [nan, 1.5, nan], [nan, 2.0, nan],
+                      [9.0, nan, 4.0], [-2.0, 3.0, nan], [4.0, 3.5, 5.0]],
+        "two_points": [[-1.0, 0.0, nan], [nan, 0.5, nan], [8.0, -3.0, nan],
+                       [2.0, 2.0, nan], [3.0, nan, 1.5]],
+        "steep": [[0.0, 9.0, nan], [4.0, 6.0, nan], [9.0, 2.0, nan],
+                  [12.0, 1.0, 2.5], [20.0, -4.0, nan], [30.0, -9.0, 1.0]],
+    }
+    patients = [make_patient(pid, i % 2, np.ones(len(f), dtype=np.int8), f)
+                for i, (pid, f) in enumerate(cohort.items())]
+    return Dataset(patients, 2, 3, 1.0)
+
+
+class TestOnePassMatchesReference:
+    """The one-pass forecasts and the table scores equal, bit for bit, the
+    per-method forecast and the labelled MAPE they replaced."""
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 8])
+    def test_small_sim_rows(self, small_sim, window):
+        data, _ = small_sim
+        rows = trajectory_baselines(data, window)
+        assert list(rows) == list(baselines.TRAJECTORY_METHODS)
+        for method, got in rows.items():
+            assert got == reference_trajectory_baselines(data, window, method)
+
+    def test_edge_cohort_rows(self):
+        data = edge_forecast_cohort()
+        rows = trajectory_baselines(data, 3)
+        for method, got in rows.items():
+            assert got == reference_trajectory_baselines(data, 3, method)
+        # each (patient, feature)'s prediction at its last held-out bin
+        lin, quad, latest = ({(r[0], r[2]): r[3] for r in rows[m]}
+                             for m in baselines.TRAJECTORY_METHODS)
+        pop_x0 = np.mean([1.0, 3.0, 2.0, 2.5, 2.0, 0.5, 0.7, 3.0, -1.0, 8.0,
+                          0.0, 4.0, 9.0])
+        pop_x1 = np.mean([2.0, 2.5, 3.5, 1.0, 1.2, 1.0, 1.5, 2.0, 0.0, 0.5,
+                          -3.0, 9.0, 6.0, 2.0])
+        # 1 training value: both curves fall back, latest takes it
+        assert lin["one_point", 0] == pytest.approx(pop_x0)
+        assert quad["one_point", 0] == pytest.approx(pop_x0)
+        assert latest["one_point", 0] == 3.0
+        # 2 training values: a line, no parabola
+        assert quad["two_points", 0] == pytest.approx(pop_x0)
+        assert lin["two_points", 0] != pytest.approx(pop_x0)
+        # no training value of the patient's x1: every method falls back
+        for by_pair in (lin, quad, latest):
+            assert by_pair["no_x1_train", 1] == pytest.approx(pop_x1)
+        # no patient has x2 in the window, so its population mean is 0
+        assert {r[3] for m in rows.values() for r in m if r[2] == 2} == {0.0}
+        # steep lines end at the training range
+        assert (lin["steep", 0], lin["steep", 1]) == (9.0, -3.0)
+        assert all(r[0] != "short" for r in rows["latest"])
+
+    @pytest.mark.parametrize("subset", [[0, 1], [1, 0]])
+    @pytest.mark.parametrize("cohort", ["small_sim", "edge"])
+    def test_table_scores(self, small_sim, subset, cohort):
+        data = small_sim[0] if cohort == "small_sim" else edge_forecast_cohort()
+        window = 8 if cohort == "small_sim" else 3
+        pred = prediction_table(data, window, feature_subset=subset)
+        for method, row in pred.items():
+            ref = reference_trajectory_baselines(data, window, method)
+            feat, p, a = (np.array([r[i] for r in ref]) for i in (2, 3, 4))
+            assert row == {"mape_all": reference_mape(p, a, feat),
+                           "mape_informative": reference_mape(
+                               p, a, feat, feature_subset=subset),
+                           "n_predictions": len(ref)}
+        d = data.n_features
+        recon = reconstruction_table(data, feature_subset=subset)
+        Xv, Xp = visit_matrix(data), patient_matrix(data)
+        for label, X, k, fitter, rebuild in (
+                ("pca_visit", Xv, 1, pca_fit, pca_reconstruct),
+                ("fa_visit", Xv, 1, fa_fit, fa_reconstruct),
+                ("pca_patient", Xp, 2, pca_fit, pca_reconstruct),
+                ("fa_patient", Xp, 2, fa_fit, fa_reconstruct)):
+            R = rebuild(X, fitter(X, k))
+            feats = np.tile(np.arange(X.shape[1]) % d, (X.shape[0], 1))
+            assert recon[label] == {
+                "mape_all": reference_mape(R, X, feats),
+                "mape_informative": reference_mape(R, X, feats,
+                                                   feature_subset=subset)}
 
 
 class TestMape:

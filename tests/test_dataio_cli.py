@@ -559,6 +559,11 @@ MALFORMED = {
         lines, _first_observed_row(lines), 4, v))
        for v in ("inf", "-inf", "nan")},
     "visit_300": ("dataset", lambda lines, meta: _set_cell(lines, 2, 3, "300")),
+    # a cell past the csv module's 131,072-character field limit
+    "dataset_field_past_csv_limit": ("dataset", lambda lines, meta: _set_cell(
+        lines, 1, 0, "p" * 200_000)),
+    "draws_header_field_past_csv_limit": ("draws", lambda lines, meta:
+                                          _set_cell(lines, 0, 2, "x" * 200_000)),
     # JSON's NaN and Infinity parse as floats
     **{f"bin_width_{name}": ("dataset", lambda lines, meta, v=value:
                              meta.update(bin_width=v))
@@ -884,6 +889,26 @@ def test_bias_of_a_fit_without_rhat_exit_2(valid_fit, tmp_path, capsys,
     assert main(["evaluate", "--mode", "disparity", "--fit", str(fit),
                  "--years-per-unit", "1",
                  "--out", str(tmp_path / "disparity")]) == 0
+
+
+def test_disparity_of_a_one_group_fit_exit_2(sim_pair, tmp_path, capsys):
+    """Disparity mode compares each group with the reference group, so a
+    fit of a one-group dataset is a data error that names the fit, and no
+    ``--out`` is made."""
+    data, _ = sim_pair
+    one = Dataset([make_patient(p.patient_id, 0, p.visits, p.features)
+                   for p in data.patients], 1, data.n_features,
+                  data.bin_width)
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    write_draws(fit_model(one, config=SamplerConfig(
+        chains=2, warmup=20, draws=10, seed=1)), fit / "draws.csv")
+    assert main(["evaluate", "--mode", "disparity", "--fit", str(fit),
+                 "--years-per-unit", "1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert (f"data error: {fit}: disparity mode needs a fit of at least 2 "
+            "groups, it has 1") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_disparity_delay_past_float_range_is_null(valid_fit, tmp_path):

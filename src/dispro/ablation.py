@@ -144,8 +144,8 @@ def draw_disparity_scenario(cfg):
     raise ConfigurationError("no qualifying parameter draw in 500 tries")
 
 
-def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
-                   config: SamplerConfig | None = None):
+def run_bias_trial(seed: int, n_patients: int, n_bins: int,
+                   config: SamplerConfig):
     """One full ablation trial: draw a disparity scenario, simulate, then fit
     and score in turn the full model and the three single-disparity
     ablations. Returns ({variant: BiasReport}, {variant: {group: high-risk
@@ -154,8 +154,6 @@ def run_bias_trial(seed: int, n_patients: int = 200, n_bins: int = 40,
                         bin_width=1.0 / n_bins, seed=seed,
                         group_specific_rates=True)
     data, truth = simulate_dataset(sim_cfg, draw_disparity_scenario(sim_cfg))
-    config = config or SamplerConfig(chains=2, warmup=350, draws=350,
-                                     seed=seed, target_accept=0.85)
     reports, profiles = {}, {}
     for variant in (ModelVariant.FULL, ModelVariant.NO_INITIAL_SEVERITY,
                     ModelVariant.NO_RATE, ModelVariant.NO_VISIT):

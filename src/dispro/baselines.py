@@ -219,12 +219,6 @@ def visit_matrix(data):
     return np.asarray(rows, dtype=float)
 
 
-def patient_matrix(data):
-    """One row per eligible patient: features from the first three visits
-    concatenated (3 * d columns)."""
-    return visit_matrix(data).reshape(-1, 3 * data.n_features)
-
-
 # ---------------------------------------------------------------------------
 # per-patient forecasting baselines
 # ---------------------------------------------------------------------------
@@ -324,7 +318,7 @@ def reconstruction_table(data, feature_subset=None):
     on the given informative subset."""
     d = data.n_features
     Xv = visit_matrix(data)
-    Xp = Xv.reshape(-1, 3 * d)  # patient_matrix(data) without a second scan
+    Xp = Xv.reshape(-1, 3 * d)  # a patient's three visits in one row
     out = {}
     for label, X, k, fitter, recon in (
             ("pca_visit", Xv, 1, pca_fit, pca_reconstruct),

@@ -29,6 +29,7 @@ from .dataio import (
     fit_meta,
     read_dataset,
     read_draws,
+    read_json,
     read_truth,
     write_dataset,
     write_draws,
@@ -176,11 +177,11 @@ def _cmd_fit(args) -> int:
     if args.chains < 2 or args.draws < 8:  # ESS splits each chain in half
         raise ConfigurationError(
             "R-hat and ESS need --chains >= 2 and --draws >= 8")
-    data = read_dataset(args.dataset)
-    variant = ModelVariant(args.variant)
     config = SamplerConfig(chains=args.chains, warmup=args.warmup,
                            draws=args.draws, max_leapfrog=args.max_leapfrog,
                            seed=args.seed, processes=args.threads)
+    data = read_dataset(args.dataset)
+    variant = ModelVariant(args.variant)
     draws = fit_model(data, variant=variant, config=config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,14 +270,14 @@ def _evaluate_recovery(args, out: Path) -> int:
                 xlabel="true (z-scored per parameter)",
                 ylabel="estimated (z-scored per parameter)")
     summary = {"mode": "recovery",
-               "mean_pearson_r": report.mean_r(),
-               "mean_slope": report.mean_slope(),
+               "mean_pearson_r": report.mean_pearson_r,
+               "mean_slope": report.mean_slope,
                "severity_calibration": report.severity_calibration,
                "n_trials": len(args.fit),
                "per_param": report.per_param}
     write_json(summary, out / "summary.json")
     r, slope = ("undefined" if v is None else f"{v:.4f}"
-                for v in (report.mean_r(), report.mean_slope()))
+                for v in (report.mean_pearson_r, report.mean_slope))
     print(f"recovery: mean r {r}, mean slope {slope}")
     return EXIT_OK
 
@@ -360,7 +361,8 @@ def _evaluate_baselines(args, out: Path) -> int:
     subset = None
     if args.informative:
         subset = [s.strip() for s in args.informative.split(",") if s != ""]
-        if not all(s.isdecimal() and int(s) < data.n_features for s in subset):
+        if not subset or not all(s.isdecimal() and int(s) < data.n_features
+                                 for s in subset):
             raise ConfigurationError(
                 f"--informative {args.informative!r} is not a list of "
                 f"feature indices in 0..{data.n_features - 1}")
@@ -418,14 +420,11 @@ def _evaluate_disparity(args, out: Path) -> int:
                         f"least 2 groups, it has {draws.meta['n_groups']}")
     summ = disparity_summary(draws, years_per_unit=args.years_per_unit)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for g, entry in summ.per_group.items():
-        rows.append([g, entry.get("init_sev_gap"), entry.get("delay_time_units"),
-                     entry.get("delay_years"), entry.get("visit_offset"),
-                     entry.get("visit_rate_ratio")])
-    write_table(out / "disparity.tsv",
-                ["group", "init_sev_gap", "delay_time_units", "delay_years",
-                 "visit_offset", "visit_rate_ratio"], rows)
+    columns = ["init_sev_gap", "delay_time_units", "delay_years",
+               "visit_offset", "visit_rate_ratio"]
+    write_table(out / "disparity.tsv", ["group", *columns],
+                [[g, *map(entry.get, columns)]
+                 for g, entry in summ.per_group.items()])
     write_json({"mode": "disparity", "reference_group": summ.reference_group,
                 "mean_rate": summ.mean_rate,
                 "years_per_unit": summ.years_per_unit,
@@ -454,9 +453,9 @@ def _cmd_report(args) -> int:
     summary_path = in_dir / "summary.json"
     diag_path = in_dir / "diagnostics.json"
     if summary_path.exists():
-        doc = json.loads(summary_path.read_text())
+        doc = read_json(summary_path, {})
     elif diag_path.exists():
-        doc = json.loads(diag_path.read_text())
+        doc = read_json(diag_path, {})
     else:
         raise DataError(f"no summary.json or diagnostics.json in {in_dir}")
     lines = [f"# dispro report: {in_dir}", ""]
@@ -513,7 +512,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

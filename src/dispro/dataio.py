@@ -10,7 +10,7 @@ canonical names. Draws: CSV with chain and draw indices followed by canonical
 parameter columns, plus ``fit_meta.json`` and ``diagnostics.json`` sidecars.
 
 Every JSON file is written by ``write_json`` (strict JSON, sorted keys) and
-read back by ``_read_json``, which checks it against a table of key types.
+read back by ``read_json``, which checks it against a table of key types.
 
 Nothing in these files is time-stamped, so identical inputs and seeds produce
 byte-identical outputs.
@@ -34,10 +34,6 @@ from .model import ModelVariant, latent_names, param_layout
 from .sampler import PosteriorDraws, forked_map, usable_cores
 from .simulate import TruthSidecar
 from .types import DataError, Dataset, GroupId, PatientRecord
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _sha256(data: bytes) -> str:
@@ -69,7 +65,7 @@ def write_dataset(data: Dataset, path) -> None:
     with path.open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["patient_id", "group", "t", "D", *feature_cols])
-        for p in data.patients:  # plain floats: repr(v) is _fmt(v)
+        for p in data.patients:  # plain floats: repr(v) is _cell(v)
             for t, (d, row) in enumerate(zip(p.visits.tolist(),
                                              p.features.tolist())):
                 w.writerow([p.patient_id, p.group.index, t, d,
@@ -83,7 +79,7 @@ def write_dataset(data: Dataset, path) -> None:
 def read_dataset(path) -> Dataset:
     path = Path(path)
     meta_path = dataset_meta_path(path)
-    meta = _read_json(meta_path, _SIDECAR_TYPES)
+    meta = read_json(meta_path, _SIDECAR_TYPES)
     pinned, n_features = meta["pinned_group"], meta["n_features"]
 
     per_patient: dict[str, list] = {}
@@ -122,9 +118,7 @@ def read_dataset(path) -> Dataset:
         group_idx = {int(r[1]) for r in rows}
         if len(group_idx) != 1:
             raise DataError(f"{pid}: inconsistent group labels")
-        g = group_idx.pop()
-        if g < 0:
-            raise DataError(f"{pid}: negative group label {g}")
+        g = group_idx.pop()  # Dataset checks it lies in 0..n_groups-1
         if any(r[3] not in ("0", "1") for r in rows):
             raise DataError(f"{pid}: a D cell is not 0 or 1")
         visits = np.array([int(r[3]) for r in rows], dtype=np.int8)
@@ -151,7 +145,7 @@ def write_truth(truth, path) -> None:
 
 
 def read_truth(path) -> TruthSidecar:
-    doc = _read_json(path, _TRUTH_TYPES)
+    doc = read_json(path, _TRUTH_TYPES)
     return TruthSidecar(params=doc["params"], latents=doc["latents"],
                         meta=doc.get("meta", {}))
 
@@ -226,9 +220,17 @@ def _mistyped(doc, types: dict, prefix: str = "") -> list[str]:
     return wrong
 
 
-def _read_json(path, types: dict):
-    """The JSON object in ``path``, after checking it against ``types``."""
-    doc = json.loads(Path(path).read_text())
+def _no_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def read_json(path, types: dict):
+    """The JSON document in ``path``, checked against ``types``; text that
+    is not strict JSON (``NaN`` and ``Infinity`` are not) is a DataError."""
+    try:
+        doc = json.loads(Path(path).read_text(), parse_constant=_no_constant)
+    except ValueError as exc:  # JSONDecodeError included
+        raise DataError(f"{path}: {exc}") from None
     wrong = _mistyped(doc, types)
     if wrong:
         raise DataError(f"{path}: lacks or mistypes {wrong}")
@@ -290,7 +292,7 @@ def read_draws(path) -> PosteriorDraws:
     cross-field rule of the pair is checked here; a break is a DataError."""
     path = Path(path)
     meta_path = path.with_name("fit_meta.json")
-    doc = _read_json(meta_path, _FIT_DOC_TYPES)
+    doc = read_json(meta_path, _FIT_DOC_TYPES)
     with path.open(newline="") as fh:
         try:
             header = next(csv.reader(fh), [])
@@ -366,7 +368,7 @@ def _cell(v) -> str:
     if v is None:
         return "NA"
     if isinstance(v, float):
-        return _fmt(v)
+        return repr(float(v))
     return str(v)
 
 

@@ -38,18 +38,9 @@ class RecoveryReport:
     severity_calibration: dict          # group-level severity scatter stats
     scatter: list[tuple]                # (trial, name, true, estimated)
     severity_scatter: list[tuple]       # (trial, group, mean_true, mean_est)
-
-    def mean_r(self) -> float | None:
-        return self._mean_of("pearson_r")
-
-    def mean_slope(self) -> float | None:
-        return self._mean_of("slope")
-
-    def _mean_of(self, stat):
-        """The mean of ``stat`` over the parameters where it is defined;
-        None, as ``pearson`` gives, where it is defined for none."""
-        vals = [v[stat] for v in self.per_param.values() if v[stat] is not None]
-        return float(np.mean(vals)) if vals else None
+    # per_param's means where defined; None, as pearson gives, for none
+    mean_pearson_r: float | None
+    mean_slope: float | None
 
 
 def pearson(x: np.ndarray, y: np.ndarray):
@@ -106,10 +97,14 @@ def recovery_report(trials) -> RecoveryReport:
     calibration = {"n": len(severity_scatter),
                    "pearson_r": pearson(sev_true, sev_est),
                    "slope": _slope_through_origin(sev_true, sev_est)}
+    r, slope = ([v[stat] for v in per_param.values() if v[stat] is not None]
+                for stat in ("pearson_r", "slope"))
     return RecoveryReport(per_param=per_param,
                           severity_calibration=calibration,
                           scatter=scatter,
-                          severity_scatter=severity_scatter)
+                          severity_scatter=severity_scatter,
+                          mean_pearson_r=float(np.mean(r)) if r else None,
+                          mean_slope=float(np.mean(slope)) if slope else None)
 
 
 def _group_severity_points(trial, draws, latents):

@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 from scipy.special import exprel
 
-from .priors import PRIORS
+from .priors import _LOG_2PI, PRIORS
 from .types import (
     Dataset,
     DatasetIndex,
@@ -36,8 +36,6 @@ from .types import (
     InvalidParameterError,
     SharedParams,
 )
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # Log visit rates above this cap overflow the likelihood; the density returns
 # the -inf sentinel there so the sampler treats the region as rejected.

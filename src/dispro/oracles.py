@@ -54,17 +54,6 @@ class GaussianLatent:
         u = (z - self.mean) / self.sd
         return math.exp(-0.5 * u * u) / (self.sd * math.sqrt(2.0 * math.pi))
 
-    def shifted(self, delta: float) -> "GaussianLatent":
-        return GaussianLatent(self.mean + delta, self.sd)
-
-    @property
-    def lo(self):
-        return self.mean - RANGE_SDS * self.sd
-
-    @property
-    def hi(self):
-        return self.mean + RANGE_SDS * self.sd
-
 
 @dataclass(frozen=True)
 class SeverityScenario:
@@ -121,13 +110,15 @@ def _quad(fn, lo, hi):
 
 def _expectation(latent: GaussianLatent, factor):
     """E[z] under the unnormalized density ``latent.pdf(z) * factor(z)`` on
-    [latent.lo, latent.hi], with a propagated error bound; raises
+    mean -/+ RANGE_SDS sd, with a propagated error bound; raises
     PrecisionError when the bound exceeds TOLERANCE."""
     def weight(z):
         return latent.pdf(z) * factor(z)
 
-    den, den_err = _quad(weight, latent.lo, latent.hi)
-    num, num_err = _quad(lambda z: z * weight(z), latent.lo, latent.hi)
+    lo = latent.mean - RANGE_SDS * latent.sd
+    hi = latent.mean + RANGE_SDS * latent.sd
+    den, den_err = _quad(weight, lo, hi)
+    num, num_err = _quad(lambda z: z * weight(z), lo, hi)
     if den <= 0:
         raise PrecisionError("degenerate scenario: zero total mass")
     e = num / den
@@ -163,7 +154,7 @@ def mlrp_bias_oracle(theorem: Theorem, scenario) -> OracleResult:
             return math.exp(-0.5 * u * u)
 
         population = (severity, like)
-        group = (severity.shifted(delta), like)
+        group = (GaussianLatent(severity.mean + delta, severity.sd), like)
     elif theorem is Theorem.VISIT_FREQUENCY:
         def visit(s):  # P(visit in a bin at severity z) = 1 - exp(-exp(z - s))
             if sc.event == 1:

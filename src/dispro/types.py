@@ -33,10 +33,6 @@ class GroupId:
 
     index: int
 
-    def __post_init__(self):
-        if self.index < 0:
-            raise ConfigurationError(f"group index must be non-negative, got {self.index}")
-
 
 @dataclass
 class SharedParams:

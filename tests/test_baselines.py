@@ -14,7 +14,6 @@ from dispro.baselines import (
     fa_reconstruct,
     mape,
     mean_impute,
-    patient_matrix,
     pca_fit,
     pca_reconstruct,
     prediction_table,
@@ -365,7 +364,8 @@ class TestOnePassMatchesReference:
                            "n_predictions": len(ref)}
         d = data.n_features
         recon = reconstruction_table(data, feature_subset=subset)
-        Xv, Xp = visit_matrix(data), patient_matrix(data)
+        Xv = visit_matrix(data)
+        Xp = Xv.reshape(-1, 3 * d)
         for label, X, k, fitter, rebuild in (
                 ("pca_visit", Xv, 1, pca_fit, pca_reconstruct),
                 ("fa_visit", Xv, 1, fa_fit, fa_reconstruct),
@@ -443,9 +443,13 @@ class TestComparisonTables:
         assert set(pred) == {"linear", "quadratic", "latest"}
 
     def test_patient_matrix_concatenates_three_visits(self, small_sim):
+        """The visit matrix, one row per patient, holds the features of each
+        patient with 3 visits at their first three visits, in order."""
         data, _ = small_sim
-        Xp = patient_matrix(data)
-        assert Xp.shape[1] == 3 * data.n_features
+        Xp = visit_matrix(data).reshape(-1, 3 * data.n_features)
+        np.testing.assert_array_equal(Xp, [
+            p.features[p.visit_bins()[:3]].ravel() for p in data.patients
+            if p.visit_bins().size >= 3])
 
     @pytest.mark.parametrize("eligible, code", [(1, 2), (2, 0)])
     def test_baselines_need_two_patients_with_three_visits(

@@ -994,15 +994,21 @@ BAD_OPTIONS = {
     **{f"informative_{name}": ["evaluate", "--mode", "baselines", "--dataset",
                                "{fit}/dataset.csv", "--informative", value]
        for name, value in (("letters", "a,b"), ("fraction", "1.5"),
-                           ("negative", "-1"), ("past_last_feature", "99"))},
+                           ("negative", "-1"), ("past_last_feature", "99"),
+                           ("empty", ","))},
     **{f"train_window_{name}": ["evaluate", "--mode", "baselines", "--dataset",
                                 "{fit}/dataset.csv", "--train-window", value]
        for name, value in (("0", "0"), ("negative", "-3"))},
-    # a variant name and a process count are checked before the dataset is
-    # read
+    # a variant name, a process count and the sampler options are checked
+    # before the dataset is read
     **{f"threads_{name}": ["fit", "--dataset", "{fit}/missing.csv",
                            "--threads", value]
        for name, value in (("zero", "0"), ("negative", "-1"))},
+    **{f"sampler_{name}": ["fit", "--dataset", "{fit}/missing.csv", option,
+                           value]
+       for name, option, value in (("warmup_0", "--warmup", "0"),
+                                   ("max_leapfrog_0", "--max-leapfrog", "0"),
+                                   ("seed_negative", "--seed", "-1"))},
     **{f"variant_alias_{name}": ["fit", "--dataset", "{fit}/missing.csv",
                                  "--variant", value]
        for name, value in (("none", "none"), ("no_rate", "no-rate"))},
@@ -1012,18 +1018,34 @@ BAD_OPTIONS = {
 @pytest.mark.parametrize("case", sorted(BAD_OPTIONS))
 def test_invalid_option_exit_1(valid_fit, tmp_path, capsys, case):
     """A scale that is not a finite number above 0, an ``--informative``
-    that is not a list of the dataset's feature indices, a
+    that is not a non-empty list of the dataset's feature indices, a
     ``--train-window`` that is not an integer above 0, a ``--variant`` that
-    is not one of the five variant names, a ``--threads`` below 1, a
-    negative ``--seed`` and the removed options ``--priors``,
-    ``--target-accept``, ``--rhat-threshold``, ``--quantile`` and ``--tol``
-    end in exit 1 with a message, not a traceback, a silent pass or exit 2,
-    and before ``--out`` is made."""
+    is not one of the five variant names, a ``--threads``, ``--warmup`` or
+    ``--max-leapfrog`` below 1, a negative ``--seed`` and the removed
+    options ``--priors``, ``--target-accept``, ``--rhat-threshold``,
+    ``--quantile`` and ``--tol`` end in exit 1 with a message, not a
+    traceback, a silent pass or exit 2, and before ``--out`` is made."""
     argv = [a.replace("{fit}", str(valid_fit)) for a in BAD_OPTIONS[case]]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(("usage error:", "configuration error:"))
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("summary.json", '{"a": NaN, "b": -Infinity}'),
+    ("diagnostics.json", '{"max_global_rhat": 1.0'),
+], ids=["summary_nan", "diagnostics_truncated"])
+def test_report_of_json_that_is_not_strict_exit_2(tmp_path, capsys, name,
+                                                  text):
+    """``report`` reads its input as strictly as every other reader: a
+    ``NaN`` or an infinity, or a truncated file, is a data error that names
+    the file, and no ``report.md`` is written."""
+    (tmp_path / name).write_text(text)
+    assert main(["report", "--in", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and str(tmp_path / name) in err
+    assert not (tmp_path / "report.md").exists()
 
 
 def test_bias_averages_each_latent_column_once(valid_fit, tmp_path,

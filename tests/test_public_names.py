@@ -2,10 +2,10 @@
 public method, property and annotated field of its public classes, has a
 use outside its own definition in the package (``__init__.py`` aside), the
 demos or the benchmark. A top-level name is used where it appears as a
-word; a method, property or field where it is read as an attribute of
-anything but an imported module (``spec.global_names`` is no use of a
-method ``global_names``; building a dataclass by keyword reads none of its
-fields). Reads are matched by attribute name alone, so a read of the same
+word in code, outside comments and docstrings; a method, property or field
+where it is read as an attribute of anything but an imported module
+(``spec.global_names`` is no use of a method ``global_names``; building a
+dataclass by keyword reads none of its fields). Reads are matched by attribute name alone, so a read of the same
 name on an object of another class counts as a use: ``model.variant`` in
 ``fitting.py`` is a use of every class's ``variant`` field. Every long
 option of the command line, likewise, appears in the benchmark, the demos
@@ -14,7 +14,9 @@ by some call there. Tests do not count as a use."""
 
 import argparse
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 from dispro.cli import _build_parser
@@ -37,6 +39,22 @@ def _own_lines(node) -> range:
     return range(start - 1, node.end_lineno)
 
 
+def _code_lines(text: str, tree) -> list[str]:
+    """The lines of ``text`` with every comment and docstring line blank."""
+    lines = text.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            doc = node.body[0]
+            lines[doc.lineno - 1:doc.end_lineno] = [""] * (
+                doc.end_lineno - doc.lineno + 1)
+    return lines
+
+
 def _attribute_reads(tree) -> list[tuple[str, int]]:
     """(attribute, line index) of every ``x.attribute`` whose ``x`` is not
     a module bound by an ``import`` statement."""
@@ -54,8 +72,9 @@ def unused_public_names() -> list[str]:
                      if p.name != "__init__.py")
     users = [*package, *sorted((ROOT / "demos").glob("*.py")),
              *sorted((ROOT / "bench").glob("*.py"))]
-    lines = {p: p.read_text().splitlines() for p in users}
-    trees = {p: ast.parse("\n".join(lines[p])) for p in users}
+    texts = {p: p.read_text() for p in users}
+    trees = {p: ast.parse(texts[p]) for p in users}
+    lines = {p: _code_lines(texts[p], trees[p]) for p in users}
     reads = {p: _attribute_reads(trees[p]) for p in users}
     unused = []
     for path in package:

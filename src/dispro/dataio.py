@@ -24,6 +24,7 @@ import json
 import math
 import mmap
 import warnings
+from array import array
 from itertools import islice
 from pathlib import Path
 
@@ -34,10 +35,6 @@ from .model import ModelVariant, latent_names, param_layout
 from .sampler import PosteriorDraws, forked_map, usable_cores
 from .simulate import TruthSidecar
 from .types import DataError, Dataset, GroupId, PatientRecord
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _is_number(v) -> bool:
@@ -55,14 +52,12 @@ def _is_int(v) -> bool:
 
 
 def dataset_meta_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.name + ".meta.json")
+    return Path(f"{path}.meta.json")
 
 
 def write_dataset(data: Dataset, path) -> None:
-    path = Path(path)
     feature_cols = [f"x{j}" for j in range(data.n_features)]
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["patient_id", "group", "t", "D", *feature_cols])
         for p in data.patients:  # plain floats: repr(v) is _cell(v)
@@ -71,24 +66,26 @@ def write_dataset(data: Dataset, path) -> None:
                 w.writerow([p.patient_id, p.group.index, t, d,
                             *[repr(v) if math.isfinite(v) else ""
                               for v in row]])
-    meta = {"bin_width": data.bin_width, "n_groups": data.n_groups,
-            "n_features": data.n_features, "pinned_group": data.pinned_group}
-    write_json(meta, dataset_meta_path(path), indent=None)
+    write_json({k: getattr(data, k) for k in _SIDECAR_TYPES},
+               dataset_meta_path(path), indent=None)
 
 
 def read_dataset(path) -> Dataset:
+    """One pass over the table into compact columns: each row's patient (by
+    order of first appearance), group, t and D, and the non-empty feature
+    cells by flat position. One sort by (patient, t) then makes each
+    patient's rows a slice, so the rows may come in any order."""
     path = Path(path)
     meta_path = dataset_meta_path(path)
     meta = read_json(meta_path, _SIDECAR_TYPES)
-    pinned, n_features = meta["pinned_group"], meta["n_features"]
-
-    per_patient: dict[str, list] = {}
-    order: list[str] = []
+    n_features, ids = meta["n_features"], {}
+    # int32 patient, group and t, int8 D, int64 cell position, float value
+    patient, group, bins, visits, flat, values = map(array, "iiibqd")
     try:
         with path.open(newline="") as fh:
             r = csv.reader(fh)
-            header = next(r, None)
-            if header is None or header[:4] != ["patient_id", "group", "t", "D"]:
+            header = next(r, [])
+            if header[:4] != ["patient_id", "group", "t", "D"]:
                 raise DataError(f"{path}: not a dataset table")
             if len(header) != 4 + n_features:
                 raise DataError(f"{path}: expected {n_features} feature columns")
@@ -96,47 +93,55 @@ def read_dataset(path) -> Dataset:
                 if len(row) != len(header):
                     raise DataError(f"{path}: line {r.line_num} has {len(row)} "
                                     f"cells, the header {len(header)}")
-                pid = row[0]
-                if pid not in per_patient:
-                    per_patient[pid] = []
-                    order.append(pid)
-                per_patient[pid].append(row)
+                if row[3] not in ("0", "1"):
+                    raise DataError(f"{row[0]}: a D cell is not 0 or 1")
+                try:
+                    for j, column in ((1, group), (2, bins)):
+                        column.append(int(row[j]))
+                    for j in range(4, len(row)):
+                        if row[j]:  # only an empty cell means missing
+                            values.append(float(row[j]))
+                            flat.append(n_features * len(visits) + j - 4)
+                            if not math.isfinite(values[-1]):
+                                raise ValueError  # reported as unparsed
+                except (ValueError, OverflowError):
+                    kind = "a 32-bit integer" if j < 3 else "a finite number"
+                    raise DataError(f"{path}: line {r.line_num}, column "
+                                    f"{header[j]}: {row[j]!r} is not {kind}"
+                                    ) from None
+                patient.append(ids.setdefault(row[0], len(ids)))
+                visits.append(row[3] == "1")
     except csv.Error as exc:  # a cell past the csv module's field limit
         raise DataError(f"{path}: line {r.line_num}: {exc}") from None
-    n_rows = sum(map(len, per_patient.values()))
+    n_rows = len(visits)
     # per-group work then scales with the file, not with a sidecar number
     if meta["n_groups"] > n_rows:
         raise DataError(f"{meta_path}: n_groups {meta['n_groups']} exceeds "
                         f"the table's {n_rows} data rows")
 
-    patients = []
-    for pid in order:
-        rows = sorted(per_patient[pid], key=lambda r: int(r[2]))
-        bins = [int(r[2]) for r in rows]
-        if bins != list(range(len(bins))):
-            raise DataError(f"{pid}: bins must cover 0..horizon")
-        group_idx = {int(r[1]) for r in rows}
-        if len(group_idx) != 1:
-            raise DataError(f"{pid}: inconsistent group labels")
-        g = group_idx.pop()  # Dataset checks it lies in 0..n_groups-1
-        if any(r[3] not in ("0", "1") for r in rows):
-            raise DataError(f"{pid}: a D cell is not 0 or 1")
-        visits = np.array([int(r[3]) for r in rows], dtype=np.int8)
-        features = np.full((len(rows), n_features), np.nan)
-        for t, r in enumerate(rows):
-            for j, cell in enumerate(r[4:]):
-                if cell != "":  # only an empty cell means missing
-                    value = float(cell)
-                    if not math.isfinite(value):
-                        raise DataError(f"{pid}: non-finite feature x{j} "
-                                        f"at bin {t}: {cell!r}")
-                    features[t, j] = value
-        patients.append(PatientRecord(
-            patient_id=pid, group=GroupId(g),
-            horizon=len(rows) - 1, visits=visits, features=features))
-    return Dataset(patients=patients, n_groups=meta["n_groups"],
-                   n_features=n_features, bin_width=float(meta["bin_width"]),
-                   pinned_group=pinned)
+    patient, group, bins = (np.frombuffer(a, np.intc)
+                            for a in (patient, group, bins))
+    order = np.lexsort((bins, patient))
+    patient, group, pids = patient[order], group[order], list(ids)
+    # bounds[patient] is the first row of each row's patient
+    bounds = np.searchsorted(patient, np.arange(len(pids) + 1))
+    for bad, what in ((bins[order] != np.arange(n_rows) - bounds[patient],
+                       "bins must cover 0..horizon"),
+                      (group != group[bounds[patient]],
+                       "inconsistent group labels")):
+        if bad.any():  # the first patient, in order, with a bad row
+            raise DataError(f"{pids[patient[bad.argmax()]]}: {what}")
+    # each cell goes from its row in the file to its row in (patient, t) order
+    rows, columns = np.divmod(np.frombuffer(flat, np.int64), n_features)
+    features = np.full((n_rows, n_features), np.nan)
+    features[np.argsort(order)[rows], columns] = np.frombuffer(values)
+    visits = np.frombuffer(visits, np.int8)[order]
+    b = bounds.tolist()
+    patients = [PatientRecord(pid, GroupId(g), e - s - 1, visits[s:e],
+                              features[s:e])
+                for pid, g, s, e in zip(pids, group[b[:-1]].tolist(), b, b[1:])]
+    return Dataset(patients, meta["n_groups"], n_features,
+                   float(meta["bin_width"]), meta["pinned_group"])
 
 
 def write_truth(truth, path) -> None:
@@ -155,8 +160,7 @@ def fit_meta(data: Dataset, variant: ModelVariant, seed) -> dict:
     variant flags, the global column count and the seed (not read back)."""
     n_global = len(param_layout(data.n_features, data.n_groups,
                                 data.pinned_group, variant)[0])
-    return {"bin_width": data.bin_width, "n_groups": data.n_groups,
-            "n_features": data.n_features, "pinned_group": data.pinned_group,
+    return {**{k: getattr(data, k) for k in _SIDECAR_TYPES},
             "patient_ids": [p.patient_id for p in data.patients],
             "patient_groups": [p.group.index for p in data.patients],
             "horizon_by_patient": [p.horizon for p in data.patients],
@@ -383,9 +387,9 @@ def write_manifest(out_dir, command: str, args: dict, seed,
         "command": command,
         "seed": seed,
         "args": args,
-        "config_sha256": (_sha256(config_text.encode())
+        "config_sha256": (hashlib.sha256(config_text.encode()).hexdigest()
                           if config_text is not None else None),
-        "inputs": {str(k): _sha256(Path(v).read_bytes())
+        "inputs": {str(k): hashlib.sha256(Path(v).read_bytes()).hexdigest()
                    for k, v in (inputs or {}).items()},
         "outputs": sorted(str(o) for o in (outputs or [])),
     }

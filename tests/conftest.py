@@ -1,6 +1,8 @@
+import csv
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from dispro import (
     SimConfig,
     simulate_dataset,
 )
+from dispro.dataio import _SIDECAR_TYPES, dataset_meta_path, read_json
 from dispro.model import _emission_block, _visit_block
-from dispro.types import ConfigurationError, DatasetIndex
+from dispro.types import ConfigurationError, DataError, DatasetIndex
 
 # the @given tests draw the same examples every run and keep no example
 # database
@@ -284,3 +287,68 @@ def reference_mape(predicted, actual, feature_of=None, feature_subset=None) -> f
         return None
     return float(np.mean(np.abs(predicted[scored] - actual[scored])
                          / np.abs(actual[scored])) * 100.0)
+
+
+# The per-row reader that ``dispro.dataio.read_dataset`` replaced, kept
+# verbatim (bar its name) as the reference for the columnar one.
+def reference_read_dataset(path) -> Dataset:
+    path = Path(path)
+    meta_path = dataset_meta_path(path)
+    meta = read_json(meta_path, _SIDECAR_TYPES)
+    pinned, n_features = meta["pinned_group"], meta["n_features"]
+
+    per_patient: dict[str, list] = {}
+    order: list[str] = []
+    try:
+        with path.open(newline="") as fh:
+            r = csv.reader(fh)
+            header = next(r, None)
+            if header is None or header[:4] != ["patient_id", "group", "t", "D"]:
+                raise DataError(f"{path}: not a dataset table")
+            if len(header) != 4 + n_features:
+                raise DataError(f"{path}: expected {n_features} feature columns")
+            for row in r:
+                if len(row) != len(header):
+                    raise DataError(f"{path}: line {r.line_num} has {len(row)} "
+                                    f"cells, the header {len(header)}")
+                pid = row[0]
+                if pid not in per_patient:
+                    per_patient[pid] = []
+                    order.append(pid)
+                per_patient[pid].append(row)
+    except csv.Error as exc:  # a cell past the csv module's field limit
+        raise DataError(f"{path}: line {r.line_num}: {exc}") from None
+    n_rows = sum(map(len, per_patient.values()))
+    # per-group work then scales with the file, not with a sidecar number
+    if meta["n_groups"] > n_rows:
+        raise DataError(f"{meta_path}: n_groups {meta['n_groups']} exceeds "
+                        f"the table's {n_rows} data rows")
+
+    patients = []
+    for pid in order:
+        rows = sorted(per_patient[pid], key=lambda r: int(r[2]))
+        bins = [int(r[2]) for r in rows]
+        if bins != list(range(len(bins))):
+            raise DataError(f"{pid}: bins must cover 0..horizon")
+        group_idx = {int(r[1]) for r in rows}
+        if len(group_idx) != 1:
+            raise DataError(f"{pid}: inconsistent group labels")
+        g = group_idx.pop()  # Dataset checks it lies in 0..n_groups-1
+        if any(r[3] not in ("0", "1") for r in rows):
+            raise DataError(f"{pid}: a D cell is not 0 or 1")
+        visits = np.array([int(r[3]) for r in rows], dtype=np.int8)
+        features = np.full((len(rows), n_features), np.nan)
+        for t, r in enumerate(rows):
+            for j, cell in enumerate(r[4:]):
+                if cell != "":  # only an empty cell means missing
+                    value = float(cell)
+                    if not math.isfinite(value):
+                        raise DataError(f"{pid}: non-finite feature x{j} "
+                                        f"at bin {t}: {cell!r}")
+                    features[t, j] = value
+        patients.append(PatientRecord(
+            patient_id=pid, group=GroupId(g),
+            horizon=len(rows) - 1, visits=visits, features=features))
+    return Dataset(patients=patients, n_groups=meta["n_groups"],
+                   n_features=n_features, bin_width=float(meta["bin_width"]),
+                   pinned_group=pinned)

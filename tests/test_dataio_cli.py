@@ -7,12 +7,15 @@ import math
 import os
 import shutil
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispro import Dataset, SimConfig, simulate_dataset
 from dispro.ablation import ModelVariant
@@ -31,13 +34,98 @@ from dispro.fitting import fit_model
 from dispro.sampler import PosteriorDraws, SamplerConfig, forked_map
 from dispro.types import DataError
 
-from conftest import assert_no_children, make_patient, no_constant
+from conftest import (
+    assert_no_children,
+    make_patient,
+    no_constant,
+    reference_read_dataset,
+)
 
 
 @pytest.fixture(scope="module")
 def sim_pair(tmp_path_factory):
     cfg = SimConfig(n_patients=15, n_bins=12, bin_width=1 / 12.0, seed=5)
     return simulate_dataset(cfg)
+
+
+def edge_dataset():
+    """Partly observed visit rows, signed zero, the smallest subnormals, the
+    largest float, integer-valued floats and three groups."""
+    nan = math.nan
+    return Dataset([
+        make_patient("a", 0, [1, 0, 1, 1],
+                     [[-0.0, 5e-324, 1.7976931348623157e308],
+                      [nan, nan, nan], [2.0, nan, 1e-7], [nan, nan, -3.0]]),
+        make_patient("b", 1, [1, 1], [[2.0, -1.5, 0.1], [nan, 100.0, nan]]),
+        make_patient("c", 2, [1, 0, 1], [[1 / 3, -2.0, 1e22],
+                                         [nan, nan, nan],
+                                         [-5e-324, nan, 0.0]]),
+    ], 3, 3, 0.25, 0)
+
+
+def assert_same_dataset(got, want):
+    """The same patients in the same order, with the same groups, horizons,
+    visits and feature bits (signed zeros and subnormals included), as
+    plain ints where the fit's JSON files take them."""
+    assert ((got.n_groups, got.n_features, got.bin_width, got.pinned_group)
+            == (want.n_groups, want.n_features, want.bin_width,
+                want.pinned_group))
+    assert ([(p.patient_id, p.group, p.horizon) for p in got.patients]
+            == [(p.patient_id, p.group, p.horizon) for p in want.patients])
+    for p, q in zip(got.patients, want.patients):
+        assert type(p.group.index) is type(p.horizon) is int
+        assert (p.visits.dtype, p.features.dtype, p.features.shape) == (
+            q.visits.dtype, q.features.dtype, q.features.shape)
+        assert p.visits.tobytes() == q.visits.tobytes()
+        assert p.features.tobytes() == q.features.tobytes()
+
+
+def _table_rows(data, path):
+    """The cells of ``data``'s table, header first, as written to ``path``."""
+    write_dataset(data, path)
+    with path.open(newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _write_rows(path, rows):
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+# the text a fuzzed cell takes: numbers, near-numbers and other patients'
+# ids, or any short printable text
+_CELL_TEXT = st.one_of(
+    st.sampled_from(["", "0", "1", "2", "-1", "1.5", " 1", "+1", "1_0", "01",
+                     "nan", "inf", "-0.0", "5e-324", "1e400", "2147483648",
+                     "a", "b", "c", "x0"]),
+    st.text(st.characters(min_codepoint=9, max_codepoint=126), max_size=5))
+# one edit of edge_dataset's table (10 rows of 7 cells): (edit, row, column,
+# another row, text); rows and columns are taken modulo the table's size
+# when the edit is made
+_EDIT = st.tuples(st.sampled_from(["cell", "copy", "move", "drop",
+                                   "duplicate"]),
+                  st.integers(0, 9), st.integers(0, 6), st.integers(0, 9),
+                  _CELL_TEXT)
+
+
+def _edit_rows(rows, edits):
+    """``rows`` with each edit made in turn: a cell (the header's included)
+    set to a text or to the text of the same column in another row, or a
+    data row dropped, duplicated or moved."""
+    rows = [list(r) for r in rows]
+    for edit, i, j, k, text in edits:
+        if edit in ("cell", "copy"):
+            row = rows[i % len(rows)]
+            j %= len(row)
+            other = rows[k % len(rows)]
+            row[j] = text if edit == "cell" or j >= len(other) else other[j]
+        elif len(rows) > 1:
+            row = rows.pop(1 + i % (len(rows) - 1))
+            if edit != "drop":
+                rows.insert(1 + k % len(rows), row)
+            if edit == "duplicate":
+                rows.insert(1 + i % len(rows), list(row))
+    return rows
 
 
 class TestDatasetFormat:
@@ -98,23 +186,11 @@ class TestDatasetFormat:
             pytest.fail("no non-visit bin found")
 
     def test_edge_cells_match_the_per_cell_formatter(self, tmp_path):
-        """Partly observed visit rows, signed zero, the smallest subnormal,
-        the largest float, integer-valued floats and three groups: the
-        file is what formatting each numpy cell on its own wrote, and it
-        reads back to equal arrays."""
-        nan = math.nan
-        patients = [
-            make_patient("a", 0, [1, 0, 1, 1],
-                         [[-0.0, 5e-324, 1.7976931348623157e308],
-                          [nan, nan, nan], [2.0, nan, 1e-7],
-                          [nan, nan, -3.0]]),
-            make_patient("b", 1, [1, 1], [[2.0, -1.5, 0.1],
-                                          [nan, 100.0, nan]]),
-            make_patient("c", 2, [1, 0, 1], [[1 / 3, -2.0, 1e22],
-                                             [nan, nan, nan],
-                                             [-5e-324, nan, 0.0]]),
-        ]
-        data = Dataset(patients, 3, 3, 0.25, 0)
+        """The edge cohort's file is what formatting each numpy cell on its
+        own wrote, and it reads back to equal arrays, as the per-row reader
+        read it."""
+        data = edge_dataset()
+        patients = data.patients
         path = tmp_path / "dataset.csv"
         write_dataset(data, path)
 
@@ -137,6 +213,90 @@ class TestDatasetFormat:
             np.testing.assert_array_equal(a.features, b.features)
             np.testing.assert_array_equal(np.signbit(a.features),
                                           np.signbit(b.features))
+        assert_same_dataset(back, reference_read_dataset(path))
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_golden_cohorts_read_as_the_per_row_reader(self, tmp_path, seed):
+        """The two cohorts of tests/test_golden.py read to the Dataset the
+        per-row reader gave, which is the simulated one."""
+        data, _ = simulate_dataset(SimConfig(n_patients=30, n_bins=12,
+                                             bin_width=1 / 12, seed=seed))
+        path = tmp_path / "dataset.csv"
+        write_dataset(data, path)
+        assert_same_dataset(read_dataset(path), reference_read_dataset(path))
+        assert_same_dataset(read_dataset(path), data)
+
+    def test_rows_in_any_order_read_the_same(self, tmp_path):
+        """Rows reversed or shuffled, so that patients interleave and bins
+        come out of order, read to the ordered table's patients in their
+        order of first appearance."""
+        data = edge_dataset()
+        path = tmp_path / "dataset.csv"
+        header, *rows = _table_rows(data, path)
+        by_id = {p.patient_id: p for p in data.patients}
+        rng = np.random.default_rng(7)
+        for order in [range(len(rows))[::-1],
+                      *(rng.permutation(len(rows)) for _ in range(4))]:
+            shuffled = [rows[i] for i in order]
+            _write_rows(path, [header, *shuffled])
+            first = dict.fromkeys(row[0] for row in shuffled)
+            want = Dataset([by_id[pid] for pid in first], 3, 3, 0.25, 0)
+            assert_same_dataset(read_dataset(path), want)
+            assert_same_dataset(reference_read_dataset(path), want)
+
+    @pytest.mark.parametrize("row,column,text,message", [
+        (2, 3, "2", "a: a D cell is not 0 or 1"),
+        (2, 2, "0", "a: bins must cover 0..horizon"),
+        (6, 1, "2", "b: inconsistent group labels"),
+        (1, 4, "inf", "dataset.csv: line 2, column x0: 'inf' is not a "
+                      "finite number"),
+    ])
+    def test_a_broken_row_names_its_patient_or_cell(self, tmp_path, row,
+                                                    column, text, message):
+        """A D cell other than 0 or 1, a repeated bin and a second group
+        label name the patient; a non-finite feature names its cell."""
+        path = tmp_path / "dataset.csv"
+        rows = _table_rows(edge_dataset(), path)
+        rows[row][column] = text
+        _write_rows(path, rows)
+        with pytest.raises(DataError) as caught:
+            read_dataset(path)
+        assert str(caught.value).endswith(message)
+
+    @given(st.lists(_EDIT, min_size=1, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzzed_table_reads_as_the_per_row_reader(self, tmp_path_factory,
+                                                      edits):
+        """A valid table with cells replaced or emptied and rows dropped,
+        duplicated or moved reads to the per-row reader's Dataset; where
+        that reader raised anything, this one raises a DataError."""
+        path = tmp_path_factory.mktemp("fuzz") / "dataset.csv"
+        _write_rows(path, _edit_rows(_table_rows(edge_dataset(), path),
+                                     edits))
+        try:
+            want = reference_read_dataset(path)
+        except Exception:
+            with pytest.raises(DataError):
+                read_dataset(path)
+        else:
+            assert_same_dataset(read_dataset(path), want)
+
+    def test_read_peak_memory_is_a_small_multiple_of_the_file(self,
+                                                              tmp_path):
+        """read_dataset keeps compact columns, not the table's text: a
+        300-patient, 50-bin cohort reads at a traced peak under 6 times
+        the file's size (the per-row reader peaked at 12 times)."""
+        data, _ = simulate_dataset(SimConfig(n_patients=300, n_bins=50,
+                                             bin_width=0.02, seed=20))
+        path = tmp_path / "dataset.csv"
+        write_dataset(data, path)
+        tracemalloc.start()
+        try:
+            read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * path.stat().st_size
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_write_json_refuses_nonfinite_numbers(self, tmp_path, value):
@@ -547,11 +707,20 @@ MALFORMED = {
     "short_row": ("dataset", lambda lines, meta: _cut_last_cell(lines, 5)),
     "negative_group": ("dataset", lambda lines, meta: _set_first_group(lines,
                                                                        "-1")),
-    # a cell int() cannot read reaches cli.main's ValueError handler
+    # a cell int() or float() cannot read is a data error that names the
+    # file, the line and the column (UNPARSED_COLUMN)
     "group_not_int": ("dataset", lambda lines, meta: _set_first_group(lines,
                                                                       "1.5")),
     "bin_not_int": ("dataset", lambda lines, meta: _set_cell(lines, 2, 2,
                                                              "1.5")),
+    "feature_not_float": ("dataset", lambda lines, meta: _set_cell(
+        lines, _first_observed_row(lines), 4, "abc")),
+    # the first patient's second row: its bin repeats the first one's, or
+    # its group differs
+    "bin_repeated": ("dataset", lambda lines, meta: _set_cell(lines, 2, 2,
+                                                              "0")),
+    "group_differs_within_patient": ("dataset", lambda lines, meta: _set_cell(
+        lines, 2, 1, str(1 - int(lines[2].split(",")[1])))),
     **{f"sidecar_without_{key}": ("dataset", lambda lines, meta, k=key:
                                   meta.pop(k))
        for key in ("bin_width", "n_groups", "n_features", "pinned_group")},
@@ -720,6 +889,9 @@ MALFORMED = {
        for kind in ("bias_no_disparities_draws",
                     "disparity_no_disparities_draws")},
 }
+# the column of each MALFORMED case's unparsed cell, named in its message
+UNPARSED_COLUMN = {"group_not_int": "group", "bin_not_int": "t",
+                   "feature_not_float": "x0"}
 
 
 @pytest.fixture(scope="module")
@@ -747,12 +919,14 @@ def _no_draws_read(path):
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, case):
+def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, capsys,
+                                case):
     """Every malformed dataset, draws or truth file, and every dataset,
     fit and truth that disagree on the patients or a fit whose meta is not
     that of the dataset given to bias or disparity mode, ends in exit 2,
     not a traceback or a silent read. Bias mode finds a bad truth before it
-    reads any draws."""
+    reads any draws. An unparsed dataset cell is named by file, line and
+    column."""
     import dispro.cli as cli
 
     kind, fault = MALFORMED[case]
@@ -783,6 +957,10 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, case):
                          *["--fit", fit, "--truth",
                            str(bad / "truth.json")] * 2]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    if case in UNPARSED_COLUMN:
+        err = capsys.readouterr().err
+        assert f"data error: {bad / table}: line " in err
+        assert f", column {UNPARSED_COLUMN[case]}: '" in err
 
 
 @pytest.mark.parametrize("mode", ["bias", "recovery"])

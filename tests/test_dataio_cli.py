@@ -1,12 +1,15 @@
 """File-format round trips, manifest hashing, and CLI exit contracts."""
 
 import csv
+import errno
+import hashlib
 import io
 import json
 import math
 import os
 import shutil
 import sys
+import tempfile
 import tracemalloc
 import warnings
 import weakref
@@ -733,6 +736,12 @@ MALFORMED = {
         lines, 1, 0, "p" * 200_000)),
     "draws_header_field_past_csv_limit": ("draws", lambda lines, meta:
                                           _set_cell(lines, 0, 2, "x" * 200_000)),
+    # a 0xff byte, which no UTF-8 text holds, in the last row's patient id
+    # (past the decoder's first 8 kB read) and in a draws header name
+    "dataset_patient_id_not_utf8": ("dataset", lambda lines, meta: _set_cell(
+        lines, -1, 0, "p" * 1000 + "\udcff")),
+    "draws_header_not_utf8": ("draws", lambda lines, meta: _set_cell(
+        lines, 0, 2, "x\udcff")),
     # JSON's NaN and Infinity parse as floats
     **{f"bin_width_{name}": ("dataset", lambda lines, meta, v=value:
                              meta.update(bin_width=v))
@@ -892,6 +901,8 @@ MALFORMED = {
 # the column of each MALFORMED case's unparsed cell, named in its message
 UNPARSED_COLUMN = {"group_not_int": "group", "bin_not_int": "t",
                    "feature_not_float": "x0"}
+# the MALFORMED cases whose message names the offset of the 0xff byte
+UNDECODED = {"dataset_patient_id_not_utf8", "draws_header_not_utf8"}
 
 
 @pytest.fixture(scope="module")
@@ -926,7 +937,7 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, capsys,
     that of the dataset given to bias or disparity mode, ends in exit 2,
     not a traceback or a silent read. Bias mode finds a bad truth before it
     reads any draws. An unparsed dataset cell is named by file, line and
-    column."""
+    column, a byte that does not decode by file and offset."""
     import dispro.cli as cli
 
     kind, fault = MALFORMED[case]
@@ -940,7 +951,9 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, capsys,
         meta = new.value
     bad = tmp_path / "bad"
     shutil.copytree(valid_fit, bad)
-    (bad / table).write_text("\n".join(lines) + "\n")
+    # a lone surrogate escape is written as the byte it stands for
+    (bad / table).write_text("\n".join(lines) + "\n",
+                             errors="surrogateescape")
     (bad / sidecar).write_text(json.dumps(meta))
     fit = str((bad / table).parent)
     argv = {"fit": ["fit", "--dataset", str(bad / "dataset.csv"),
@@ -957,10 +970,14 @@ def test_malformed_input_exit_2(valid_fit, tmp_path, monkeypatch, capsys,
                          *["--fit", fit, "--truth",
                            str(bad / "truth.json")] * 2]}[command]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
     if case in UNPARSED_COLUMN:
-        err = capsys.readouterr().err
         assert f"data error: {bad / table}: line " in err
         assert f", column {UNPARSED_COLUMN[case]}: '" in err
+    if case in UNDECODED:
+        at = (bad / table).read_bytes().index(b"\xff")
+        assert at > (8192 if kind == "dataset" else 0)
+        assert f"data error: {bad / table}: byte {at} is not " in err
 
 
 @pytest.mark.parametrize("mode", ["bias", "recovery"])
@@ -1326,24 +1343,248 @@ def test_block_read_fault_as_one_process_read(valid_fit, tmp_path, monkeypatch,
     assert_no_children()
 
 
+def _evaluate_outputs(fit_root, mode, out):
+    """The bytes of each file an evaluate run in ``mode`` writes, reading
+    the full and no_visit fits under ``fit_root``; ``out`` is left empty."""
+    fits = [str(fit_root / d) for d in ("", "no_visit")]
+    truth = ["--truth", str(fit_root / "truth.json")]
+    argv = {"recovery": [a for f in fits for a in ("--fit", f, *truth)],
+            "bias": [*(a for f in fits for a in ("--fit", f)), *truth,
+                     "--dataset", str(fit_root / "dataset.csv")],
+            "disparity": ["--fit", fits[0], "--years-per-unit", "2.5"]}[mode]
+    assert main(["evaluate", "--mode", mode, *argv, "--out", str(out)]) == 0
+    outputs = {p.name: p.read_bytes() for p in out.iterdir()}
+    shutil.rmtree(out)
+    return outputs
+
+
 @pytest.mark.parametrize("mode", ["recovery", "bias", "disparity"])
 def test_evaluate_outputs_independent_of_cores(valid_fit, tmp_path,
                                                monkeypatch, blocks, mode):
     """Every evaluate output is byte-identical whether each table is read
     in one process or in row blocks."""
-    fits = [str(valid_fit / d) for d in ("", "no_visit")]
-    truth = ["--truth", str(valid_fit / "truth.json")]
-    argv = {"recovery": [a for f in fits for a in ("--fit", f, *truth)],
-            "bias": [*(a for f in fits for a in ("--fit", f)), *truth,
-                     "--dataset", str(valid_fit / "dataset.csv")],
-            "disparity": ["--fit", fits[0], "--years-per-unit", "2.5"]}[mode]
-    out, outputs = tmp_path / "out", []
+    outputs = []
     for cores in (1, 3):
         _use_cores(monkeypatch, cores)
-        assert main(["evaluate", "--mode", mode, *argv,
-                     "--out", str(out)]) == 0
-        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        shutil.rmtree(out)
+        outputs.append(_evaluate_outputs(valid_fit, mode, tmp_path / "out"))
     assert outputs[0] == outputs[1]
     assert blocks == [3] * (1 if mode == "disparity" else 2)
+    assert_no_children()
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("parsed a table that has a cache")
+
+
+def _cache_files(path):
+    """The hidden files and directories beside ``path`` that its cache
+    writes, temporary ones included."""
+    return sorted(path.parent.glob(f".{path.name}.*"))
+
+
+def _cache_of(path):
+    key = hashlib.sha256(path.read_bytes()).hexdigest()
+    return path.with_name(f".{path.name}.{key}.npy")
+
+
+@pytest.fixture
+def cached(valid_fit, tmp_path, monkeypatch):
+    """A copy of the full fit whose draws table is past the cache's
+    threshold; the first read parses it and writes its cache."""
+    import dispro.dataio as dataio
+
+    fit = tmp_path / "fit"
+    fit.mkdir()
+    for name in ("draws.csv", "fit_meta.json"):
+        shutil.copy(valid_fit / name, fit)
+    read_draws(fit / "draws.csv")
+    assert _cache_files(fit / "draws.csv") == []  # under the 2 MiB default
+    monkeypatch.setattr(dataio, "_MIN_CACHE_BYTES", 1)
+    return fit / "draws.csv"
+
+
+def test_cache_hit_reads_as_a_parse(cached, monkeypatch):
+    """A read from the cache returns the parse's names, values, accept
+    stats and divergent flags, byte for byte, and parses nothing."""
+    import dispro.dataio as dataio
+
+    parsed = _read_outcome(cached)
+    assert not isinstance(parsed, str)
+    assert _cache_files(cached) == [_cache_of(cached)]
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    monkeypatch.setattr(dataio, "forked_map", _no_parse)
+    assert _read_outcome(cached) == parsed
+    assert_no_children()
+
+
+def test_cache_misses_an_edit_that_keeps_size_and_mtime(cached, monkeypatch):
+    """The cache is keyed by the table's bytes, not by its size or mtime."""
+    import dispro.dataio as dataio
+
+    old = read_draws(cached).values
+    stat, data = cached.stat(), bytearray(cached.read_bytes())
+    i = len(data.rstrip()) - 1  # the last digit of the last cell
+    assert chr(data[i]).isdigit()
+    data[i] = ord("1") if data[i] != ord("1") else ord("2")
+    cached.write_bytes(data)
+    os.utime(cached, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert (cached.stat().st_size, cached.stat().st_mtime_ns) == (
+        stat.st_size, stat.st_mtime_ns)
+    new = read_draws(cached).values
+    assert new[-1, -1] != old[-1, -1]
+    assert _cache_files(cached) == [_cache_of(cached)]
+    monkeypatch.setattr(dataio, "_MIN_CACHE_BYTES", 2 << 20)  # a parse
+    assert read_draws(cached).values.tobytes() == new.tobytes()
+
+
+def test_table_changed_during_the_parse_writes_no_cache(cached,
+                                                        monkeypatch):
+    """A table rewritten while it is parsed keeps no cache: the key was
+    taken from the bytes before the change."""
+    import dispro.dataio as dataio
+
+    parse = dataio._read_table
+
+    def rewritten_meanwhile(path, n_rows, n_cols):
+        table = parse(path, n_rows, n_cols)
+        path.write_bytes(path.read_bytes() + b"\r\n")
+        return table
+
+    monkeypatch.setattr(dataio, "_read_table", rewritten_meanwhile)
+    read_draws(cached)
+    assert _cache_files(cached) == []
+
+
+class _Trap:
+    """Unpickling makes the directory ``marker``."""
+
+    def __init__(self, marker):
+        self.marker = marker
+
+    def __reduce__(self):
+        return os.mkdir, (str(self.marker),)
+
+
+# how a cache file goes bad: (path, table) -> its new bytes
+BAD_CACHES = {
+    "truncated": lambda path, table: path.read_bytes()[:-8],
+    "wrong_shape": lambda path, table: table[:-1],
+    "wrong_dtype": lambda path, table: table.astype(np.float32),
+    "object_array": lambda path, table: np.array(
+        [_Trap(path.with_name("unpickled"))], dtype=object),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_CACHES))
+def test_bad_cache_is_ignored_and_replaced(cached, fault):
+    """A cache that is not a float64 array of the table's shape is a miss,
+    an object array is never unpickled, and the parse replaces the cache."""
+    parsed = _read_outcome(cached)
+    cache = _cache_of(cached)
+    table = np.load(cache)
+    bad = BAD_CACHES[fault](cache, table)
+    if isinstance(bad, bytes):
+        cache.write_bytes(bad)
+    else:
+        np.save(cache, bad)
+    assert _read_outcome(cached) == parsed
+    assert not cached.with_name("unpickled").exists()
+    assert _cache_files(cached) == [cache]
+    assert np.load(cache).tobytes() == table.tobytes()
+
+
+def _refuse_mkdtemp(*args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied")
+
+
+def _save_half(file, arr):
+    Path(file).write_bytes(np.lib.format.MAGIC_PREFIX)
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("fault", ["read_only", "full"])
+def test_cache_write_refused_still_reads(cached, monkeypatch, fault):
+    """A directory that refuses the temporary directory (read-only, which a
+    chmod does not make for root) or the write (full) still reads the
+    table, and keeps no cache and no temporary file."""
+    import dispro.dataio as dataio
+
+    monkeypatch.setattr(dataio, "_MIN_CACHE_BYTES", 2 << 20)
+    parsed = _read_outcome(cached)
+    monkeypatch.setattr(dataio, "_MIN_CACHE_BYTES", 1)
+    if fault == "read_only":
+        monkeypatch.setattr(tempfile, "mkdtemp", _refuse_mkdtemp)
+    else:
+        monkeypatch.setattr(np, "save", _save_half)
+    assert _read_outcome(cached) == parsed
+    assert _cache_files(cached) == []
+
+
+@pytest.mark.filterwarnings("ignore:Input line .* contained no data")
+@pytest.mark.parametrize("fault", sorted(BLOCK_FAULTS))
+def test_malformed_table_writes_no_cache(cached, monkeypatch, fault):
+    """A table that does not parse writes no cache and reads to the error
+    text it gives below the threshold."""
+    import dispro.dataio as dataio
+
+    edit, taken = BLOCK_FAULTS[fault]
+    lines = cached.read_text().splitlines()
+    for cache in _cache_files(cached):
+        cache.unlink()
+    edit(lines, 7)
+    cached.write_text("\n".join(lines) + "\n")
+    got = _read_outcome(cached)
+    assert isinstance(got, str) != taken
+    assert bool(_cache_files(cached)) == taken
+    monkeypatch.setattr(dataio, "_MIN_CACHE_BYTES", 2 << 20)
+    assert _read_outcome(cached) == got
+
+
+def test_nonfinite_draw_fails_from_the_cache_as_from_a_parse(cached):
+    """The finite check runs on a cached table too: a table that parses
+    but holds a NaN is cached, and each read fails with the same text."""
+    lines = cached.read_text().splitlines()
+    _set_cell(lines, 3, 5, "nan")
+    cached.write_text("\n".join(lines) + "\n")
+    got = _read_outcome(cached)
+    assert "non-finite draw in" in got
+    assert _cache_files(cached) == [_cache_of(cached)]
+    assert _read_outcome(cached) == got
+
+
+def test_rewritten_table_keeps_one_cache(cached, sim_pair):
+    """Rewriting a table replaces its cache; no other file's cache, such as
+    that of a table whose name extends this one, is touched."""
+    other = cached.with_name("draws.csv.old")
+    shutil.copy(cached, other)
+    read_draws(cached)
+    other_cache = _cache_of(other)
+    shutil.copy(_cache_of(cached), other_cache)
+    draws = read_draws(cached)
+    draws.values[0, 0] += 1.0
+    write_draws(draws, cached)
+    assert read_draws(cached).values[0, 0] == draws.values[0, 0]
+    assert _cache_files(cached) == sorted([_cache_of(cached), other_cache])
+
+
+@pytest.mark.parametrize("mode", ["recovery", "bias", "disparity"])
+def test_evaluate_outputs_independent_of_the_cache(valid_fit, tmp_path,
+                                                   monkeypatch, mode):
+    """Every evaluate output is byte-identical whether each table is parsed
+    (writing its cache) or read from its cache, and the caches are all that
+    evaluate writes outside ``--out``."""
+    import dispro.dataio as dataio
+
+    fit_root = tmp_path / "fits"
+    shutil.copytree(valid_fit, fit_root)
+    before = set(fit_root.rglob("*"))
+    monkeypatch.setattr(dataio, "_MIN_CACHE_BYTES", 1)
+    parsed = _evaluate_outputs(fit_root, mode, tmp_path / "out")
+    written = set(fit_root.rglob("*")) - before
+    assert written == {_cache_of(table) for table in (
+        fit_root / "draws.csv", fit_root / "no_visit" / "draws.csv")
+        if mode != "disparity" or table.parent == fit_root}
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    assert _evaluate_outputs(fit_root, mode, tmp_path / "out") == parsed
+    assert set(fit_root.rglob("*")) - before == written
     assert_no_children()

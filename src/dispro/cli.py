@@ -323,13 +323,20 @@ def _evaluate_bias(args, out: Path) -> int:
     variants = list(reports)
     out.mkdir(parents=True, exist_ok=True)
     header = ["metric", "group", *[v.value for v in variants]]
-    by_metric = {"bias": {v: r.group_bias for v, r in reports.items()},
-                 "correlation": {v: r.group_correlation
-                                 for v, r in reports.items()},
-                 f"high_risk_share_q{HIGH_RISK_QUANTILE}": profiles}
-    rows = [[metric, g, *[by_variant[v].get(g) for v in variants]]
-            for metric, by_variant in by_metric.items()
-            for g in range(data.n_groups)]
+    rows = []
+    n_groups = data.n_groups
+    for metric in ("bias", "correlation"):
+        for g in range(n_groups):
+            row = [metric, g]
+            for v in variants:
+                rep = reports[v]
+                val = (rep.group_bias.get(g) if metric == "bias"
+                       else rep.group_correlation.get(g))
+                row.append(val)
+            rows.append(row)
+    for g in range(n_groups):
+        rows.append([f"high_risk_share_q{HIGH_RISK_QUANTILE}", g,
+                     *[profiles[v].get(g) for v in variants]])
     write_table(out / "bias_table.tsv", header, rows)
     summary = {"mode": "bias", "quantile": HIGH_RISK_QUANTILE,
                "variants": {v.value: {
@@ -435,20 +442,25 @@ def _cmd_evaluate(args) -> int:
                "disparity": _evaluate_disparity}[args.mode]
     code = handler(args, out)
     write_manifest(out, f"evaluate:{args.mode}",
-                   {k: v for k, v in vars(args).items() if k != "command"},
+                   {k: v for k, v in vars(args).items()
+                    if k not in ("command",)},
                    None)
     return code
 
 
 def _cmd_report(args) -> int:
     in_dir = Path(args.in_dir)
-    for doc_path in (in_dir / "summary.json", in_dir / "diagnostics.json"):
-        if doc_path.exists():
-            break
+    summary_path = in_dir / "summary.json"
+    diag_path = in_dir / "diagnostics.json"
+    if summary_path.exists():
+        doc = read_json(summary_path, {})
+    elif diag_path.exists():
+        doc = read_json(diag_path, {})
     else:
         raise DataError(f"no summary.json or diagnostics.json in {in_dir}")
-    doc = read_json(doc_path, {})
-    text = "\n".join([f"# dispro report: {in_dir}", "", *_render(doc, 0)]) + "\n"
+    lines = [f"# dispro report: {in_dir}", ""]
+    lines.extend(_render(doc, 0))
+    text = "\n".join(lines) + "\n"
     (in_dir / "report.md").write_text(text)
     print(text, end="")
     return EXIT_OK

@@ -1383,7 +1383,9 @@ def _cache_files(path):
 
 
 def _cache_of(path):
-    key = hashlib.sha256(path.read_bytes()).hexdigest()
+    import dispro.dataio as dataio
+
+    key = hashlib.sha256(dataio._CACHE_TAG + path.read_bytes()).hexdigest()
     return path.with_name(f".{path.name}.{key}.npy")
 
 
@@ -1493,6 +1495,89 @@ def test_bad_cache_is_ignored_and_replaced(cached, fault):
     assert np.load(cache).tobytes() == table.tobytes()
 
 
+def _give_away(path):
+    if os.getuid() != 0:
+        pytest.skip("only root can give a file to another user")
+    os.chown(path, 4321, 4321)
+
+
+def _link_elsewhere(path):
+    target = path.with_name("elsewhere.npy")
+    os.replace(path, target)
+    path.symlink_to(target)
+
+
+# how a file with other values comes to stand at a table's cache name,
+# where someone who may not write the table could put it
+PLANTED_CACHES = {
+    "group_writable": lambda path: path.chmod(0o664),
+    "other_writable": lambda path: path.chmod(0o646),
+    "other_owner": _give_away,
+    "symlink": _link_elsewhere,
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED_CACHES) + ["fifo"])
+def test_planted_cache_is_ignored_and_replaced(cached, plant):
+    """A file at the cache's name that another user owns or may write, a
+    symlink or a FIFO is a miss: the read equals a parse, blocks on
+    nothing, and replaces the file with this user's cache."""
+    parsed = _read_outcome(cached)
+    cache = _cache_of(cached)
+    table = np.load(cache)
+    cache.unlink()
+    if plant == "fifo":
+        os.mkfifo(cache)
+    else:
+        np.save(cache, table + 1.0)
+        PLANTED_CACHES[plant](cache)
+    assert _read_outcome(cached) == parsed
+    assert cache.is_file() and not cache.is_symlink()
+    assert (cache.stat().st_uid, cache.stat().st_mode & 0o777) == (
+        os.getuid(), 0o644)
+    assert np.load(cache).tobytes() == table.tobytes()
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664])
+def test_cache_keeps_the_table_readers_and_no_other_writer(cached,
+                                                           monkeypatch, mode):
+    """The cache is readable by those who may read the table and writable
+    by its writer alone, whatever the umask, so that a read hits it."""
+    import dispro.dataio as dataio
+
+    cached.chmod(mode)
+    old_umask = os.umask(0o002)
+    try:
+        read_draws(cached)
+    finally:
+        os.umask(old_umask)
+    assert _cache_of(cached).stat().st_mode & 0o777 == mode & 0o644
+    monkeypatch.setattr(dataio, "forked_map", _no_parse)
+    monkeypatch.setattr(np, "loadtxt", _no_parse)
+    read_draws(cached)
+
+
+def test_new_cache_tag_misses_old_caches(cached, monkeypatch):
+    """A new ``_CACHE_TAG`` (for a changed parse) gives the table a new key:
+    the next read parses, and its cache replaces the old one."""
+    import dispro.dataio as dataio
+
+    read_draws(cached)
+    old = _cache_of(cached)
+    monkeypatch.setattr(dataio, "_CACHE_TAG", b"another parse\n")
+    parse, calls = dataio._read_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return parse(*args)
+
+    monkeypatch.setattr(dataio, "_read_table", counted)
+    read_draws(cached)
+    read_draws(cached)
+    assert len(calls) == 1
+    assert _cache_files(cached) == [_cache_of(cached)] != [old]
+
+
 def _refuse_mkdtemp(*args, **kwargs):
     raise PermissionError(errno.EACCES, "Permission denied")
 
@@ -1563,8 +1648,25 @@ def test_rewritten_table_keeps_one_cache(cached, sim_pair):
     draws = read_draws(cached)
     draws.values[0, 0] += 1.0
     write_draws(draws, cached)
+    assert _cache_files(cached) == [other_cache]  # no stale cache is kept
     assert read_draws(cached).values[0, 0] == draws.values[0, 0]
     assert _cache_files(cached) == sorted([_cache_of(cached), other_cache])
+
+
+def _refuse_unlink(self, missing_ok=False):
+    raise PermissionError(errno.EPERM, "Operation not permitted")
+
+
+def test_old_cache_that_will_not_go_stays(cached, monkeypatch):
+    """An old cache that may not be deleted (another user's, in a sticky
+    directory) stays beside the table; the rewrite and the read go on."""
+    draws = read_draws(cached)
+    old = _cache_of(cached)
+    monkeypatch.setattr(Path, "unlink", _refuse_unlink)
+    draws.values[0, 0] += 1.0
+    write_draws(draws, cached)
+    assert read_draws(cached).values[0, 0] == draws.values[0, 0]
+    assert _cache_files(cached) == sorted([old, _cache_of(cached)])
 
 
 @pytest.mark.parametrize("mode", ["recovery", "bias", "disparity"])
